@@ -515,10 +515,12 @@ class FaultTolerantRuntime:
                 self.save_checkpoint(checkpoints, report, i + 1)
         if self.telemetry is not None:
             self.telemetry.flush(step=start_iteration + num_iterations)
-            if self._calibrated:
+            if self._calibrated and self.journal is not None:
                 # The settled before/after view: by run end the residual
                 # windows are dominated by the live regime, unlike the
-                # mid-run snapshot in each "recalibrate" record.
+                # mid-run snapshot in each "recalibrate" record. Both MAPEs
+                # walk every windowed sample, so they are computed only
+                # when a journal will keep them.
                 self._journal(
                     "calibration_summary",
                     mape_raw=round(self.telemetry.predictor_mape, 6),
@@ -991,19 +993,20 @@ class FaultTolerantRuntime:
         self.planner.set_predictor(calibrated)
         self._calibrated = True
         self.telemetry.publish_corrections()
-        self._journal(
-            "recalibrate",
-            iteration=iteration,
-            op_type=event.worst_op_type,
-            mean_residual=round(event.mean_residual, 6),
-            worst_residual=round(event.worst_residual, 6),
-            mape_before=round(self.telemetry.predictor_mape, 6),
-            mape_after=round(self.telemetry.calibrated_mape, 6),
-            corrections={
-                op: round(c, 6)
-                for op, c in self.telemetry.residual.corrections().items()
-            },
-        )
+        if self.journal is not None:
+            self._journal(
+                "recalibrate",
+                iteration=iteration,
+                op_type=event.worst_op_type,
+                mean_residual=round(event.mean_residual, 6),
+                worst_residual=round(event.worst_residual, 6),
+                mape_before=round(self.telemetry.predictor_mape, 6),
+                mape_after=round(self.telemetry.calibrated_mape, 6),
+                corrections={
+                    op: round(c, 6)
+                    for op, c in self.telemetry.residual.corrections().items()
+                },
+            )
         # Fresh detection window against the corrected model: if the
         # correction only partially absorbed the drift (early windows mix
         # pre- and post-drift samples), the detector re-fires after another

@@ -33,6 +33,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,9 +81,14 @@ class CalibrationSample:
             else self.predicted_us
         )
 
-    @property
+    @cached_property
     def log_ratio(self) -> float:
-        """log(observed / base predicted): the multiplicative residual."""
+        """log(observed / base predicted): the multiplicative residual.
+
+        Computed on first read and cached on the instance, so a sample that
+        stays in a window across many corrections pays for one log, and a
+        sample nobody reads a correction from pays for none.
+        """
         return math.log(max(self.observed_us, 1e-9) / max(self.predicted_us, 1e-9))
 
     @property
@@ -192,6 +198,11 @@ class ResidualModel:
     drift; op types below the threshold fall back to the quantile
     correction. Fitting is deterministic (fixed ``random_state``) and
     refit lazily whenever the window content changes.
+
+    Corrections are memoized per op type: :meth:`record` drops its op's
+    entry and :meth:`load_state` drops them all, and nothing else writes
+    the windows, so a memoized value always equals the median over the
+    current window.
     """
 
     def __init__(
@@ -216,6 +227,7 @@ class ResidualModel:
         self._samples: dict[str, deque[CalibrationSample]] = {}
         self._gbdt: dict[str, GradientBoostingRegressor] = {}
         self._gbdt_stale: set[str] = set()
+        self._corrections: dict[str, float] = {}
         self.total_samples = 0
 
     # ------------------------------------------------------------------
@@ -225,6 +237,7 @@ class ResidualModel:
             sample.op_type, deque(maxlen=self.window)
         )
         window.append(sample)
+        self._corrections.pop(sample.op_type, None)
         self._gbdt_stale.add(sample.op_type)
         self.total_samples += 1
 
@@ -238,6 +251,9 @@ class ResidualModel:
 
     def correction(self, op_type: str) -> float:
         """The multiplicative correction for one op type (1.0 = trust base)."""
+        memo = self._corrections.get(op_type)
+        if memo is not None:
+            return memo
         window = self._samples.get(op_type)
         if window is None or len(window) < self.min_samples:
             return 1.0
@@ -245,7 +261,9 @@ class ResidualModel:
         n = len(log_ratios)
         mid = n // 2
         median = log_ratios[mid] if n % 2 else 0.5 * (log_ratios[mid - 1] + log_ratios[mid])
-        return float(min(self.clip, max(1.0 / self.clip, math.exp(median))))
+        memo = float(min(self.clip, max(1.0 / self.clip, math.exp(median))))
+        self._corrections[op_type] = memo
+        return memo
 
     def corrections(self) -> dict[str, float]:
         return {op: self.correction(op) for op in self.op_types()}
@@ -256,9 +274,12 @@ class ResidualModel:
             model = self._gbdt_model(op_type)
             if model is not None and features:
                 log_corr = float(model.predict(np.asarray([features], dtype=float))[0])
-                bounded = min(math.log(self.clip), max(-math.log(self.clip), log_corr))
-                return predicted_us * math.exp(bounded)
+                return self._apply_log_correction(predicted_us, log_corr)
         return predicted_us * self.correction(op_type)
+
+    def _apply_log_correction(self, predicted_us: float, log_corr: float) -> float:
+        bound = math.log(self.clip)
+        return predicted_us * math.exp(min(bound, max(-bound, log_corr)))
 
     def _gbdt_model(self, op_type: str) -> GradientBoostingRegressor | None:
         window = self._samples.get(op_type)
@@ -281,17 +302,36 @@ class ResidualModel:
     # ------------------------------------------------------------------
 
     def mean_absolute_percentage_error(self, corrected: bool = False) -> float:
-        """MAPE of the base (or corrected) predictions over all windows."""
+        """MAPE of the base (or corrected) predictions over all windows.
+
+        Each prediction equals :meth:`correct` on that sample; the GBDT
+        model is evaluated once per op over the window's feature rows
+        (its ``predict`` is elementwise per row, so the values match).
+        """
         errors: list[float] = []
         for op_type, window in self._samples.items():
-            for s in window:
-                pred = (
-                    self.correct(op_type, s.predicted_us, s.features)
-                    if corrected
-                    else s.predicted_us
-                )
+            if corrected:
+                preds = self._corrected_window(op_type, window)
+            else:
+                preds = [s.predicted_us for s in window]
+            for s, pred in zip(window, preds):
                 errors.append(abs(s.observed_us - pred) / max(s.observed_us, 1e-9))
         return float(sum(errors) / len(errors)) if errors else 0.0
+
+    def _corrected_window(self, op_type: str, window) -> list[float]:
+        """``correct()`` of every sample in ``window``, batched per op."""
+        model = self._gbdt_model(op_type) if self.mode == "gbdt" else None
+        if model is None:
+            factor = self.correction(op_type)
+            return [s.predicted_us * factor for s in window]
+        featured = [s.features for s in window if s.features]
+        log_corrs = iter(model.predict(np.asarray(featured, dtype=float)).tolist())
+        return [
+            self._apply_log_correction(s.predicted_us, next(log_corrs))
+            if s.features
+            else s.predicted_us * self.correction(op_type)
+            for s in window
+        ]
 
     def fingerprint(self) -> str:
         """Content hash of the current corrections (plan-cache key input)."""
@@ -331,6 +371,7 @@ class ResidualModel:
         }
         self._gbdt = {}
         self._gbdt_stale = set(self._samples)
+        self._corrections = {}
 
 
 # ----------------------------------------------------------------------
@@ -365,11 +406,12 @@ class CalibratedPredictor:
         return kernel.duration_us
 
     def predict_kernel(self, kernel) -> float:
-        from ..core.latency_predictor import kernel_features
+        features = ()
+        if self.residual.mode == "gbdt":
+            from ..core.latency_predictor import kernel_features
 
-        return self.residual.correct(
-            kernel.tag, self.base_prediction(kernel), kernel_features(kernel)
-        )
+            features = kernel_features(kernel)
+        return self.residual.correct(kernel.tag, self.base_prediction(kernel), features)
 
     def predict_total(self, kernels) -> float:
         return sum(self.predict_kernel(k) for k in kernels)

@@ -6,11 +6,13 @@ import pytest
 from repro.core import RapPlanner
 from repro.dlrm import TrainingWorkload, model_for_plan
 from repro.preprocessing import build_plan
-from repro.runtime import CheckpointManager, FaultTolerantRuntime, SimulatedKill
+from repro.runtime import CheckpointManager, FaultTolerantRuntime, RunJournal, SimulatedKill
 from repro.telemetry import (
     CalibratedPredictor,
+    CalibrationSample,
     DriftDetector,
     LatencyDrift,
+    ResidualModel,
     TelemetrySession,
 )
 
@@ -27,11 +29,12 @@ def setting():
     return graphs, workload
 
 
-def make_runtime(setting, telemetry=None, drift_schedule=()):
+def make_runtime(setting, telemetry=None, drift_schedule=(), journal=None):
     graphs, workload = setting
     planner = RapPlanner(workload)
     return FaultTolerantRuntime(
-        planner, graphs, telemetry=telemetry, drift_schedule=drift_schedule
+        planner, graphs, telemetry=telemetry, drift_schedule=drift_schedule,
+        journal=journal,
     )
 
 
@@ -190,3 +193,66 @@ class TestCheckpointResumeWithCalibration:
             telemetry=TelemetrySession(),
         )
         assert restored.drift_schedule == schedule
+
+
+class TestCalibrationCost:
+    """Cost guards by operation counts, not timings, over one 25-iteration
+    SigridHash x1.6 drift episode: the detector fires, so every kernel
+    price goes through the residual model."""
+
+    SCHEDULE = [LatencyDrift("SigridHash", 1.6, start_iteration=2)]
+
+    def test_log_ratio_computed_at_most_once_per_sample(self, setting, monkeypatch):
+        log_ratio = CalibrationSample.__dict__["log_ratio"]
+        original = log_ratio.func
+        computed = []  # holds the samples, so no id is reused
+
+        def counting(sample):
+            computed.append(sample)
+            return original(sample)
+
+        monkeypatch.setattr(log_ratio, "func", counting)
+        runtime = make_runtime(
+            setting, telemetry=TelemetrySession(), drift_schedule=self.SCHEDULE
+        )
+        runtime.run(25)
+        assert runtime._calibrated
+        assert computed
+        assert len({id(s) for s in computed}) == len(computed)
+
+    def test_unjournaled_runtime_never_computes_mape(self, setting, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            ResidualModel,
+            "mean_absolute_percentage_error",
+            lambda model, corrected=False: calls.append(corrected) or 0.0,
+        )
+        runtime = make_runtime(
+            setting, telemetry=TelemetrySession(), drift_schedule=self.SCHEDULE
+        )
+        runtime.run(25)
+        assert runtime._calibrated
+        assert calls == []
+
+    def test_journaled_runtime_writes_one_summary_per_run(self, setting, tmp_path):
+        telemetry = TelemetrySession()
+        journal = RunJournal(tmp_path / "journal.jsonl")
+        runtime = make_runtime(
+            setting, telemetry=telemetry, drift_schedule=self.SCHEDULE, journal=journal
+        )
+        expected = []
+        report = None
+        for start, count in ((0, 10), (10, 15)):
+            report = runtime.run(count, start_iteration=start, report=report)
+            expected.append(
+                {
+                    "type": "calibration_summary",
+                    "mape_raw": round(telemetry.predictor_mape, 6),
+                    "mape_calibrated": round(telemetry.calibrated_mape, 6),
+                    "drift_events": len(telemetry.drift_events),
+                }
+            )
+        journal.close()
+        records = RunJournal.read(journal.path)
+        summaries = [r for r in records if r["type"] == "calibration_summary"]
+        assert summaries == expected

@@ -1,9 +1,14 @@
 """Residual model, calibrated predictor, drift schedule, drift detector."""
 
+import hashlib
+import json
 import math
+import random
 
+import numpy as np
 import pytest
 
+from repro.ml.gbdt import GradientBoostingRegressor
 from repro.telemetry import (
     CalibratedPredictor,
     CalibrationSample,
@@ -385,3 +390,160 @@ class TestFingerprintRestoreStability:
         for s in samples("Clamp", 3.0, n=16, start_iter=16):
             restored.record_kernel_sample(s)
         assert restored.calibrated_predictor(None).fingerprint() != before
+
+
+class ReferenceResidual:
+    """The residual formulas as they stood before memoization, evaluated
+    from scratch on every read over independently kept windows."""
+
+    def __init__(self, model: ResidualModel) -> None:
+        self.model = model
+        self.windows: dict[str, list[CalibrationSample]] = {}
+
+    def record(self, sample: CalibrationSample) -> None:
+        window = self.windows.setdefault(sample.op_type, [])
+        window.append(sample)
+        del window[: -self.model.window]
+
+    def reload(self) -> None:
+        # A state_dict stores the windows in sorted op order.
+        self.windows = {op: self.windows[op] for op in sorted(self.windows)}
+
+    @staticmethod
+    def log_ratio(s: CalibrationSample) -> float:
+        return math.log(max(s.observed_us, 1e-9) / max(s.predicted_us, 1e-9))
+
+    def correction(self, op_type: str) -> float:
+        window = self.windows.get(op_type, [])
+        if len(window) < self.model.min_samples:
+            return 1.0
+        log_ratios = sorted(self.log_ratio(s) for s in window)
+        n = len(log_ratios)
+        mid = n // 2
+        median = log_ratios[mid] if n % 2 else 0.5 * (log_ratios[mid - 1] + log_ratios[mid])
+        clip = self.model.clip
+        return float(min(clip, max(1.0 / clip, math.exp(median))))
+
+    def corrections(self) -> dict[str, float]:
+        return {op: self.correction(op) for op in sorted(self.windows)}
+
+    def gbdt_model(self, op_type: str):
+        window = self.windows.get(op_type, [])
+        rows = [s for s in window if s.features]
+        if len(window) < self.model.min_fit_samples or len(rows) < self.model.min_fit_samples:
+            return None
+        model = GradientBoostingRegressor(
+            n_estimators=40, max_depth=3, learning_rate=0.2, random_state=0
+        )
+        model.fit(
+            np.asarray([s.features for s in rows], dtype=float),
+            np.asarray([self.log_ratio(s) for s in rows], dtype=float),
+        )
+        return model
+
+    def correct(self, op_type: str, predicted_us: float, features, gbdt=None) -> float:
+        if self.model.mode == "gbdt":
+            model = gbdt if gbdt is not None else self.gbdt_model(op_type)
+            if model is not None and features:
+                log_corr = float(model.predict(np.asarray([features], dtype=float))[0])
+                bound = math.log(self.model.clip)
+                return predicted_us * math.exp(min(bound, max(-bound, log_corr)))
+        return predicted_us * self.correction(op_type)
+
+    def mape(self, corrected: bool) -> float:
+        errors = []
+        for op_type, window in self.windows.items():
+            gbdt = self.gbdt_model(op_type) if corrected and self.model.mode == "gbdt" else None
+            for s in window:
+                pred = (
+                    self.correct(op_type, s.predicted_us, s.features, gbdt)
+                    if corrected
+                    else s.predicted_us
+                )
+                errors.append(abs(s.observed_us - pred) / max(s.observed_us, 1e-9))
+        return float(sum(errors) / len(errors)) if errors else 0.0
+
+    def fingerprint(self) -> str:
+        payload = json.dumps(
+            {op: round(c, 12) for op, c in self.corrections().items()}, sort_keys=True
+        )
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+class TestIncrementalEquivalence:
+    """Memoized corrections and cached log-ratios are bit-identical to the
+    from-scratch formulas under any interleaving of writes and reads."""
+
+    OPS = ("Clamp", "Logit", "SigridHash")
+
+    def random_sample(self, rng: random.Random) -> CalibrationSample:
+        predicted = rng.uniform(1.0, 200.0)
+        factor = rng.choice([1.0, 1.6, rng.lognormvariate(0.0, 0.5), 100.0])
+        features = (
+            tuple(float(rng.randint(0, 3)) for _ in range(3))
+            if rng.random() < 0.8
+            else ()
+        )
+        return CalibrationSample(
+            rng.choice(self.OPS), predicted, predicted * factor, features=features
+        )
+
+    def read(self, rng: random.Random, model: ResidualModel, ref: ReferenceResidual):
+        query = rng.randrange(6)
+        op = rng.choice(self.OPS + ("Unseen",))
+        if query == 0:
+            assert model.correction(op) == ref.correction(op)
+        elif query == 1:
+            assert model.corrections() == ref.corrections()
+        elif query == 2:
+            assert model.fingerprint() == ref.fingerprint()
+        elif query == 3:
+            assert model.mean_absolute_percentage_error() == ref.mape(False)
+        elif query == 4:
+            assert model.mean_absolute_percentage_error(corrected=True) == ref.mape(True)
+        else:
+            s = self.random_sample(rng)
+            assert model.correct(op, s.predicted_us, s.features) == ref.correct(
+                op, s.predicted_us, s.features
+            )
+
+    @pytest.mark.parametrize("mode", ["quantile", "gbdt"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_interleavings_match_reference(self, mode, seed):
+        rng = random.Random(seed)
+        model = ResidualModel(window=8, min_samples=3, mode=mode, min_fit_samples=4)
+        ref = ReferenceResidual(model)
+        snapshots = []
+        for _ in range(300):
+            action = rng.random()
+            if action < 0.6:
+                sample = self.random_sample(rng)
+                model.record(sample)
+                ref.record(sample)
+            elif action < 0.7:
+                windows = {op: list(w) for op, w in ref.windows.items()}
+                snapshots.append((model.state_dict(), windows))
+                kind = rng.randrange(3)
+                if kind == 0:  # reload in place
+                    model.load_state(snapshots[-1][0])
+                elif kind == 1:  # JSON round trip into a fresh model
+                    model = ResidualModel()
+                    model.load_state(json.loads(json.dumps(snapshots[-1][0])))
+                    ref.model = model
+                else:  # rewind in place to an earlier state
+                    state, windows = rng.choice(snapshots)
+                    model.load_state(state)
+                    ref.windows = {op: list(w) for op, w in windows.items()}
+                ref.reload()
+            else:
+                self.read(rng, model, ref)
+        assert {op: model.samples_for(op) for op in model.op_types()} == ref.windows
+        assert model.corrections() == ref.corrections()
+        assert model.fingerprint() == ref.fingerprint()
+        assert model.mean_absolute_percentage_error() == ref.mape(False)
+        assert model.mean_absolute_percentage_error(corrected=True) == ref.mape(True)
+        for op in self.OPS:
+            for s in model.samples_for(op):
+                assert model.correct(op, s.predicted_us, s.features) == ref.correct(
+                    op, s.predicted_us, s.features
+                )
