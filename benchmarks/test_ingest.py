@@ -26,10 +26,8 @@ from repro.ingest import (
     PacedSource,
     PipelinedFeeder,
     QueueConfig,
-    shm_available,
     source,
 )
-from repro.ingest.shmio import leaked_ingest_segments
 from repro.ioutil import atomic_write_json
 from repro.preprocessing import build_plan, compile_graph_set
 
@@ -163,51 +161,3 @@ def test_bench_bursty_arrival_keeps_memory_bounded(policy, tmp_path):
         assert delivered == num_batches  # block and spill lose nothing
     if policy == "spill_to_disk":
         assert not list(Path(tmp_path).glob("spill-*.pkl"))  # all restored
-
-
-def test_bench_process_mode_shm_vs_pickle():
-    """Satellite (ISSUE 10): shm handoff vs pickled results in process mode.
-
-    Measures per-batch delivery wall time for the same process-mode feeder
-    with the shared-memory handoff on (default) and forced off via the
-    feeder's fallback knob, and records the delta. On a 1-core host the
-    two paths time-slice the same CPU, so this is recorded as a
-    measurement -- the win-guard is only that shm delivery stays within
-    2x of pickle (it removes a full serialize/deserialize of ~5 MB per
-    batch, so in practice it is the faster path on any real machine).
-    """
-    if not shm_available():
-        pytest.skip("shared-memory handoff unavailable on this host")
-    src = source("synthetic://kaggle?batch=4096&batches=8&seed=9")
-
-    def run(feeder: PipelinedFeeder) -> float:
-        # Warm the pool (first batch pays worker spawn), then time an epoch.
-        for _ in feeder:
-            break
-        t0 = time.perf_counter()
-        n = sum(1 for _ in feeder)
-        wall = time.perf_counter() - t0
-        assert n == len(src)
-        return wall / n
-
-    with PipelinedFeeder(src, mode="process", workers=2, depth=2) as feeder:
-        assert feeder.shm_handoff
-        shm_s = run(feeder)
-    pickled = PipelinedFeeder(src, mode="process", workers=2, depth=2)
-    pickled.shm_handoff = False  # transparent fallback path
-    with pickled:
-        pickle_s = run(pickled)
-    assert not leaked_ingest_segments()
-
-    batch_bytes = src(0).nbytes()
-    RESULTS["process_handoff_shm_vs_pickle"] = {
-        "rows": 4096,
-        "batch_payload_bytes": batch_bytes,
-        "pickle_ms_per_batch": round(pickle_s * 1e3, 4),
-        "shm_ms_per_batch": round(shm_s * 1e3, 4),
-        "speedup_shm_over_pickle": round(pickle_s / shm_s, 3),
-    }
-    assert shm_s <= pickle_s * 2.0, (
-        f"shm handoff pathologically slow: {shm_s * 1e3:.2f} ms vs "
-        f"{pickle_s * 1e3:.2f} ms pickled"
-    )

@@ -66,7 +66,6 @@ from .ingest import (
     build_source,
 )
 from .preprocessing import (
-    BACKEND_NAMES,
     OP_REGISTRY,
     BufferArena,
     EngineMetrics,
@@ -282,7 +281,6 @@ def _print_data_path(
     engine: str,
     seed: int,
     workers: int = 0,
-    backend: str | None = None,
     registry=None,
 ) -> None:
     """Execute one real synthetic batch through the selected data-path engine."""
@@ -295,7 +293,6 @@ def _print_data_path(
         parallel = ParallelEngine(
             graphs,
             workers=workers,
-            backend=backend,
             metrics=EngineMetrics(registry),
         )
 
@@ -305,7 +302,7 @@ def _print_data_path(
         label = f"parallel ({workers} workers)"
     elif engine == "compiled":
         arena = BufferArena()
-        programs = compile_plan(plan, arena=arena, rows=graphs.rows, backend=backend)
+        programs = compile_plan(plan, arena=arena, rows=graphs.rows)
 
         def run_once():
             for program in programs.values():
@@ -337,18 +334,12 @@ def _print_data_path(
                 f"{info['steps']} fused steps over {parallel.num_shards} shards "
                 f"{parallel.shard_sizes()}"
             )
-            steps_by_backend = ", ".join(
-                f"{name}={count}" for name, count in sorted(info["backend_steps"].items())
-            )
-            extra["kernel backend"] = f"{info['backend']} ({steps_by_backend})"
             busy = ", ".join(
                 f"w{i} {frac:.2f}"
                 for i, frac in sorted(parallel.worker_busy_fractions().items())
             )
             extra["worker busy fractions"] = busy or "n/a"
             extra["shm bytes in flight"] = parallel.shm_bytes_in_flight()
-        elif engine == "compiled":
-            extra["kernel backend"] = backend or "numpy"
         lines = {
             "engine": label,
             **extra,
@@ -576,7 +567,6 @@ def cmd_run(args) -> int:
             every=args.verify_data,
             seed=args.seed,
             workers=args.engine_workers,
-            backend=args.kernel_backend,
         )
         if args.verify_data > 0
         else None
@@ -683,7 +673,6 @@ def cmd_run(args) -> int:
             args.engine,
             args.seed,
             workers=args.engine_workers,
-            backend=args.kernel_backend,
             registry=telemetry.registry if telemetry is not None else None,
         )
     if runtime.verifier is not None and runtime.verifier.history:
@@ -985,11 +974,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "checks) through the multi-core sharded engine with N "
                             "worker processes over shared-memory arenas "
                             "(0 = in-process, the default)")
-    p_run.add_argument("--kernel-backend", choices=BACKEND_NAMES, default="numpy",
-                       help="compiled-kernel backend for data-path execution; "
-                            "'auto' picks the fastest available and every backend "
-                            "falls back to numpy per-op when unavailable "
-                            "(default numpy)")
     p_run.add_argument("--shadow", action="store_true",
                        help="attach the shadow promotion loop: continuously search "
                             "candidate plans against calibrated costs, promote only "
@@ -1011,7 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "run is bit-identical to one without the subsystem")
     p_run.add_argument("--source", metavar="SPEC[,SPEC...]",
                        help="stream batches from URL-style ingest source(s) "
-                            "(csv://, jsonl://, parquet://, synthetic://, "
+                            "(csv://, jsonl://, synthetic://, "
                             "replay://; several comma-joined specs sample by "
                             "their weight= params); one batch is pulled per "
                             "iteration through the pipelined feeder, wrapping "

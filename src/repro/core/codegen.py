@@ -54,7 +54,6 @@ def compile_plan(
     plan: RapPlan,
     arena: BufferArena | None = None,
     rows: int | None = None,
-    backend: str | None = None,
 ) -> dict[int, CompiledProgram]:
     """Lower a searched plan's per-GPU kernel schedules into compiled programs.
 
@@ -93,7 +92,7 @@ def compile_plan(
         for stage_idx in sorted(assignments):
             add_kernels(assignments[stage_idx])
         add_kernels(plan.trailing_per_gpu[gpu])
-        programs[gpu] = compile_op_groups(groups, rows=rows, arena=arena, backend=backend)
+        programs[gpu] = compile_op_groups(groups, rows=rows, arena=arena)
     return programs
 
 

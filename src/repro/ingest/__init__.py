@@ -13,20 +13,12 @@ in the telemetry registry. See DESIGN.md §14.
 from .feeder import PipelinedFeeder, QueueConfig
 from .metrics import IngestMetrics
 from .queue import OVERLOAD_POLICIES, BackpressureQueue, QueueClosed, QueueStats
-from .shmio import (
-    ShmBatchHandle,
-    decode_batch,
-    dispose_handle,
-    encode_batch,
-    shm_available,
-)
 from .sources import (
     BatchSource,
     CsvSource,
     JsonlSource,
     MixedSource,
     PacedSource,
-    ParquetSource,
     ReplaySource,
     SyntheticBatchSource,
     SyntheticSource,
@@ -48,22 +40,16 @@ __all__ = [
     "MixedSource",
     "OVERLOAD_POLICIES",
     "PacedSource",
-    "ParquetSource",
     "PipelinedFeeder",
     "QueueClosed",
     "QueueConfig",
     "QueueStats",
     "ReplaySource",
-    "ShmBatchHandle",
     "SourceSpec",
     "SyntheticBatchSource",
     "SyntheticSource",
     "build_source",
-    "decode_batch",
-    "dispose_handle",
-    "encode_batch",
     "parse_spec",
-    "shm_available",
     "source",
     "split_specs",
     "write_csv",

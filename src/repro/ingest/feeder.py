@@ -56,14 +56,13 @@ class QueueConfig:
     low_watermark: int | None = None
     spill_dir: str | None = None
 
-    def build(self, dispose=None) -> BackpressureQueue:
+    def build(self) -> BackpressureQueue:
         return BackpressureQueue(
             self.capacity,
             policy=self.policy,
             high_watermark=self.high_watermark,
             low_watermark=self.low_watermark,
             spill_dir=self.spill_dir,
-            dispose=dispose,
         )
 
 
@@ -99,32 +98,6 @@ def _get_sentinel() -> "_Sentinel":
     return _SENTINEL
 
 
-class _ShmProducer:
-    """Picklable producer wrapper: encode each batch into shared memory.
-
-    Runs in the pool worker. The consumer gets a tiny
-    :class:`~repro.ingest.shmio.ShmBatchHandle` over the result pipe
-    instead of a pickled batch; anything that is not a batch (or that
-    fails to encode) falls back to the plain pickle path transparently.
-    """
-
-    def __init__(self, produce) -> None:
-        self.produce = produce
-
-    def __call__(self, index: int):
-        from repro.preprocessing.data import Batch
-
-        from .shmio import encode_batch
-
-        out = self.produce(index)
-        if isinstance(out, Batch):
-            try:
-                return encode_batch(out)
-            except Exception:  # pragma: no cover - e.g. /dev/shm full
-                return out
-        return out
-
-
 class _Lease:
     """One iteration's worth of resources: pool, queue, coordinator."""
 
@@ -135,17 +108,9 @@ class _Lease:
                 max_workers=feeder.workers, thread_name_prefix="rap-feeder"
             )
         else:
-            if feeder.shm_handoff:
-                # Workers must inherit the parent's resource tracker so
-                # segment registrations retire where the unlinks happen.
-                from multiprocessing import resource_tracker
-
-                resource_tracker.ensure_running()
             self.pool = ProcessPoolExecutor(max_workers=feeder.workers)
         self.queue: BackpressureQueue | None = (
-            feeder.queue_config.build(dispose=feeder._dispose)
-            if feeder.queue_config is not None
-            else None
+            feeder.queue_config.build() if feeder.queue_config is not None else None
         )
         self.stop = threading.Event()
         self.coordinator: threading.Thread | None = None
@@ -177,13 +142,7 @@ class _Lease:
                 except BaseException as exc:  # noqa: BLE001 - forwarded to consumer
                     queue.put(_Failure(index, exc))
                     return
-                try:
-                    queue.put(item)
-                except QueueClosed:
-                    # Closed while we were blocked in put(): the popped item
-                    # would otherwise vanish holding its shm segment.
-                    feeder._dispose(item)
-                    raise
+                queue.put(item)
             queue.put(_SENTINEL)
         except QueueClosed:
             pass  # consumer went away; nothing left to deliver to
@@ -195,14 +154,6 @@ class _Lease:
         finally:
             for _, fut in pending:
                 fut.cancel()
-            # A future that already ran (or finishes during pool shutdown)
-            # may hold an undecoded shm handle; release its segment.
-            for _, fut in pending:
-                try:
-                    item = fut.result(timeout=30.0)
-                except BaseException:  # noqa: BLE001 - cancelled/failed: nothing to free
-                    continue
-                feeder._dispose(item)
 
     def release(self) -> None:
         """Tear the lease down; waits only for already-started batches."""
@@ -284,12 +235,6 @@ class PipelinedFeeder:
         self.workers = workers
         self.queue_config = queue
         self.metrics = metrics
-        if mode == "process":
-            from .shmio import shm_available
-
-            self.shm_handoff = shm_available()
-        else:
-            self.shm_handoff = False
         self._closed = False
         self._leases: set[_Lease] = set()
         self._lease_lock = threading.Lock()
@@ -325,13 +270,7 @@ class PipelinedFeeder:
         picklable, and remote timing would be lost anyway).
         """
         metrics = self.metrics
-        if self.mode != "thread":
-            if self.shm_handoff:
-                # Ship a shared-memory handle over the result pipe instead
-                # of a pickled batch (decoded in _materialize).
-                return _ShmProducer(self.produce)
-            return self.produce
-        if metrics is None:
+        if self.mode != "thread" or metrics is None:
             return self.produce
 
         def produce_timed(index: int):
@@ -341,21 +280,6 @@ class PipelinedFeeder:
             return out
 
         return produce_timed
-
-    def _materialize(self, item):
-        """Decode a shared-memory handle into a batch; pass anything else."""
-        from .shmio import ShmBatchHandle, decode_batch
-
-        if isinstance(item, ShmBatchHandle):
-            return decode_batch(item)
-        return item
-
-    def _dispose(self, item) -> None:
-        """Release an item that will never reach the consumer."""
-        from .shmio import ShmBatchHandle, dispose_handle
-
-        if isinstance(item, ShmBatchHandle):
-            dispose_handle(item)
 
     def _lease(self) -> _Lease:
         if self._closed:
@@ -397,7 +321,7 @@ class PipelinedFeeder:
                 # .result() re-raises a producer exception: thread mode with
                 # the original traceback, process mode with the remote
                 # traceback as __cause__.
-                batch = self._materialize(pending.popleft().result())
+                batch = pending.popleft().result()
                 if self.metrics is not None:
                     self.metrics.record_delivery()
                 yield batch
@@ -409,15 +333,6 @@ class PipelinedFeeder:
             for fut in pending:
                 fut.cancel()
             self._retire(lease)
-            # Anything that finished producing but was never delivered may
-            # hold an undecoded shm handle; release those segments now that
-            # the pool has drained (retire waits for started batches).
-            for fut in pending:
-                try:
-                    item = fut.result(timeout=0)
-                except BaseException:  # noqa: BLE001 - cancelled/failed
-                    continue
-                self._dispose(item)
 
     def _iter_queue(self) -> Iterator[Any]:
         """Queue delivery: a coordinator keeps the window full and the
@@ -442,6 +357,6 @@ class PipelinedFeeder:
                     raise item.exc
                 if self.metrics is not None:
                     self.metrics.record_delivery()
-                yield self._materialize(item)
+                yield item
         finally:
             self._retire(lease)

@@ -76,7 +76,6 @@ class BackpressureQueue:
         high_watermark: int | None = None,
         low_watermark: int | None = None,
         spill_dir: str | None = None,
-        dispose=None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
@@ -99,7 +98,6 @@ class BackpressureQueue:
                 f"low watermark {self.low_watermark} must be in [0, high={self.high_watermark}]"
             )
         self._items: deque[tuple[float, Any]] = deque()
-        self._dispose = dispose
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
         self._not_empty = threading.Condition(self._lock)
@@ -127,9 +125,8 @@ class BackpressureQueue:
                     return
             elif len(self._items) >= self.capacity:
                 if self.policy == "drop_oldest":
-                    _, dropped = self._items.popleft()
+                    self._items.popleft()
                     self._stats.drops += 1
-                    self._dispose_item(dropped)
                 else:  # block
                     start = time.perf_counter()
                     while len(self._items) >= self.capacity and not self._closed:
@@ -176,16 +173,9 @@ class BackpressureQueue:
             self._not_empty.notify_all()
 
     def drain_and_discard(self) -> None:
-        """Close, drop everything still queued, and delete spill files.
-
-        Every discarded item (in-memory and spilled) passes through the
-        ``dispose`` hook first, so items owning external resources --
-        e.g. shared-memory batch handles -- are released, not leaked.
-        """
+        """Close, drop everything still queued, and delete spill files."""
         self.close()
         with self._lock:
-            for _, item in self._items:
-                self._dispose_item(item)
             self._items.clear()
             self._stats.depth = 0
             self._cleanup_spill_locked()
@@ -218,14 +208,6 @@ class BackpressureQueue:
             return snap
 
     # -- internals (call with lock held) ---------------------------------
-
-    def _dispose_item(self, item: Any) -> None:
-        if self._dispose is None:
-            return
-        try:
-            self._dispose(item)
-        except Exception:  # pragma: no cover - dispose must never wedge the queue
-            pass
 
     def _append(self, item: Any) -> None:
         self._items.append((time.perf_counter(), item))
@@ -278,12 +260,6 @@ class BackpressureQueue:
     def _cleanup_spill_locked(self) -> None:
         while self._spill_head < self._spill_seq:
             path = self._spill_path(self._spill_head)
-            if self._dispose is not None:
-                try:
-                    with open(path, "rb") as fh:
-                        self._dispose_item(pickle.load(fh))
-                except OSError:
-                    pass
             try:
                 os.unlink(path)
             except OSError:

@@ -16,8 +16,6 @@ Schemes
   ``dense_*`` / ``sparse_*``; sparse cells are space-separated ids.
 - ``jsonl:///path/rows.jsonl?batch=256`` — schema header line, then one
   ``{"d": [...], "s": [[...], ...]}`` object per row.
-- ``parquet:///path/data.parquet?batch=1024`` — gated on pyarrow, which
-  this environment may not ship; the error says so instead of tracebacking.
 - ``replay:///path/run.replay.jsonl?speed=2&pace=1`` — recorded
   Criteo-schema batch log with original timestamps; replayed at
   ``1/speed`` of recorded pace (``pace=0`` disables sleeping).
@@ -55,7 +53,6 @@ __all__ = [
     "SyntheticBatchSource",
     "CsvSource",
     "JsonlSource",
-    "ParquetSource",
     "ReplaySource",
     "MixedSource",
     "PacedSource",
@@ -483,56 +480,6 @@ class JsonlSource(_RowTableSource):
         )
 
 
-class ParquetSource(_RowTableSource):
-    """``parquet://`` — columnar file via pyarrow, if the environment has it.
-
-    The container this repo targets ships without pyarrow, so the import
-    is gated: resolving a ``parquet:`` spec without it raises a clear
-    :class:`IngestError` instead of an ImportError traceback.
-    """
-
-    def _load(self):
-        try:
-            import pyarrow.parquet as pq  # noqa: PLC0415 - optional dependency
-        except ImportError as exc:
-            raise IngestError(
-                "parquet: sources need pyarrow, which is not installed in this "
-                "environment; convert the file (e.g. to csv:// or jsonl://) or "
-                "install pyarrow"
-            ) from exc
-        try:
-            table = pq.read_table(self.path)
-        except OSError as exc:
-            raise IngestError(f"cannot read parquet source {self.path}: {exc}") from exc
-        dense_names, sparse_names = _split_names(table.column_names, None)
-        dense = {}
-        for name in dense_names:
-            dense[name] = np.asarray(table.column(name).to_pylist(), dtype=np.float32)
-        sparse = {}
-        for name in sparse_names:
-            rows = table.column(name).to_pylist()
-            offsets = [0]
-            values: list[int] = []
-            for row in rows:
-                ids = row or []
-                values.extend(int(i) for i in ids)
-                offsets.append(offsets[-1] + len(ids))
-            sparse[name] = (
-                np.asarray(offsets, dtype=np.int64),
-                np.asarray(values, dtype=np.int64),
-            )
-        return dense, sparse
-
-    @classmethod
-    def from_spec(cls, spec: SourceSpec) -> "ParquetSource":
-        spec.require_known({"batch", "shard", "weight"})
-        return cls(
-            spec.target,
-            batch_size=spec.int_param("batch", 512),
-            shard=spec.shard_param(),
-        )
-
-
 # ----------------------------------------------------------------------
 # replay:// — recorded batch logs with original timestamps
 # ----------------------------------------------------------------------
@@ -806,7 +753,6 @@ _SCHEMES: dict[str, Callable[[SourceSpec], BatchSource]] = {
     "synthetic": SyntheticSource.from_spec,
     "csv": CsvSource.from_spec,
     "jsonl": JsonlSource.from_spec,
-    "parquet": ParquetSource.from_spec,
     "replay": ReplaySource.from_spec,
 }
 

@@ -1,7 +1,7 @@
 """URL-style source spec grammar: one string resolves to one batch source.
 
 A spec is ``scheme://target?key=value&...`` where the scheme names a
-source family (``synthetic``, ``csv``, ``jsonl``, ``parquet``, ``replay``)
+source family (``synthetic``, ``csv``, ``jsonl``, ``replay``)
 and the query string carries the knobs every family shares (``batch``,
 ``shard=k/n``, ``seed``, ``weight``) plus family-specific ones
 (``io_delay_ms``, ``speed``, ``pace``, ...). Examples:
@@ -10,7 +10,6 @@ and the query string carries the knobs every family shares (``batch``,
 - ``csv:///data/criteo/day_0.csv?batch=512&shard=3/8``
 - ``jsonl://relative/path/rows.jsonl?batch=256``
 - ``replay:///logs/flashcrowd.replay.jsonl?speed=2.0&pace=1``
-- ``parquet:///data/criteo.parquet?batch=1024`` (needs pyarrow)
 
 The grammar is deliberately dumb: :func:`parse_spec` does nothing but
 split and type the pieces, so every scheme handler sees the same

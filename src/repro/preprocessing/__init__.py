@@ -20,7 +20,6 @@ from .data import (
     rowwise_concat_csr,
     segment_positions,
 )
-from .backends import BACKEND_NAMES, KernelBackend, available_backends, resolve_backend
 from .engine import (
     BufferArena,
     CompileError,
@@ -92,20 +91,16 @@ __all__ = [
     "offsets_from_lengths",
     "rowwise_concat_csr",
     "segment_positions",
-    "BACKEND_NAMES",
     "BufferArena",
     "CompileError",
     "CompiledProgram",
     "EngineMetrics",
     "EngineWorkerError",
-    "KernelBackend",
     "ParallelEngine",
-    "available_backends",
     "compile_graph_set",
     "compile_op_groups",
     "partition_ops",
     "plan_slots",
-    "resolve_backend",
     "PipelinedFeeder",
     "SyntheticBatchSource",
     "OP_REGISTRY",

@@ -459,22 +459,7 @@ class _GenericStep:
             regs[result.name] = result
 
 
-_FUSED_LOWERINGS = {
-    "FillNull",
-    "Logit",
-    "BoxCox",
-    "Cast",
-    "Onehot",
-    "Bucketize",
-    "SigridHash",
-    "Clamp",
-    "MapId",
-    "FirstX",
-    "Ngram",
-}
-
-
-#: Reference (numpy) kernel per fused-lowering op type.
+#: Kernel per op type with a fused lowering; other op types run as generic steps.
 _REFERENCE_KERNELS = {
     "FillNull": fillnull_kernel,
     "Logit": logit_kernel,
@@ -489,17 +474,9 @@ _REFERENCE_KERNELS = {
     "Ngram": ngram_kernel,
 }
 
-#: ``ops.py`` kernel entry-point name per fused-lowering op type (the key
-#: a :class:`repro.preprocessing.backends.KernelBackend` is queried with).
-_KERNEL_NAMES = {op: fn.__name__ for op, fn in _REFERENCE_KERNELS.items()}
-
-
-def _build_step(op_name: str, members: list[PreprocessingOp], backend=None):
+def _build_step(op_name: str, members: list[PreprocessingOp]):
     first = members[0]
-    if backend is None or op_name not in _KERNEL_NAMES:
-        kernel = _REFERENCE_KERNELS.get(op_name)
-    else:
-        kernel = backend.kernel(_KERNEL_NAMES[op_name])
+    kernel = _REFERENCE_KERNELS[op_name]
     if op_name == "FillNull":
         return _DenseEwStep(members, kernel, (first.fill_value,), np.dtype(np.float32))
     if op_name == "Logit":
@@ -556,14 +533,12 @@ class CompiledProgram:
         required_inputs: frozenset[str],
         num_ops: int,
         arena: BufferArena | None = None,
-        backend=None,
     ) -> None:
         self.steps = steps
         self.rows = rows
         self.required_inputs = required_inputs
         self.num_ops = num_ops
         self.arena = arena if arena is not None else BufferArena()
-        self.backend = backend  # resolved KernelBackend, or None for numpy
         # Onehot/Bucketize emit one id per row: every such output shares this
         # constant offsets array instead of materializing its own arange.
         self.row_iota = np.arange(rows + 1, dtype=np.int64)
@@ -578,30 +553,12 @@ class CompiledProgram:
     def max_fusion_degree(self) -> int:
         return max((len(s.members) for s in self.steps), default=0)
 
-    @property
-    def backend_name(self) -> str:
-        return self.backend.name if self.backend is not None else "numpy"
-
-    def backend_step_counts(self) -> dict[str, int]:
-        """Steps per effective kernel backend (accelerated vs numpy)."""
-        counts: dict[str, int] = {}
-        for step in self.steps:
-            name = "numpy"
-            if self.backend is not None:
-                kernel_name = _KERNEL_NAMES.get(step.members[0].op_name)
-                if kernel_name is not None and self.backend.accelerates(kernel_name):
-                    name = self.backend.name
-            counts[name] = counts.get(name, 0) + 1
-        return counts
-
     def summary(self) -> dict:
         return {
             "ops": self.num_ops,
             "steps": self.num_steps,
             "max_fusion_degree": self.max_fusion_degree,
             "batches_executed": self.batches_executed,
-            "backend": self.backend_name,
-            "backend_steps": self.backend_step_counts(),
         }
 
     def execute(self, batch: Batch, copy_outputs: bool = False) -> Batch:
@@ -699,31 +656,26 @@ def _numeric_key(op: PreprocessingOp):
         return ("__unfusable__", id(op))
 
 
-def _group_and_lower(
-    ops: list[PreprocessingOp], slots: list[int], backend=None
-) -> list:
+def _group_and_lower(ops: list[PreprocessingOp], slots: list[int]) -> list:
     """Turn per-op slot indices into ordered fused steps.
 
     Ops sharing (slot, op type, numeric key) fuse into one step; steps are
     emitted slot by slot. Ops whose type has no fused lowering stay
-    singleton generic steps. ``backend`` (a resolved
-    :class:`repro.preprocessing.backends.KernelBackend`) swaps in
-    accelerated kernels where available; ``None`` keeps the reference
-    numpy kernels.
+    singleton generic steps.
     """
     grouped: dict[tuple[int, str], list[int]] = {}
     for idx, op in enumerate(ops):
         grouped.setdefault((slots[idx], op.op_name), []).append(idx)
     steps = []
     for (slot, op_name), members in sorted(grouped.items(), key=lambda kv: (kv[0][0], kv[1][0])):
-        if op_name not in _FUSED_LOWERINGS:
+        if op_name not in _REFERENCE_KERNELS:
             steps.append(_GenericStep([ops[i] for i in members]))
             continue
         by_key: dict = {}
         for i in members:
             by_key.setdefault(_numeric_key(ops[i]), []).append(i)
         for sub in by_key.values():
-            steps.append(_build_step(op_name, [ops[i] for i in sub], backend))
+            steps.append(_build_step(op_name, [ops[i] for i in sub]))
     return steps
 
 
@@ -732,15 +684,6 @@ def _required_inputs(ops: list[PreprocessingOp], produced: dict[str, int]) -> fr
     for op in ops:
         needed.update(name for name in op.inputs if name not in produced)
     return frozenset(needed)
-
-
-def _resolve_backend(backend):
-    """Accept a backend name / KernelBackend / None (= reference numpy)."""
-    if backend is None:
-        return None
-    from .backends import resolve_backend
-
-    return resolve_backend(backend)
 
 
 def plan_slots(
@@ -787,7 +730,6 @@ def compile_graph_set(
     assignment: FusionAssignment | None = None,
     fusion: bool = True,
     arena: BufferArena | None = None,
-    backend=None,
 ) -> CompiledProgram:
     """Lower a graph set (optionally with a solved fusion assignment).
 
@@ -801,22 +743,15 @@ def compile_graph_set(
       the same greedy baseline the MILP warm-starts from.
     - With ``fusion=False``: one op per step in topological order (the
       ``RAP w/o fusion`` ablation).
-
-    ``backend`` selects the kernel table per step ("numpy", "numba",
-    "numexpr", "auto", or a resolved
-    :class:`repro.preprocessing.backends.KernelBackend`); every backend is
-    bit-identical to the reference and missing libraries degrade to numpy.
     """
     ops, slots, produced = plan_slots(graph_set, assignment, fusion)
-    resolved = _resolve_backend(backend)
-    steps = _group_and_lower(ops, slots, resolved)
+    steps = _group_and_lower(ops, slots)
     return CompiledProgram(
         steps,
         rows=graph_set.rows,
         required_inputs=_required_inputs(ops, produced),
         num_ops=len(ops),
         arena=arena,
-        backend=resolved,
     )
 
 
@@ -824,7 +759,6 @@ def compile_op_groups(
     groups: Sequence[Sequence[PreprocessingOp]],
     rows: int,
     arena: BufferArena | None = None,
-    backend=None,
 ) -> CompiledProgram:
     """Lower pre-ordered fused op groups (the plan/codegen entry point).
 
@@ -851,13 +785,11 @@ def compile_op_groups(
                 f"group order violates dependency: {flat[j].output!r} (group {slots[j]}) "
                 f"must execute after {flat[i].output!r} (group {slots[i]})"
             )
-    resolved = _resolve_backend(backend)
-    steps = _group_and_lower(flat, slots, resolved)
+    steps = _group_and_lower(flat, slots)
     return CompiledProgram(
         steps,
         rows=rows,
         required_inputs=_required_inputs(flat, produced),
         num_ops=len(flat),
         arena=arena,
-        backend=resolved,
     )

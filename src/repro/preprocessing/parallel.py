@@ -11,12 +11,12 @@ set into one flat program. This module scales that program across cores:
   worker map is deterministic at any worker count.
 - **Persistent, lazily-spawned workers** -- each shard compiles (in its
   own process, on first ``execute``) into a :class:`CompiledProgram`
-  over the *same* slot plan and kernel backend as the single-core
-  lowering. Fused kernels are elementwise over concatenated member
-  segments, so executing a subset of a slot's members in another process
-  produces byte-for-byte the column the single-core step would -- the
-  determinism argument behind the bit-identity guarantee (enforced
-  property-based by ``tests/preprocessing/test_engine_equivalence.py``).
+  over the *same* slot plan as the single-core lowering. Fused kernels
+  are elementwise over concatenated member segments, so executing a
+  subset of a slot's members in another process produces byte-for-byte
+  the column the single-core step would -- the determinism argument
+  behind the bit-identity guarantee (enforced property-based by
+  ``tests/preprocessing/test_engine_equivalence.py``).
 - **Shared-memory arenas** -- workers lease output buffers from a
   :class:`ShardArena` that bump-allocates inside named
   ``multiprocessing.shared_memory`` segments, so the parent assembles the
@@ -231,18 +231,15 @@ def _compile_shard(
     slots: list[int],
     rows: int,
     arena,
-    backend,
 ) -> CompiledProgram:
     """Lower one shard's (ops, slots) slice with the engine's own grouper."""
     produced, _ = _global_deps(ops)
-    steps = _group_and_lower(ops, slots, backend)
     return CompiledProgram(
-        steps,
+        _group_and_lower(ops, slots),
         rows=rows,
         required_inputs=_required_inputs(ops, produced),
         num_ops=len(ops),
         arena=arena,
-        backend=backend,
     )
 
 
@@ -263,7 +260,7 @@ class ShardArena:
     through ``drain_retired`` so the parent can unlink them.
     """
 
-    def __init__(self, prefix: str, start_bytes: int = _MIN_SEGMENT_BYTES) -> None:
+    def __init__(self, prefix: str) -> None:
         self.prefix = prefix
         self._seq = itertools.count()
         self._segments: list[shared_memory.SharedMemory] = []
@@ -274,7 +271,7 @@ class ShardArena:
         self._fresh: list[str] = []
         self.allocated_segments = 0
         self.allocated_bytes = 0
-        self._grow(_round_segment(start_bytes))
+        self._grow(_MIN_SEGMENT_BYTES)
 
     # -- segment management -------------------------------------------
 
@@ -383,13 +380,8 @@ def _worker_main(conn, payload: bytes) -> None:
     """Shard worker loop: attach inputs, execute, reply with descriptors."""
     spec = pickle.loads(payload)
     try:
-        backend = None
-        if spec["backend"] not in (None, "numpy"):
-            from .backends import resolve_backend
-
-            backend = resolve_backend(spec["backend"])
-        arena = ShardArena(spec["prefix"], spec["start_bytes"])
-        program = _compile_shard(spec["ops"], spec["slots"], spec["rows"], arena, backend)
+        arena = ShardArena(spec["prefix"])
+        program = _compile_shard(spec["ops"], spec["slots"], spec["rows"], arena)
         produced = [op.output for op in spec["ops"]]
         conn.send(
             (
@@ -397,8 +389,6 @@ def _worker_main(conn, payload: bytes) -> None:
                 {
                     "steps": program.num_steps,
                     "max_fusion_degree": program.max_fusion_degree,
-                    "backend": program.backend_name,
-                    "backend_steps": program.backend_step_counts(),
                     "segments": arena.drain_fresh(),
                 },
             )
@@ -445,7 +435,6 @@ def _worker_main(conn, payload: bytes) -> None:
                         col.hash_size,
                     )
                 columns.append(desc)
-            fallbacks = backend.fallbacks if backend is not None else 0
             conn.send(
                 (
                     "ok",
@@ -456,7 +445,6 @@ def _worker_main(conn, payload: bytes) -> None:
                         "fresh": arena.drain_fresh(),
                         "retired": arena.drain_retired(),
                         "segment_bytes": arena.stats()["segment_bytes"],
-                        "fallbacks": fallbacks,
                     },
                 )
             )
@@ -524,10 +512,6 @@ class EngineMetrics:
         self.shm_segments = registry.gauge(
             "rap_engine_shm_segments", "Live engine shared-memory segments."
         )
-        self.kernel_fallbacks_total = registry.counter(
-            "rap_engine_kernel_fallbacks_total",
-            "Accelerated kernels demoted to numpy at runtime.",
-        )
 
     def worker_busy(self, worker: int, seconds: float) -> None:
         self.registry.counter(
@@ -542,14 +526,6 @@ class EngineMetrics:
             "Per-worker busy seconds / engine wall seconds (cumulative).",
             labels={"worker": str(worker)},
         ).set(fraction)
-
-    def backend_steps(self, counts: dict[str, int]) -> None:
-        for backend, steps in counts.items():
-            self.registry.gauge(
-                "rap_engine_backend_steps",
-                "Compiled fused steps per effective kernel backend.",
-                labels={"backend": backend},
-            ).set(steps)
 
 
 # ----------------------------------------------------------------------
@@ -576,7 +552,8 @@ class ParallelEngine:
     semantics, same outputs to the bit. ``workers`` bounds the pool; the
     actual pool size is ``min(workers, number of dependency components)``.
     Workers spawn lazily on the first ``execute`` and persist until
-    ``close()`` (also invoked by a finalizer and ``atexit``).
+    ``close()``; a finalizer sweeps the engine's segments if ``close()`` is
+    never called.
     """
 
     def __init__(
@@ -585,10 +562,7 @@ class ParallelEngine:
         assignment: FusionAssignment | None = None,
         fusion: bool = True,
         workers: int = 2,
-        backend: str | None = None,
         metrics: EngineMetrics | None = None,
-        start_method: str | None = None,
-        start_bytes: int = _MIN_SEGMENT_BYTES,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -596,15 +570,12 @@ class ParallelEngine:
         self.rows = graph_set.rows
         self.num_ops = len(ops)
         self.workers = workers
-        self.backend_name = backend or "numpy"
         self.required_inputs = _required_inputs(ops, produced)
         self._ops = ops
         self._slots = slots
         self._shards = partition_ops(ops, workers, self.rows)
         self._produced_names = set(produced)
         self.metrics = metrics if metrics is not None else EngineMetrics()
-        self._start_method = start_method or os.environ.get("RAP_ENGINE_START_METHOD")
-        self._start_bytes = start_bytes
         self.prefix = f"rap-eng-{os.getpid()}-{next(_engine_ids)}"
         self.batches_executed = 0
         self._seq = 0
@@ -638,21 +609,16 @@ class ParallelEngine:
         return [len(s) for s in self._shards]
 
     def summary(self) -> dict:
-        backend_steps: dict[str, int] = {}
         steps = 0
         max_deg = 0
         for handle in self._worker_handles:
             steps += handle.info.get("steps", 0)
             max_deg = max(max_deg, handle.info.get("max_fusion_degree", 0))
-            for name, count in handle.info.get("backend_steps", {}).items():
-                backend_steps[name] = backend_steps.get(name, 0) + count
         return {
             "ops": self.num_ops,
             "steps": steps,
             "max_fusion_degree": max_deg,
             "batches_executed": self.batches_executed,
-            "backend": self.backend_name,
-            "backend_steps": backend_steps,
             "workers": self.num_workers,
             "shards": self.shard_sizes(),
             "shm_bytes": self.shm_bytes_in_flight(),
@@ -688,15 +654,13 @@ class ParallelEngine:
             resource_tracker.ensure_running()
         except Exception:  # pragma: no cover - tracker impl detail
             pass
-        ctx = get_context(self._start_method) if self._start_method else get_context()
+        ctx = get_context()
         for i, shard in enumerate(self._shards):
             spec = {
                 "ops": [self._ops[j] for j in shard],
                 "slots": [self._slots[j] for j in shard],
                 "rows": self.rows,
-                "backend": self.backend_name,
                 "prefix": f"{self.prefix}-w{i}",
-                "start_bytes": self._start_bytes,
             }
             parent_conn, child_conn = ctx.Pipe()
             process = ctx.Process(
@@ -714,7 +678,6 @@ class ParallelEngine:
                 raise EngineWorkerError(f"worker {i} failed to compile: {reply[2]}")
             handle.info = reply[1]
             self._known_segments.update(handle.info.pop("segments", []))
-        self.metrics.backend_steps(self.summary()["backend_steps"])
         self._started = True
 
     def _recv(self, worker_id: int, handle: _WorkerHandle):
@@ -770,10 +733,6 @@ class ParallelEngine:
         if self.metrics is not None:
             self.metrics.shm_bytes_in_flight.set(0)
             self.metrics.shm_segments.set(0)
-        try:
-            atexit.unregister(self._finalizer)
-        except Exception:  # pragma: no cover
-            pass
         self._finalizer.detach()
 
     def __enter__(self) -> "ParallelEngine":
@@ -919,11 +878,6 @@ class ParallelEngine:
                     _release_fd(stale)
                 self._known_segments.discard(name)
                 unlink_segment(name)
-            if seg_info["fallbacks"]:
-                self.metrics.kernel_fallbacks_total.inc(
-                    seg_info["fallbacks"] - handle.info.get("fallbacks_seen", 0)
-                )
-                handle.info["fallbacks_seen"] = seg_info["fallbacks"]
             for desc in columns:
                 name, kind = desc[0], desc[1]
                 if kind == "dense":
@@ -963,5 +917,5 @@ class ParallelEngine:
 
 
 def _cleanup_engine(prefix: str) -> None:
-    """Finalizer/atexit safety net: unlink anything the engine left behind."""
+    """Finalizer safety net: unlink anything the engine left behind."""
     _sweep_prefix(prefix)

@@ -160,8 +160,8 @@ class DataPathVerifier:
 
     With ``workers >= 1`` the check instead drives the multi-core engine
     (:class:`repro.preprocessing.parallel.ParallelEngine`) over the plan's
-    whole graph set, cross-checking the sharded shared-memory path (and
-    the selected kernel ``backend``) against naive. Call :meth:`close`
+    whole graph set, cross-checking the sharded shared-memory path
+    against naive. Call :meth:`close`
     (the runtime does) to release the engine's worker pool and segments.
 
     Strictly opt-in and read-only with respect to the simulation: iteration
@@ -175,7 +175,6 @@ class DataPathVerifier:
         seed: int = 2024,
         strict: bool = True,
         workers: int = 0,
-        backend: str | None = None,
         engine_metrics=None,
     ) -> None:
         if every < 1:
@@ -187,7 +186,6 @@ class DataPathVerifier:
         self.seed = seed
         self.strict = strict
         self.workers = workers
-        self.backend = backend
         self.engine_metrics = engine_metrics
         self.history: list[DataVerification] = []
         self._programs = None
@@ -213,7 +211,6 @@ class DataPathVerifier:
             self._engine = ParallelEngine(
                 plan.graph_set,
                 workers=self.workers,
-                backend=self.backend,
                 metrics=self.engine_metrics,
             )
             self._engine_epoch = plan_epoch
@@ -236,7 +233,7 @@ class DataPathVerifier:
         if self.workers >= 1:
             engine = self._parallel_engine(plan, plan_epoch)
         elif self._programs is None or self._programs_epoch != plan_epoch:
-            self._programs = compile_plan(plan, rows=rows, backend=self.backend)
+            self._programs = compile_plan(plan, rows=rows)
             self._programs_epoch = plan_epoch
         if batch is None:
             batch = SyntheticCriteoDataset(self.schema, seed=self.seed).batch(

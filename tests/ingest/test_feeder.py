@@ -9,18 +9,23 @@ under a slow in-flight producer, process-mode cause chains) driven
 through real ingest sources.
 """
 
+import multiprocessing
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.ingest import (
+    OVERLOAD_POLICIES,
     IngestMetrics,
     PipelinedFeeder,
     QueueConfig,
+    SyntheticSource,
     source,
     write_csv,
 )
+from repro.preprocessing import KAGGLE_SCHEMA
 
 
 def _feeder_threads():
@@ -161,6 +166,49 @@ def test_process_mode_with_ingest_source_round_trips(csv_source):
     with PipelinedFeeder(csv_source, mode="process", workers=1) as feeder:
         sizes = [b.size for b in feeder]
     assert sizes == [48] * 6
+
+
+def _assert_batches_equal(a, b) -> None:
+    assert set(a.dense) == set(b.dense) and set(a.sparse) == set(b.sparse)
+    for name in a.dense:
+        x, y = a.dense[name].values, b.dense[name].values
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+    for name in a.sparse:
+        x, y = a.sparse[name], b.sparse[name]
+        assert x.hash_size == y.hash_size
+        assert np.array_equal(x.offsets, y.offsets)
+        assert np.array_equal(x.values, y.values)
+
+
+def test_process_feeder_delivers_identical_batches():
+    src = SyntheticSource(KAGGLE_SCHEMA, batch_size=64, num_batches=5, seed=7)
+    ref = [src(i) for i in range(5)]
+    with PipelinedFeeder(src, mode="process", workers=2, depth=2) as feeder:
+        got = list(feeder)
+        assert len(got) == 5
+        for r, g in zip(ref, got):
+            _assert_batches_equal(r, g)
+        assert len(list(feeder)) == 5
+
+
+@pytest.mark.parametrize(
+    "queue",
+    [QueueConfig(capacity=2, policy=policy) for policy in OVERLOAD_POLICIES] + [None],
+    ids=[*OVERLOAD_POLICIES, "futures"],
+)
+def test_process_abandoned_epoch_leaks_no_workers(queue):
+    before = set(multiprocessing.active_children())
+    src = SyntheticSource(KAGGLE_SCHEMA, batch_size=64, num_batches=8, seed=11)
+    feeder = PipelinedFeeder(src, mode="process", workers=2, depth=3, queue=queue)
+    it = iter(feeder)
+    next(it)
+    spawned = set(multiprocessing.active_children()) - before
+    assert spawned
+    it.close()  # consumer walks away mid-epoch
+    feeder.close()
+    assert not any(p.is_alive() for p in spawned)
+    assert set(multiprocessing.active_children()) <= before
 
 
 # ----------------------------------------------------------------------

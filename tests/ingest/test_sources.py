@@ -118,17 +118,6 @@ def test_missing_file_is_a_clear_error():
         source("csv:///nonexistent/no.csv?batch=4").batch(0)
 
 
-def test_parquet_is_gated_without_pyarrow(tmp_path):
-    try:
-        import pyarrow  # noqa: F401
-
-        pytest.skip("pyarrow installed; gating not observable")
-    except ImportError:
-        pass
-    with pytest.raises(IngestError, match="pyarrow"):
-        source(f"parquet://{tmp_path}/x.parquet?batch=4").batch(0)
-
-
 def test_mixed_source_is_deterministic_and_seekable():
     a = source("synthetic://kaggle?batch=32&batches=4&seed=1")
     b = source("synthetic://kaggle?batch=32&batches=4&seed=2")
@@ -158,8 +147,9 @@ def test_build_source_comma_list_and_weights():
     )
     assert isinstance(mixed, MixedSource)
     assert mixed.weights == [2.0, 1.0]
-    with pytest.raises(IngestError, match="unknown source scheme"):
-        build_source("carrier-pigeon://x")
+    for spec in ("carrier-pigeon://x", "parquet:///data/x.parquet?batch=4"):
+        with pytest.raises(IngestError, match="unknown source scheme"):
+            build_source(spec)
 
 
 def test_paced_source_overrides_delays():

@@ -32,7 +32,7 @@ from repro.preprocessing import (
     execute_graph_set,
     make_op,
 )
-from repro.preprocessing import ParallelEngine, resolve_backend
+from repro.preprocessing import ParallelEngine
 from repro.preprocessing.executor import MissingColumnsError
 from repro.preprocessing.random_plans import RandomPlanConfig, generate_random_plan
 from repro.core import RapPlanner
@@ -195,36 +195,27 @@ def test_single_row_batch():
 
 
 # ----------------------------------------------------------------------
-# Backend x worker-count matrix (ISSUE 10): every kernel backend, at any
-# engine width, must be bit-identical to the naive executor
+# Worker-count matrix: the engine, at any width, must be bit-identical to
+# the naive executor
 # ----------------------------------------------------------------------
 
-MATRIX_BACKENDS = ["numpy", "numba", "numexpr"]
 MATRIX_WORKERS = [1, 2, 4]
 
 
-def _require_backend(name: str) -> None:
-    backend = resolve_backend(name)
-    if backend.unavailable_reason is not None:
-        pytest.skip(f"{name} backend unavailable: {backend.unavailable_reason}")
-
-
 @pytest.mark.parametrize("workers", MATRIX_WORKERS)
-@pytest.mark.parametrize("backend", MATRIX_BACKENDS)
-def test_backend_worker_matrix_bit_identical(backend, workers):
-    _require_backend(backend)
+def test_worker_matrix_bit_identical(workers):
     graph_set, schema = build_plan(1, rows=256)
     dataset = SyntheticCriteoDataset(schema, seed=13)
     names = produced_outputs(graph_set)
     batch = dataset.batch(256, index=0)
     golden = execute_graph_set(graph_set, batch)
-    # Single-core compiled with this backend...
-    program = compile_graph_set(graph_set, backend=backend)
+    # Single-core compiled...
+    program = compile_graph_set(graph_set)
     assert_batches_bit_identical(golden, program.execute(batch), names)
     # ...and the sharded multi-process engine at this width, including
     # arena reuse across iterations (the second batch recycles worker
     # segments bump-allocated for the first).
-    with ParallelEngine(graph_set, workers=workers, backend=backend) as engine:
+    with ParallelEngine(graph_set, workers=workers) as engine:
         assert_batches_bit_identical(golden, engine.execute(batch), names)
         batch1 = dataset.batch(256, index=1)
         golden1 = execute_graph_set(graph_set, batch1)
@@ -232,9 +223,7 @@ def test_backend_worker_matrix_bit_identical(backend, workers):
 
 
 @pytest.mark.parametrize("workers", MATRIX_WORKERS)
-@pytest.mark.parametrize("backend", MATRIX_BACKENDS)
-def test_backend_worker_matrix_empty_sparse_rows(backend, workers):
-    _require_backend(backend)
+def test_worker_matrix_empty_sparse_rows(workers):
     ops = [
         make_op("SigridHash", ("s0",), "h", salt=3, max_value=101),
         make_op("FirstX", ("h",), "f", x=2),
@@ -250,9 +239,9 @@ def test_backend_worker_matrix_empty_sparse_rows(backend, workers):
         }
     )
     golden = execute_graph_set(graph_set, batch)
-    program = compile_graph_set(graph_set, backend=backend)
+    program = compile_graph_set(graph_set)
     assert_batches_bit_identical(golden, program.execute(batch), produced_outputs(graph_set))
-    with ParallelEngine(graph_set, workers=workers, backend=backend) as engine:
+    with ParallelEngine(graph_set, workers=workers) as engine:
         out = engine.execute(batch)
         assert_batches_bit_identical(golden, out, produced_outputs(graph_set))
 

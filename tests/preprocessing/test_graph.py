@@ -69,11 +69,6 @@ class TestFeatureGraph:
     def test_output_op(self):
         assert chain_graph().output_op.op_name == "Clamp"
 
-    def test_to_networkx(self):
-        nxg = chain_graph().to_networkx()
-        assert nxg.number_of_nodes() == 3
-        assert nxg.number_of_edges() == 2
-
     def test_kernels_one_per_op(self):
         ks = chain_graph().kernels(256)
         assert len(ks) == 3
