@@ -64,7 +64,10 @@ __all__ = [
 #: (online calibration can change predictions without changing the
 #: workload, so pre-calibration entries must not serve a calibrated
 #: request).
-PLANNER_CODE_VERSION = "rap-planner-3"
+#: rap-planner-4: the fusion MILP is solved by a root-LP gate plus one HiGHS
+#: branch-and-cut call, which can return a different optimal assignment
+#: (or a better one where the old search stopped on its time limit).
+PLANNER_CODE_VERSION = "rap-planner-4"
 
 
 # ----------------------------------------------------------------------

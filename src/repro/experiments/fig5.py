@@ -11,8 +11,6 @@
 
 from __future__ import annotations
 
-from scipy.stats import spearmanr
-
 from ..dlrm import TrainingWorkload, terabyte_model
 from ..gpusim import GpuDevice
 from ..preprocessing.ops import Logit, Ngram, SigridHash
@@ -58,6 +56,8 @@ def overlap_correlation(
 
 
 def run(num_gpus: int = 4, local_batch: int = 4096) -> dict:
+    from scipy.stats import spearmanr
+
     rows = overlap_correlation(num_gpus, local_batch)
     # Fig. 5b check: pooled across op types, overlapping latency follows
     # standalone latency as one consistent trend (high rank correlation),

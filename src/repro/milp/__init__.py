@@ -1,8 +1,9 @@
 """``repro.milp`` -- from-scratch MILP solving (the Gurobi substitute).
 
-A modeling layer, a branch-and-bound solver over scipy HiGHS LP
-relaxations, binary-product linearization, and the paper's §6.2
-horizontal-fusion formulation with exact and heuristic solution paths.
+A modeling layer, a solver that runs scipy's HiGHS branch and cut behind
+a root-LP warm-start gate, binary-product linearization, and the paper's
+§6.2 horizontal-fusion formulation with exact and heuristic solution
+paths.
 """
 
 from .model import Constraint, MilpProblem, Variable

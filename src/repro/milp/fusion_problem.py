@@ -11,9 +11,11 @@ number of co-scheduled same-type pairs".
 
 Two solution paths:
 
-- **Exact**: the MILP via our branch-and-bound solver, warm-started from
-  the greedy assignment. Used for small instances and in tests, where
-  optimality can be asserted.
+- **Exact**: the MILP via :class:`~repro.milp.branch_and_bound.BranchAndBoundSolver`,
+  warm-started from the greedy assignment: when the root LP bound proves
+  the greedy assignment optimal it is kept, otherwise HiGHS branch and cut
+  searches for a strictly better one. Used for instances of up to
+  ``exact_op_limit`` ops and in tests, where optimality can be asserted.
 - **Heuristic**: ASAP level assignment plus a pair-improving local search.
   Used for plan-scale instances (Plan 3 has 1548 ops), the same way the
   paper would bound Gurobi's solve time.

@@ -4,9 +4,12 @@ The paper formulates horizontal-fusion planning as a MILP (§6.2) and
 solves it with Gurobi. Gurobi is unavailable here, so ``repro.milp``
 provides a from-scratch replacement: this module is the modeling surface
 (variables, linear constraints, linear objective) and
-:mod:`repro.milp.branch_and_bound` is the solver, using scipy's HiGHS
-``linprog`` for LP relaxations. Quadratic binary objectives are lowered to
-linear form by :mod:`repro.milp.linearize`.
+:mod:`repro.milp.branch_and_bound` is the solver, which hands the sparse
+matrix form built here to scipy's HiGHS. Quadratic binary objectives are
+lowered to linear form by :mod:`repro.milp.linearize`.
+
+The matrix form is built once per problem and reused until the problem
+changes; scipy is imported only when it is first built.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ class MilpProblem:
         self.constraints: list[Constraint] = []
         self._objective: dict[int, float] = {}
         self._names: set[str] = set()
+        self._arrays: dict | None = None  # matrix form, dropped on any change
 
     # ------------------------------------------------------------------
     # Construction
@@ -73,6 +77,7 @@ class MilpProblem:
         if name in self._names:
             raise ValueError(f"duplicate variable name {name!r}")
         var = Variable(index=len(self.variables), name=name, lb=lb, ub=ub, integer=integer)
+        self._arrays = None
         self.variables.append(var)
         self._names.add(name)
         return var
@@ -89,14 +94,17 @@ class MilpProblem:
     ) -> Constraint:
         packed = tuple((v.index, float(c)) for v, c in coeffs.items() if c != 0.0)
         con = Constraint(coeffs=packed, sense=sense, rhs=float(rhs), name=name)
+        self._arrays = None
         self.constraints.append(con)
         return con
 
     def set_objective(self, coeffs: Mapping[Variable, float]) -> None:
         self._objective = {v.index: float(c) for v, c in coeffs.items()}
+        self._arrays = None
 
     def add_objective_term(self, var: Variable, coef: float) -> None:
         self._objective[var.index] = self._objective.get(var.index, 0.0) + float(coef)
+        self._arrays = None
 
     @property
     def num_vars(self) -> int:
@@ -110,8 +118,22 @@ class MilpProblem:
     # Matrix form (consumed by the solver)
     # ------------------------------------------------------------------
 
-    def to_arrays(self) -> dict[str, np.ndarray | list]:
-        """Lower to the arrays scipy ``linprog`` consumes (minimization form)."""
+    def to_arrays(self) -> dict:
+        """Lower to the arrays scipy's HiGHS consumes (minimization form).
+
+        ``A_ub`` / ``A_eq`` are ``scipy.sparse.csr_array`` with sorted column
+        indices within each row (``None`` when there are no such rows);
+        ``>=`` rows are negated into ``A_ub``. ``bounds`` is an ``(n, 2)``
+        array. The arrays are shared between calls until the problem
+        changes, so callers must not modify them.
+        """
+        if self._arrays is None:
+            self._arrays = self._lower()
+        return dict(self._arrays)
+
+    def _lower(self) -> dict:
+        from scipy.sparse import csr_array
+
         n = self.num_vars
         c = np.zeros(n)
         for idx, coef in self._objective.items():
@@ -119,34 +141,39 @@ class MilpProblem:
         if self.maximize:
             c = -c
 
-        a_ub_rows: list[np.ndarray] = []
-        b_ub: list[float] = []
-        a_eq_rows: list[np.ndarray] = []
-        b_eq: list[float] = []
+        # Per block: (column indices, values, row lengths, right-hand sides).
+        blocks = {"ub": ([], [], [], []), "eq": ([], [], [], [])}
         for con in self.constraints:
-            row = np.zeros(n)
-            for idx, coef in con.coeffs:
-                row[idx] += coef
-            if con.sense == "<=":
-                a_ub_rows.append(row)
-                b_ub.append(con.rhs)
-            elif con.sense == ">=":
-                a_ub_rows.append(-row)
-                b_ub.append(-con.rhs)
-            else:
-                a_eq_rows.append(row)
-                b_eq.append(con.rhs)
+            cols, vals, lengths, rhs = blocks["eq" if con.sense == "==" else "ub"]
+            sign = -1.0 if con.sense == ">=" else 1.0
+            for idx, coef in sorted(con.coeffs):
+                cols.append(idx)
+                vals.append(sign * coef)
+            lengths.append(len(con.coeffs))
+            rhs.append(sign * con.rhs)
 
-        bounds = [(v.lb, v.ub) for v in self.variables]
-        integer_mask = np.array([v.integer for v in self.variables], dtype=bool)
+        def matrix(block):
+            cols, vals, lengths, rhs = block
+            if not rhs:
+                return None, None
+            indptr = np.zeros(len(lengths) + 1, dtype=np.int32)
+            np.cumsum(lengths, out=indptr[1:])
+            a = csr_array(
+                (np.asarray(vals, dtype=float), np.asarray(cols, dtype=np.int32), indptr),
+                shape=(len(rhs), n),
+            )
+            return a, np.asarray(rhs, dtype=float)
+
+        a_ub, b_ub = matrix(blocks["ub"])
+        a_eq, b_eq = matrix(blocks["eq"])
         return {
             "c": c,
-            "A_ub": np.array(a_ub_rows) if a_ub_rows else None,
-            "b_ub": np.array(b_ub) if b_ub else None,
-            "A_eq": np.array(a_eq_rows) if a_eq_rows else None,
-            "b_eq": np.array(b_eq) if b_eq else None,
-            "bounds": bounds,
-            "integer_mask": integer_mask,
+            "A_ub": a_ub,
+            "b_ub": b_ub,
+            "A_eq": a_eq,
+            "b_eq": b_eq,
+            "bounds": np.array([(v.lb, v.ub) for v in self.variables], dtype=float).reshape(n, 2),
+            "integer_mask": np.array([v.integer for v in self.variables], dtype=bool),
         }
 
     def objective_value(self, x: np.ndarray) -> float:
@@ -157,18 +184,17 @@ class MilpProblem:
         return total
 
     def is_feasible(self, x: np.ndarray, tol: float = 1e-6) -> bool:
-        """Check all constraints and bounds at the point ``x``."""
-        for v in self.variables:
-            if x[v.index] < v.lb - tol or x[v.index] > v.ub + tol:
-                return False
-            if v.integer and abs(x[v.index] - round(x[v.index])) > tol:
-                return False
-        for con in self.constraints:
-            lhs = sum(coef * x[idx] for idx, coef in con.coeffs)
-            if con.sense == "<=" and lhs > con.rhs + tol:
-                return False
-            if con.sense == ">=" and lhs < con.rhs - tol:
-                return False
-            if con.sense == "==" and abs(lhs - con.rhs) > tol:
-                return False
+        """Check all constraints, bounds and integrality at the point ``x``."""
+        arrays = self.to_arrays()
+        x = np.asarray(x, dtype=float)
+        lower, upper = arrays["bounds"].T
+        if np.any(x < lower - tol) or np.any(x > upper + tol):
+            return False
+        ints = x[arrays["integer_mask"]]
+        if np.any(np.abs(ints - np.round(ints)) > tol):
+            return False
+        if arrays["A_ub"] is not None and np.any(arrays["A_ub"] @ x > arrays["b_ub"] + tol):
+            return False
+        if arrays["A_eq"] is not None and np.any(np.abs(arrays["A_eq"] @ x - arrays["b_eq"]) > tol):
+            return False
         return True

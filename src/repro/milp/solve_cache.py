@@ -8,7 +8,7 @@ many times per search. Solving is the expensive part; the problem itself
 is cheap to fingerprint.
 
 A solve is cached under a SHA-256 of the *canonical array form* of the
-problem (objective, constraint matrices, bounds, integrality mask), the
+problem (objective, CSR constraint matrices, bounds, integrality mask), the
 solver's limits and tolerances, and the warm-start vector. Anything that
 could change the returned solution changes the key, so a cache hit is
 bit-identical to re-solving. Entries can persist to a directory next to
@@ -33,17 +33,30 @@ __all__ = ["SolveCacheStats", "SolveCache", "problem_fingerprint"]
 
 #: Bump when the solver's search behaviour changes in a way that can alter
 #: returned solutions; persisted entries from older code are then ignored.
-SOLVER_CACHE_VERSION = 1
+#: v2: a root-LP gate plus one HiGHS branch-and-cut call replaced the
+#: per-node ``linprog`` search, and the key hashes the CSR matrix form.
+SOLVER_CACHE_VERSION = 2
 
 
-def _update_array(h, label: str, arr) -> None:
+def _update_array(h, label: str, arr, dtype=np.float64) -> None:
     h.update(label.encode())
     if arr is None:
         h.update(b"<none>")
         return
-    a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
+    a = np.ascontiguousarray(np.asarray(arr, dtype=dtype))
     h.update(repr(a.shape).encode())
     h.update(a.tobytes())
+
+
+def _update_csr(h, label: str, matrix) -> None:
+    """Hash a CSR matrix by its shape and canonical (data, indices, indptr)."""
+    if matrix is None:
+        _update_array(h, label, None)
+        return
+    h.update(f"{label}{matrix.shape}".encode())
+    _update_array(h, "data", matrix.data)
+    _update_array(h, "indices", matrix.indices, np.int64)
+    _update_array(h, "indptr", matrix.indptr, np.int64)
 
 
 def problem_fingerprint(
@@ -63,11 +76,11 @@ def problem_fingerprint(
     h = hashlib.sha256()
     h.update(f"milp-v{SOLVER_CACHE_VERSION}".encode())
     _update_array(h, "c", arrays["c"])
-    _update_array(h, "A_ub", arrays["A_ub"])
+    _update_csr(h, "A_ub", arrays["A_ub"])
     _update_array(h, "b_ub", arrays["b_ub"])
-    _update_array(h, "A_eq", arrays["A_eq"])
+    _update_csr(h, "A_eq", arrays["A_eq"])
     _update_array(h, "b_eq", arrays["b_eq"])
-    _update_array(h, "bounds", np.asarray(arrays["bounds"], dtype=np.float64))
+    _update_array(h, "bounds", arrays["bounds"])
     h.update(b"int")
     h.update(np.ascontiguousarray(arrays["integer_mask"]).tobytes())
     h.update(repr((node_limit, time_limit_s, integrality_tol, gap_tol)).encode())

@@ -97,3 +97,28 @@ class TestMilpProblem:
         p = MilpProblem()
         p.add_var("x", lb=0.0, ub=1.0, integer=False)
         assert p.is_feasible(np.array([0.5]))
+
+    def test_to_arrays_emits_sorted_csr(self):
+        p = MilpProblem()
+        x, y, z = p.add_var("x"), p.add_var("y"), p.add_var("z")
+        p.add_constraint({z: 3.0, x: 1.0}, "<=", 4.0)
+        p.add_constraint({y: 2.0}, ">=", 1.0)
+        a_ub = p.to_arrays()["A_ub"]
+        assert a_ub.format == "csr"
+        assert a_ub.indices.tolist() == [0, 2, 1]
+        assert a_ub.data.tolist() == [1.0, 3.0, -2.0]
+        np.testing.assert_array_equal(a_ub.toarray(), [[1.0, 0.0, 3.0], [0.0, -2.0, 0.0]])
+
+    def test_to_arrays_follows_later_changes(self):
+        p = MilpProblem()
+        x = p.add_var("x")
+        p.add_constraint({x: 1.0}, "<=", 1.0)
+        assert p.to_arrays()["A_ub"].shape == (1, 1)
+        y = p.add_var("y")
+        p.add_constraint({x: 1.0, y: 1.0}, "==", 1.0)
+        p.add_objective_term(y, 2.0)
+        arrays = p.to_arrays()
+        assert arrays["A_ub"].shape == (1, 2)
+        assert arrays["A_eq"].shape == (1, 2)
+        assert arrays["c"].tolist() == [0.0, -2.0]
+        assert not p.is_feasible(np.array([1.0, 1.0]))

@@ -45,6 +45,12 @@ class TestProblemFingerprint:
         assert fingerprint(p, integrality_tol=1e-4) != base
         assert fingerprint(p, gap_tol=1e-6) != base
 
+    def test_changes_with_solver_version(self, monkeypatch):
+        p = knapsack([5, 4], [3, 3], 3)
+        base = fingerprint(p)
+        monkeypatch.setattr("repro.milp.solve_cache.SOLVER_CACHE_VERSION", 99)
+        assert fingerprint(p) != base
+
     def test_changes_with_warm_start(self):
         p = knapsack([5, 4], [3, 3], 3)
         assert fingerprint(p) != fingerprint(p, warm_start=np.array([1.0, 0.0]))
