@@ -31,6 +31,7 @@ Beyond the per-kernel ladder, two whole-run mechanisms live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -41,7 +42,7 @@ from ..core.codegen import compile_plan
 from ..core.fusion import fit_kernel_to_leftover, shard_by_latency
 from ..core.hybrid import GPU_TO_CPU_SLOWDOWN, cpu_fallback_production_us, degraded_pool
 from ..core.latency_predictor import kernel_features
-from ..core.planner import RapPlan, RapPlanner
+from ..core.planner import RapPlan, RapPlanner, RapRunReport
 from ..core.serialization import kernel_from_dict, kernel_to_dict, plan_from_json, plan_to_json
 from ..dlrm.training import TrainingWorkload
 from ..gpusim.kernel import KernelDesc
@@ -49,6 +50,7 @@ from ..preprocessing.data import Batch, CriteoSchema, SyntheticCriteoDataset
 from ..preprocessing.executor import DataPreparation, execute_graph_set
 from ..preprocessing.graph import GraphSet
 from ..telemetry import (
+    CalibratedPredictor,
     CalibrationSample,
     DriftEvent,
     LatencyDrift,
@@ -314,6 +316,70 @@ class KernelRecovery:
         return self.backoff_us + self.wasted_us
 
 
+class _InstalledPlan:
+    """What the runtime derives from one installed plan, computed lazily.
+
+    Between plan changes the placed kernels are frozen, so the transparent
+    path's report, the plan's predicted exposure and every placed kernel's
+    sample inputs are fixed. An instance lives from one
+    :meth:`FaultTolerantRuntime._install_plan` to the next, or until the
+    planner's predictor object changes, since the base prices come from it.
+    """
+
+    def __init__(self, planner: RapPlanner, plan: RapPlan) -> None:
+        self.planner = planner
+        self.plan = plan
+        self.predictor = planner.cost_model.predictor
+        # A calibrated predictor's prices move with every recorded sample,
+        # so only its base prices are fixed per plan.
+        self.calibrated = isinstance(self.predictor, CalibratedPredictor)
+
+    @cached_property
+    def report(self) -> RapRunReport:
+        return self.planner.evaluate(self.plan)
+
+    @cached_property
+    def predicted_exposed_us(self) -> float:
+        return self.plan.predicted_exposed_us
+
+    @cached_property
+    def _gpu_rows(self) -> tuple[list[list[tuple]], list[list[tuple]]]:
+        """Per GPU, the staged rows (in stage order) and the trailing rows:
+        ``(tag, base price, modeled duration, stage, features, kernel)``."""
+        price = (
+            self.predictor.base_prediction
+            if self.calibrated
+            else self.planner.cost_model.kernel_latency
+        )
+
+        def row(kernel: KernelDesc, stage: int) -> tuple:
+            features = tuple(kernel_features(kernel))
+            return (kernel.tag, price(kernel), kernel.duration_us, stage, features, kernel)
+
+        staged = [
+            [row(k, stage) for stage in sorted(per_gpu) for k in per_gpu[stage]]
+            for per_gpu in self.plan.assignments_per_gpu
+        ]
+        trailing = [[row(k, -1) for k in kernels] for kernels in self.plan.trailing_per_gpu]
+        return staged, trailing
+
+    @cached_property
+    def rows(self) -> list[tuple]:
+        """The rows in transparent-path order: every GPU's staged kernels,
+        then every GPU's trailing kernels."""
+        staged, trailing = self._gpu_rows
+        return [r for rows in staged + trailing for r in rows]
+
+    @cached_property
+    def site_features(self) -> list[tuple[float, ...]]:
+        """The features in :meth:`FaultTolerantRuntime._observe_kernels`
+        order: per GPU, staged then trailing. Scaled copies of a kernel
+        differ only in ``duration_us``, so they share its features."""
+        staged, trailing = self._gpu_rows
+        return [r[4] for gpu_staged, gpu_trailing in zip(staged, trailing)
+                for r in gpu_staged + gpu_trailing]
+
+
 class FaultTolerantRuntime:
     """Executes plans under injected faults, degrading instead of crashing."""
 
@@ -342,9 +408,8 @@ class FaultTolerantRuntime:
         # owning tenant; ``None`` (every standalone run) leaves the
         # journal's bytes exactly as before.
         self.tenant = tenant
-        self.planner = planner
         self.graph_set = graph_set
-        self.plan = plan if plan is not None else planner.plan(graph_set)
+        self._install_plan(plan if plan is not None else planner.plan(graph_set), planner)
         self.injector = injector or FaultInjector()
         self.retry_policy = retry_policy or RetryPolicy()
         self.watchdog = watchdog or LatencyWatchdog()
@@ -428,6 +493,25 @@ class FaultTolerantRuntime:
             if self.tenant is not None:
                 fields.setdefault("tenant", self.tenant)
             self.journal.append(record_type, **fields)
+
+    def _install_plan(self, plan: RapPlan, planner: RapPlanner | None = None) -> None:
+        """The one seam through which the live plan (and planner) change.
+
+        Every swap -- construction, replan, adoption, eviction, promotion,
+        rollback, membership change, restore -- lands here, so what the
+        runtime derives from the plan is dropped exactly when it goes stale.
+        """
+        if planner is not None:
+            self.planner = planner
+        self.plan = plan
+        self._installed_plan = _InstalledPlan(self.planner, plan)
+
+    def _installed(self) -> _InstalledPlan:
+        """The live plan's derived data, rebuilt if the predictor changed."""
+        installed = self._installed_plan
+        if installed.predictor is not self.planner.cost_model.predictor:
+            installed = self._installed_plan = _InstalledPlan(self.planner, self.plan)
+        return installed
 
     # ------------------------------------------------------------------
     # Top level
@@ -592,8 +676,11 @@ class FaultTolerantRuntime:
         ):
             # Transparent path: nothing failed, nothing drifted, nothing
             # evicted -- defer to the planner's own evaluation so the
-            # wrapped numbers are bit-identical to direct execution.
-            report = self.planner.evaluate(self.plan)
+            # wrapped numbers are bit-identical to direct execution. The
+            # evaluation is a pure function of the installed plan, so it
+            # runs once per plan, not once per iteration.
+            installed = self._installed()
+            report = installed.report
             record = IterationRecord(
                 iteration=iteration,
                 iteration_us=report.iteration_us,
@@ -605,7 +692,9 @@ class FaultTolerantRuntime:
                 # Recording is read-only: each placed kernel contributes its
                 # (predicted, observed) pair, where the observation is the
                 # plan's own modeled duration -- no number changes.
-                self._record_plan_samples(iteration)
+                self.telemetry.record_kernel_samples(
+                    self._plan_samples(installed, iteration)
+                )
                 self.telemetry.record_iteration(
                     iteration,
                     report.iteration_us,
@@ -615,7 +704,7 @@ class FaultTolerantRuntime:
                 )
                 drift_event = self.telemetry.check_drift(iteration)
             decision = self.watchdog.observe(
-                self.plan.predicted_exposed_us, report.exposed_preprocessing_us, 0
+                installed.predicted_exposed_us, report.exposed_preprocessing_us, 0
             )
             if self.shadow is not None:
                 # Guarded mode: both replan triggers feed the shadow loop,
@@ -745,7 +834,7 @@ class FaultTolerantRuntime:
             self.telemetry.check_drift(iteration) if self.telemetry is not None else None
         )
         decision = self.watchdog.observe(
-            self.plan.predicted_exposed_us, exposed_us, len(faults)
+            self._installed().predicted_exposed_us, exposed_us, len(faults)
         )
         replanned = False
         if self._preempted:
@@ -806,7 +895,7 @@ class FaultTolerantRuntime:
         mapping instead of re-running the full search.
         """
         drifted = drift_graph_set(self.graph_set, self._total_scale)
-        self.plan = self.planner.replan(drifted, previous=self.plan)
+        self._install_plan(self.planner.replan(drifted, previous=self.plan))
         self._scale = 1.0
         self._cpu_kernels.clear()
         self.watchdog.reset()
@@ -842,8 +931,7 @@ class FaultTolerantRuntime:
         window restarts against the new plan's predictions. Also the
         restore path out of :meth:`evict_to_cpu`.
         """
-        self.planner = planner
-        self.plan = plan
+        self._install_plan(plan, planner)
         self._scale = 1.0
         self._cpu_kernels.clear()
         self._preempted = False
@@ -878,10 +966,12 @@ class FaultTolerantRuntime:
                 demoted.extend(per_gpu[stage_idx])
         for trailing in self.plan.trailing_per_gpu:
             demoted.extend(trailing)
-        self.plan = dataclasses.replace(
-            self.plan,
-            assignments_per_gpu=[{} for _ in range(self.workload.num_gpus)],
-            trailing_per_gpu=[[] for _ in range(self.workload.num_gpus)],
+        self._install_plan(
+            dataclasses.replace(
+                self.plan,
+                assignments_per_gpu=[{} for _ in range(self.workload.num_gpus)],
+                trailing_per_gpu=[[] for _ in range(self.workload.num_gpus)],
+            )
         )
         self._cpu_kernels.extend(demoted)
         self._scale = 1.0
@@ -903,44 +993,34 @@ class FaultTolerantRuntime:
     # Online calibration
     # ------------------------------------------------------------------
 
-    def _record_sample(
-        self, iteration: int, kernel: KernelDesc, stage_idx: int, observed_us: float
-    ) -> None:
-        # The base (uncorrected) prediction feeds the residual model -- it
-        # must stay a stable reference or the correction chases its own
-        # output. The active prediction (with any injected correction) is
-        # what the drift detector judges.
-        from ..telemetry import CalibratedPredictor
+    def _plan_samples(self, installed: _InstalledPlan, iteration: int):
+        """Every placed kernel's sample on the transparent path.
 
-        predictor = self.planner.cost_model.predictor
-        active = self.planner.cost_model.kernel_latency(kernel)
-        base = (
-            predictor.base_prediction(kernel)
-            if isinstance(predictor, CalibratedPredictor)
-            else active
-        )
-        self.telemetry.record_kernel_sample(
-            CalibrationSample(
-                op_type=kernel.tag,
-                predicted_us=base,
-                observed_us=observed_us,
-                iteration=iteration,
-                stage=stage_idx,
-                features=tuple(kernel_features(kernel)),
-                active_predicted_us=active if active != base else None,
-            )
-        )
+        The observation is the plan's own modeled duration, so recording is
+        read-only. The base (uncorrected) prediction feeds the residual
+        model -- it must stay a stable reference or the correction chases
+        its own output. The active prediction is what the drift detector
+        judges: uncalibrated it is the base price; calibrated it moves with
+        every recorded sample, so each kernel is priced only when the
+        session draws its sample, after every earlier one was recorded.
+        """
+        rows = installed.rows
+        if not installed.calibrated:
+            return [
+                CalibrationSample(tag, base, observed_us, iteration, stage, features)
+                for tag, base, observed_us, stage, features, _ in rows
+            ]
+        price = self.planner.cost_model.kernel_latency
 
-    def _record_plan_samples(self, iteration: int) -> None:
-        """Sample every placed kernel on the transparent path (observed ==
-        modeled duration; read-only, so the path stays bit-identical)."""
-        for per_gpu in self.plan.assignments_per_gpu:
-            for stage_idx in sorted(per_gpu):
-                for kernel in per_gpu[stage_idx]:
-                    self._record_sample(iteration, kernel, stage_idx, kernel.duration_us)
-        for trailing in self.plan.trailing_per_gpu:
-            for kernel in trailing:
-                self._record_sample(iteration, kernel, -1, kernel.duration_us)
+        def priced():
+            for tag, base, observed_us, stage, features, kernel in rows:
+                active = price(kernel)
+                yield CalibrationSample(
+                    tag, base, observed_us, iteration, stage, features,
+                    active if active != base else None,
+                )
+
+        return priced()
 
     def _observe_kernels(
         self,
@@ -956,24 +1036,37 @@ class FaultTolerantRuntime:
         will actually execute. Fused kernels keep their member op tag, so
         per-tag factors and corrections compose cleanly.
         """
-
-        def observe(kernel: KernelDesc, stage_idx: int) -> KernelDesc:
-            factor = drift_factors.get(kernel.tag, 1.0)
-            executed = (
-                kernel
-                if factor == 1.0
-                else kernel.with_duration(kernel.duration_us * factor)
-            )
-            if self.telemetry is not None:
-                self._record_sample(iteration, kernel, stage_idx, executed.duration_us)
-            return executed
-
-        for gpu in range(len(assignments)):
-            for stage_idx in sorted(assignments[gpu]):
-                kernels = assignments[gpu][stage_idx]
+        telemetry = self.telemetry
+        observed: list[tuple[KernelDesc, int, float]] = []
+        for gpu, per_gpu in enumerate(assignments):
+            sites = [(per_gpu[stage_idx], stage_idx) for stage_idx in sorted(per_gpu)]
+            sites.append((trailing[gpu], -1))
+            for kernels, stage_idx in sites:
                 for i, kernel in enumerate(kernels):
-                    kernels[i] = observe(kernel, stage_idx)
-            trailing[gpu][:] = [observe(k, -1) for k in trailing[gpu]]
+                    factor = drift_factors.get(kernel.tag, 1.0)
+                    if factor != 1.0:
+                        kernels[i] = kernel.with_duration(kernel.duration_us * factor)
+                    if telemetry is not None:
+                        observed.append((kernel, stage_idx, kernels[i].duration_us))
+        if telemetry is not None:
+            telemetry.record_kernel_samples(self._observed_samples(iteration, observed))
+
+    def _observed_samples(self, iteration: int, observed: list[tuple[KernelDesc, int, float]]):
+        """Samples of the (scaled) planned kernels, priced lazily like
+        :meth:`_plan_samples`; features come from the installed plan."""
+        installed = self._installed()
+        predictor = installed.predictor
+        calibrated = installed.calibrated
+        price = self.planner.cost_model.kernel_latency
+        for (kernel, stage_idx, observed_us), features in zip(
+            observed, installed.site_features, strict=True
+        ):
+            active = price(kernel)
+            base = predictor.base_prediction(kernel) if calibrated else active
+            yield CalibrationSample(
+                kernel.tag, base, observed_us, iteration, stage_idx, features,
+                active if active != base else None,
+            )
 
     def _recalibrate_and_replan(self, iteration: int, event: DriftEvent) -> None:
         """Answer a drift detection: inject the calibrated predictor, replan.
@@ -1134,7 +1227,7 @@ class FaultTolerantRuntime:
         )
         # 3. Swap, mirroring _replan's bookkeeping plus the calibrated
         #    predictor hand-off of _recalibrate_and_replan.
-        self.plan = candidate
+        self._install_plan(candidate)
         self._scale = 1.0
         self._cpu_kernels.clear()
         self.plan_epoch += 1
@@ -1176,7 +1269,7 @@ class FaultTolerantRuntime:
                 plan_text = snapshot.plan_text
             except CheckpointError:
                 pass  # fall back to the in-memory copy (identical bytes)
-        self.plan = plan_from_json(plan_text, self.workload, self.graph_set)
+        self._install_plan(plan_from_json(plan_text, self.workload, self.graph_set))
         anchor_total = float(anchor.get("total_scale", 1.0)) or 1.0
         # Drift that arrived *during* probation composes onto the anchor's
         # relative scale, so the restored plan sees today's distribution.
@@ -1322,8 +1415,9 @@ class FaultTolerantRuntime:
         live = self._live_graph_set()
         warm = surviving_mapping(self.plan, gpu, survivor_workload, live)
         planner = self.planner_factory(self.planner, survivor_workload)
-        self.plan = planner.replan(live, previous=self.plan, initial_mapping=warm)
-        self.planner = planner
+        self._install_plan(
+            planner.replan(live, previous=self.plan, initial_mapping=warm), planner
+        )
         self._scale = 1.0
         self._cpu_kernels.clear()
         self.watchdog.reset()

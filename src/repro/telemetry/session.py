@@ -16,6 +16,7 @@ object, no calls", not a null-object that still burns cycles.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterable
 
 from .calibration import (
     CalibratedPredictor,
@@ -25,7 +26,7 @@ from .calibration import (
     ResidualModel,
 )
 from .exposition import JsonlMetricsSink, to_prometheus_text, write_prometheus
-from .registry import DEFAULT_LATENCY_BUCKETS_US, MetricsRegistry
+from .registry import DEFAULT_LATENCY_BUCKETS_US, Counter, Histogram, MetricsRegistry
 from .spans import Tracer
 
 __all__ = ["TelemetrySession"]
@@ -53,6 +54,8 @@ class TelemetrySession:
         )
         self.drift_events: list[DriftEvent] = []
         self._iteration_samples: list[CalibrationSample] = []
+        # Per-op sample instruments, bound once: op -> (histogram, counter).
+        self._kernel_children: dict[str, tuple[Histogram, Counter]] = {}
         self._jsonl: JsonlMetricsSink | None = (
             JsonlMetricsSink(self.metrics_dir / "metrics.jsonl")
             if self.metrics_dir is not None
@@ -82,18 +85,41 @@ class TelemetrySession:
 
     def record_kernel_sample(self, sample: CalibrationSample) -> None:
         """Record one (predicted, observed) kernel latency pair."""
-        self.residual.record(sample)
-        self._iteration_samples.append(sample)
-        self.registry.histogram(
-            "rap_kernel_observed_us",
-            help="Observed standalone kernel latency by op type",
-            labels={"op": sample.op_type},
-        ).observe(sample.observed_us)
-        self.registry.counter(
-            "rap_calibration_samples_total",
-            help="Calibration samples recorded by op type",
-            labels={"op": sample.op_type},
-        ).inc()
+        self.record_kernel_samples((sample,))
+
+    def record_kernel_samples(self, samples: Iterable[CalibrationSample]) -> None:
+        """Record one iteration's samples, in order.
+
+        Each sample reaches the residual model before the next one is
+        drawn, so a lazy ``samples`` that prices kernels through the
+        calibrated predictor sees every earlier sample of the batch.
+        """
+        record = self.residual.record
+        append = self._iteration_samples.append
+        children = self._kernel_children
+        for sample in samples:
+            record(sample)
+            append(sample)
+            bound = children.get(sample.op_type)
+            if bound is None:
+                bound = children[sample.op_type] = self._bind_kernel_children(sample.op_type)
+            bound[0].observe(sample.observed_us)
+            bound[1].inc()
+
+    def _bind_kernel_children(self, op_type: str) -> tuple[Histogram, Counter]:
+        """The per-op sample instruments, registered on the op's first sample."""
+        return (
+            self.registry.histogram(
+                "rap_kernel_observed_us",
+                help="Observed standalone kernel latency by op type",
+                labels={"op": op_type},
+            ),
+            self.registry.counter(
+                "rap_calibration_samples_total",
+                help="Calibration samples recorded by op type",
+                labels={"op": op_type},
+            ),
+        )
 
     def record_iteration(
         self,

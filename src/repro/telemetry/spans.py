@@ -74,16 +74,31 @@ class Tracer:
     """Collects trace events on a monotonically advancing simulated clock."""
 
     def __init__(self) -> None:
-        self._events: list[dict] = []
+        # Recorded events in order. A GPU's repeat of its previous simulated
+        # result is kept as a ``(template, t0)`` pair and expanded on read.
+        self._events: list[dict | tuple[list[tuple[float, dict]], float]] = []
         self._known_pids: set[int] = set()
+        # Per GPU: the last simulated result and its events as
+        # ``(span start, event)`` pairs.
+        self._templates: dict[int, tuple[object, list[tuple[float, dict]]]] = {}
         self.clock_us = 0.0
 
     def __len__(self) -> int:
-        return len(self._events)
+        return sum(len(e[0]) if type(e) is tuple else 1 for e in self._events)
 
     @property
     def events(self) -> list[dict]:
-        return list(self._events)
+        """Every recorded event; a repeated iteration's copies differ from
+        their template only in ``ts`` (same float sum, same key position).
+        Recorded events are never mutated, so the copies share ``args``."""
+        out: list[dict] = []
+        for item in self._events:
+            if type(item) is tuple:
+                template, t0 = item
+                out.extend({**event, "ts": float(start + t0)} for start, event in template)
+            else:
+                out.append(item)
+        return out
 
     # ------------------------------------------------------------------
 
@@ -150,14 +165,31 @@ class Tracer:
         )
         for gpu, result in enumerate(per_gpu_results):
             self.ensure_process(gpu, f"GPU {gpu}", {0: "training", 1: "preprocessing"})
-            self._events.extend(iteration_span_events(result, gpu, t_offset=t0))
+            self._record_gpu(gpu, result, t0)
         self.clock_us = t0 + iteration_us
         return t0
+
+    def _record_gpu(self, gpu: int, result, t0: float) -> None:
+        """One GPU's stage and kernel events for ``result`` at offset ``t0``.
+
+        The runtime hands back the same result object for every clean
+        iteration of a plan, so its events are built once; a repeat only
+        records the offset.
+        """
+        template = self._templates.get(gpu)
+        if template is not None and template[0] is result:
+            self._events.append((template[1], t0))
+            return
+        events = iteration_span_events(result, gpu, t_offset=t0)
+        starts = [span.t_start for span in result.stage_spans]
+        starts.extend(span.t_start for span in result.kernel_spans)
+        self._templates[gpu] = (result, list(zip(starts, events)))
+        self._events.extend(events)
 
     # ------------------------------------------------------------------
 
     def to_chrome_trace(self, indent: int | None = None) -> str:
-        return trace_json(self._events, indent=indent)
+        return trace_json(self.events, indent=indent)
 
     # Checkpointing: only the clock is control state; events are artifacts
     # of the *current* process and are not replayed across restarts.

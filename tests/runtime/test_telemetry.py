@@ -256,3 +256,99 @@ class TestCalibrationCost:
         records = RunJournal.read(journal.path)
         summaries = [r for r in records if r["type"] == "calibration_summary"]
         assert summaries == expected
+
+
+class TestPerPlanTelemetryCost:
+    """Cost guards by operation counts: what a plan install fixes is
+    computed once per plan, not once per iteration."""
+
+    N = 12
+
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        from repro.runtime import executor
+        from repro.telemetry.registry import MetricsRegistry
+
+        counts = {"features": 0, "simulate": 0, "get_or_create": 0}
+
+        def counting(key, original):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            executor, "kernel_features", counting("features", executor.kernel_features)
+        )
+        monkeypatch.setattr(
+            TrainingWorkload, "simulate", counting("simulate", TrainingWorkload.simulate)
+        )
+        monkeypatch.setattr(
+            MetricsRegistry,
+            "_get_or_create",
+            counting("get_or_create", MetricsRegistry._get_or_create),
+        )
+        return counts
+
+    @staticmethod
+    def placed_kernels(plan):
+        return sum(plan.num_kernels_per_gpu())
+
+    def test_clean_run_prices_each_plan_once(self, setting, counters):
+        runtime = make_runtime(setting, telemetry=TelemetrySession())
+        counters.update(dict.fromkeys(counters, 0))
+        runtime.run(self.N)
+        assert runtime.telemetry.residual.total_samples == self.N * self.placed_kernels(
+            runtime.plan
+        )
+        assert counters["features"] == self.placed_kernels(runtime.plan)
+        assert counters["simulate"] == 1
+        # Two per-op children bound on each op's first sample, never again.
+        op_types = len(runtime.telemetry.residual.op_types())
+        assert counters["get_or_create"] == 2 * op_types
+        counters.update(dict.fromkeys(counters, 0))
+        runtime.run(self.N, start_iteration=self.N)
+        assert counters == {"features": 0, "simulate": 0, "get_or_create": 0}
+
+    def test_forced_replan_adds_one_plan_worth(self, setting, counters):
+        runtime = make_runtime(setting, telemetry=TelemetrySession())
+        runtime.run(self.N)
+        before = runtime._installed_plan
+        runtime._replan(self.N)
+        assert runtime._installed_plan is not before
+        counters.update(dict.fromkeys(counters, 0))
+        runtime.run(self.N, start_iteration=self.N + 1)
+        assert counters == {
+            "features": self.placed_kernels(runtime.plan),
+            "simulate": 1,
+            "get_or_create": 0,
+        }
+
+
+class TestZeroCostWhenOffPerPlan:
+    def test_no_sample_inputs_built_without_telemetry(self, setting, monkeypatch):
+        """With ``telemetry=None`` neither the transparent nor the degraded
+        path builds sample rows, features or samples."""
+        from repro.runtime import FaultEvent, executor
+
+        class PoolCrashes:
+            def faults_for_iteration(self, iteration, plan):
+                return [FaultEvent("cpu_pool_crash", iteration)] if iteration in (1, 7) else []
+
+        calls = []
+        monkeypatch.setattr(executor, "kernel_features", lambda *a: calls.append("features"))
+        monkeypatch.setattr(executor, "CalibrationSample", lambda *a: calls.append("sample"))
+        graphs, workload = setting
+        runtime = FaultTolerantRuntime(
+            RapPlanner(workload),
+            graphs,
+            injector=PoolCrashes(),
+            drift_schedule=[LatencyDrift("Clamp", 2.5, start_iteration=3, end_iteration=5)],
+        )
+        report = runtime.run(10)
+        assert [r.num_faults for r in report.iterations].count(1) == 2
+        assert calls == []
+        built = vars(runtime._installed_plan)
+        assert "report" in built  # the transparent path ran
+        assert "_gpu_rows" not in built
