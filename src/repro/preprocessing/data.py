@@ -128,14 +128,19 @@ def concat_csr_blocks(
 
 
 def rowwise_concat_csr(
-    offsets_list: Sequence[np.ndarray], values_list: Sequence[np.ndarray]
+    offsets_list: Sequence[np.ndarray],
+    values_list: Sequence[np.ndarray],
+    out_offsets: np.ndarray | None = None,
+    out_values: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise concatenation of several CSR columns (vectorized).
 
     Row ``i`` of the result is row ``i`` of each input concatenated in
     order -- the layout ``Ngram`` consumes when it spans multiple sparse
     features. This is the array-level core of
-    :func:`repro.preprocessing.ops.concat_sparse_rows`.
+    :func:`repro.preprocessing.ops.concat_sparse_rows`. ``out_offsets`` and
+    ``out_values``, when given, must hold ``rows + 1`` and ``total_nnz``
+    entries.
     """
     if not offsets_list:
         raise ValueError("need at least one column to concatenate")
@@ -144,20 +149,26 @@ def rowwise_concat_csr(
         if len(offs) - 1 != rows:
             raise ValueError("all columns must have the same row count")
     lengths = [lengths_from_offsets(o) for o in offsets_list]
-    total_lengths = np.sum(lengths, axis=0)
-    offsets = offsets_from_lengths(total_lengths)
-    # Preserve the input values dtype (promoted across inputs), matching
-    # concat_csr_blocks -- hardcoding int64 silently widened/narrowed.
-    values = np.empty(int(offsets[-1]), dtype=np.result_type(*values_list))
-    prefix = np.zeros(rows, dtype=np.int64)
+    offsets = offsets_from_lengths(np.sum(lengths, axis=0), out=out_offsets)
+    total_nnz = int(offsets[-1])
+    if out_values is None:
+        # Preserve the input values dtype (promoted across inputs), matching
+        # concat_csr_blocks -- hardcoding int64 silently widened/narrowed.
+        values = np.empty(total_nnz, dtype=np.result_type(*values_list))
+    elif len(out_values) != total_nnz:
+        raise ValueError(f"out_values has {len(out_values)} entries, need total_nnz = {total_nnz}")
+    else:
+        values = out_values
+    # cursor[i] is where the next column's slice of row i lands, so input
+    # element k of row i goes to (cursor[i] - offs[i]) + k.
+    cursor = offsets[:-1].copy()
     for offs, vals, lens in zip(offsets_list, values_list, lengths):
-        starts = offsets[:-1] + prefix
         nnz = int(offs[-1])
         if nnz:
-            within = np.arange(nnz, dtype=np.int64) - np.repeat(offs[:-1], lens)
-            targets = np.repeat(starts, lens) + within
+            targets = np.repeat(cursor - offs[:-1], lens)
+            targets += np.arange(nnz)
             values[targets] = vals
-        prefix = prefix + lens
+        cursor += lens
     return offsets, values
 
 

@@ -232,7 +232,11 @@ class _DenseEwStep:
                 continue
             arrays = [cols[i].values for i in idxs]
             staged = _concat_values(arrays, arena, dtype)
-            out = arena.take(staged.shape[0], self.out_dtype)
+            # The staged copy is the step's own, and every dense kernel is
+            # elementwise, so it can be overwritten when the dtypes agree.
+            out = staged
+            if dtype != self.out_dtype:
+                out = arena.take(staged.shape[0], self.out_dtype)
             self.kernel(staged, *self.params, out=out)
             pos = 0
             for i in idxs:
@@ -290,7 +294,9 @@ class _SparseEwStep:
     """Fused elementwise sparse op (SigridHash / Clamp / MapId).
 
     Offsets pass through untouched; only the fused value segments run
-    through the kernel.
+    through the kernel. A fused group runs in place over its staged
+    concatenation (every sparse elementwise kernel is elementwise), so it
+    takes one arena lease, not two.
     """
 
     __slots__ = ("members", "kernel", "params", "hash_size_fn")
@@ -318,9 +324,8 @@ class _SparseEwStep:
                 op.output, col.offsets, out, self.hash_size_fn(col)
             )
             return
-        staged = _concat_values([c.values for c in cols], arena, np.int64)
-        out = arena.take(staged.shape[0], np.int64)
-        self.kernel(staged, *self.params, out=out)
+        out = _concat_values([c.values for c in cols], arena, np.int64)
+        self.kernel(out, *self.params, out=out)
         pos = 0
         for op, col in zip(self.members, cols):
             n = col.values.shape[0]
@@ -349,7 +354,9 @@ class _FirstXStep:
         if len(cols) == 1:
             op, col = self.members[0], cols[0]
             out_offsets = arena.take(col.offsets.shape[0], np.int64)
-            offsets, values = firstx_kernel(col.offsets, col.values, self.x, out_offsets=out_offsets)
+            offsets, values = firstx_kernel(
+                col.offsets, col.values, self.x, out_offsets=out_offsets, alloc=arena.take
+            )
             regs[op.output] = SparseColumn.trusted(op.output, offsets, values, col.hash_size)
             return
         offsets_list = [c.offsets for c in cols]
@@ -361,7 +368,7 @@ class _FirstXStep:
         concat_csr_blocks(offsets_list, values_list, out_offsets=big_offsets, out_values=big_values)
         out_offsets = arena.take(total_rows + 1, np.int64)
         out_offsets, out_values = firstx_kernel(
-            big_offsets, big_values, self.x, out_offsets=out_offsets
+            big_offsets, big_values, self.x, out_offsets=out_offsets, alloc=arena.take
         )
         row = 0
         for op, col in zip(self.members, cols):
@@ -377,7 +384,7 @@ class _FirstXStep:
 
 
 class _NgramStep:
-    """Fused n-gram: per-member row-wise input concat, one window kernel."""
+    """Fused n-gram: members' row-wise input concats stacked, one window kernel."""
 
     __slots__ = ("members", "n", "out_hash_size", "kernel")
 
@@ -395,47 +402,53 @@ class _NgramStep:
 
     def run(self, regs: dict, program: "CompiledProgram") -> None:
         arena = program.arena
-        ngram_kernel = self.kernel
-        combined: list[tuple[np.ndarray, np.ndarray]] = []
-        for op in self.members:
-            in_cols = [regs[name] for name in op.inputs]
-            if len(in_cols) == 1:
-                combined.append((in_cols[0].offsets, in_cols[0].values))
-            else:
-                combined.append(
-                    rowwise_concat_csr(
-                        [c.offsets for c in in_cols], [c.values for c in in_cols]
-                    )
+        inputs = [[regs[name] for name in op.inputs] for op in self.members]
+        if len(inputs) == 1 and len(inputs[0]) == 1:
+            offs, vals = inputs[0][0].offsets, inputs[0][0].values
+        else:
+            # Each member's row-wise concatenation is built straight into
+            # one stacked arena CSR, member after member.
+            total_rows = sum(cols[0].offsets.shape[0] - 1 for cols in inputs)
+            total_nnz = sum(c.values.shape[0] for cols in inputs for c in cols)
+            offs = arena.take(total_rows + 1, np.int64)
+            vals = arena.take(total_nnz, np.int64)
+            row, base = 0, 0
+            for cols in inputs:
+                rows_i = cols[0].offsets.shape[0] - 1
+                nnz_i = sum(c.values.shape[0] for c in cols)
+                seg = offs[row : row + rows_i + 1]
+                rowwise_concat_csr(
+                    [c.offsets for c in cols],
+                    [c.values for c in cols],
+                    out_offsets=seg,
+                    out_values=vals[base : base + nnz_i],
                 )
+                # The offsets come back member-local; shifting them by base
+                # also restores seg[0], the previous member's end.
+                seg += base
+                row += rows_i
+                base += nnz_i
+        out_offsets, grams = self.kernel(
+            offs,
+            vals,
+            self.n,
+            self.out_hash_size,
+            out_offsets=arena.take(offs.shape[0], np.int64),
+            alloc=arena.take,
+        )
         if len(self.members) == 1:
             op = self.members[0]
-            offs, vals = combined[0]
-            out_offsets = arena.take(offs.shape[0], np.int64)
-            offsets, grams = ngram_kernel(
-                offs, vals, self.n, self.out_hash_size, out_offsets=out_offsets
-            )
-            regs[op.output] = SparseColumn.trusted(op.output, offsets, grams, self.out_hash_size)
+            regs[op.output] = SparseColumn.trusted(op.output, out_offsets, grams, self.out_hash_size)
             return
-        offsets_list = [c[0] for c in combined]
-        values_list = [c[1] for c in combined]
-        total_rows = sum(o.shape[0] - 1 for o in offsets_list)
-        total_nnz = sum(v.shape[0] for v in values_list)
-        big_offsets = arena.take(total_rows + 1, np.int64)
-        big_values = arena.take(total_nnz, np.int64)
-        concat_csr_blocks(offsets_list, values_list, out_offsets=big_offsets, out_values=big_values)
-        out_offsets = arena.take(total_rows + 1, np.int64)
-        out_offsets, out_values = ngram_kernel(
-            big_offsets, big_values, self.n, self.out_hash_size, out_offsets=out_offsets
-        )
         row = 0
-        for op, offs in zip(self.members, offsets_list):
-            rows_i = offs.shape[0] - 1
+        for op, cols in zip(self.members, inputs):
+            rows_i = cols[0].offsets.shape[0] - 1
             seg = out_offsets[row : row + rows_i + 1]
             base = int(seg[0])
             member_offsets = arena.take(rows_i + 1, np.int64)
             np.subtract(seg, base, out=member_offsets)
             regs[op.output] = SparseColumn.trusted(
-                op.output, member_offsets, out_values[base : int(seg[-1])], self.out_hash_size
+                op.output, member_offsets, grams[base : int(seg[-1])], self.out_hash_size
             )
             row += rows_i
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Any, ClassVar, Sequence
+from typing import Any, Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -117,9 +117,12 @@ def concat_sparse_rows(columns: Sequence[SparseColumn], name: str, hash_size: in
 # execution paths are bit-identical by construction -- the engine merely
 # applies them to concatenated column segments with pooled output buffers.
 #
-# Contract: ``values`` (and ``offsets``) arguments are never mutated; when
-# ``out`` is given the result is written there (same elementwise math as the
-# allocate-and-return path) and ``out`` is returned.
+# Contract: ``values`` (and ``offsets``) arguments are never mutated unless
+# they are also ``out``; when ``out`` is given the result is written there
+# (same elementwise math as the allocate-and-return path) and ``out`` is
+# returned. The ragged kernels (FirstX, Ngram) learn their values size only
+# from the offsets pass, so they take an ``alloc(size, dtype)`` callable
+# instead -- ``np.empty`` by default, an arena's ``take`` in the engine.
 # ----------------------------------------------------------------------
 
 
@@ -181,13 +184,63 @@ def bucketize_kernel(
 
 
 def _as_uint64(values: np.ndarray) -> np.ndarray:
-    """Zero-copy uint64 aliasing of an int64 array (wraps exactly like astype)."""
+    """uint64 form of integer ids: 8-byte integers alias, everything else converts.
+
+    Both routes wrap negative ids modulo 2**64 exactly like ``astype``. Only
+    8-byte integer dtypes may be reinterpreted: a ``view`` of an even-length
+    int32 array would succeed and silently halve it.
+    """
     if values.dtype == np.uint64:
         return values
-    try:
-        return values.view(np.uint64)
-    except ValueError:  # non-contiguous exotic layout: fall back to a copy
-        return values.astype(np.uint64)
+    if values.dtype.kind == "i" and values.dtype.itemsize == 8:
+        try:
+            return values.view(np.uint64)
+        except ValueError:  # non-contiguous exotic layout: fall back to a copy
+            pass
+    return values.astype(np.uint64)
+
+
+def _mod_inplace(h: np.ndarray, modulus: int, scratch: np.ndarray | None = None) -> None:
+    """``h %= modulus`` in place for a uint64 array, as ``h -= (h // m) * m``.
+
+    numpy's uint64 ``remainder`` by a scalar costs about four times its
+    ``floor_divide``, so divide-multiply-subtract is the cheaper exact form
+    for every ``0 < modulus < 2**64``. ``scratch`` (same shape, uint64)
+    holds the quotient when given.
+    """
+    m = np.uint64(modulus)
+    q = np.floor_divide(h, m, out=scratch)
+    q *= m
+    h -= q
+
+
+#: Elements per block of a multi-pass integer kernel: a block of the output
+#: and one of scratch (2 x 512 KiB of uint64) stay in a 2 MiB L2 cache
+#: across every pass, where a pass over a whole fused column streams from
+#: memory.
+_BLOCK = 1 << 16
+
+
+def _blockwise(
+    values: np.ndarray,
+    out: np.ndarray | None,
+    passes: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
+) -> np.ndarray:
+    """Run ``passes(v, h, scratch)`` block by block; int64 out.
+
+    ``v`` is a block of ``values`` as uint64, ``h`` the same block of
+    ``out`` (which may be ``values`` itself) and ``scratch`` a uint64 block
+    of the same length.
+    """
+    if out is None:
+        out = np.empty(values.shape[0], dtype=np.int64)
+    v, h = _as_uint64(values), _as_uint64(out)
+    size = h.shape[0]
+    scratch = np.empty(min(size, _BLOCK), dtype=np.uint64)
+    for lo in range(0, size, _BLOCK):
+        hi = min(lo + _BLOCK, size)
+        passes(v[lo:hi], h[lo:hi], scratch[: hi - lo])
+    return out
 
 
 def sigridhash_kernel(
@@ -195,20 +248,20 @@ def sigridhash_kernel(
 ) -> np.ndarray:
     """SigridHash sparse ids into ``[0, max_value)``; int64 out.
 
-    The mix is a splitmix64 finalizer; every pass writes the (caller-owned
-    or freshly allocated) output buffer in place, so the kernel performs no
-    per-pass allocations beyond the two shift temporaries.
+    The mix is a splitmix64 finalizer. Every pass writes the output block
+    in place, and the shifts and the modulus share one scratch block, so
+    the kernel allocates one block of scratch. ``out`` may be ``values``.
     """
-    if out is None:
-        out = np.empty(values.shape[0], dtype=np.int64)
-    h = _as_uint64(out)
-    np.multiply(_as_uint64(values), np.uint64(0x9E3779B97F4A7C15), out=h)
-    h += np.uint64(salt)
-    h ^= h >> np.uint64(29)
-    h *= np.uint64(0xBF58476D1CE4E5B9)
-    h ^= h >> np.uint64(32)
-    np.remainder(h, np.uint64(max_value), out=h)
-    return out
+
+    def passes(v: np.ndarray, h: np.ndarray, scratch: np.ndarray) -> None:
+        np.multiply(v, np.uint64(0x9E3779B97F4A7C15), out=h)
+        h += np.uint64(salt)
+        h ^= np.right_shift(h, np.uint64(29), out=scratch)
+        h *= np.uint64(0xBF58476D1CE4E5B9)
+        h ^= np.right_shift(h, np.uint64(32), out=scratch)
+        _mod_inplace(h, max_value, scratch)
+
+    return _blockwise(values, out, passes)
 
 
 def clamp_kernel(
@@ -228,13 +281,13 @@ def mapid_kernel(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Affine id remap ``(v * multiplier + offset) % table_size``; int64 out."""
-    if out is None:
-        out = np.empty(values.shape[0], dtype=np.int64)
-    h = _as_uint64(out)
-    np.multiply(_as_uint64(values), np.uint64(multiplier), out=h)
-    h += np.uint64(offset)
-    np.remainder(h, np.uint64(table_size), out=h)
-    return out
+
+    def passes(v: np.ndarray, h: np.ndarray, scratch: np.ndarray) -> None:
+        np.multiply(v, np.uint64(multiplier), out=h)
+        h += np.uint64(offset)
+        _mod_inplace(h, table_size, scratch)
+
+    return _blockwise(values, out, passes)
 
 
 def firstx_kernel(
@@ -242,24 +295,23 @@ def firstx_kernel(
     values: np.ndarray,
     x: int,
     out_offsets: np.ndarray | None = None,
-    out_values: np.ndarray | None = None,
+    alloc: Callable[[int, np.dtype], np.ndarray] = np.empty,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Truncate every row's list to its first ``x`` ids.
 
-    Returns the truncated column's ``(offsets, values)``. When output
-    buffers are given they must be large enough (``rows + 1`` and the
-    truncated nnz respectively).
+    Returns the truncated column's ``(offsets, values)``. ``out_offsets``
+    must hold ``rows + 1`` entries; the values output comes from
+    ``alloc(truncated_nnz, dtype)``.
     """
     if x <= 0:
         raise ValueError("FirstX needs x >= 1")
     lengths = lengths_from_offsets(offsets)
-    out_offsets = offsets_from_lengths(np.minimum(lengths, x), out=out_offsets)
-    nnz = int(offsets[-1])
     long_rows = np.flatnonzero(lengths > x)
-    if nnz == 0:
-        kept = values[:0]
-    elif long_rows.size == 0:
-        kept = values.copy()
+    out_offsets = offsets_from_lengths(np.minimum(lengths, x, out=lengths), out=out_offsets)
+    del lengths  # freed before the per-element temporaries: a lower peak
+    kept = alloc(int(out_offsets[-1]), values.dtype)
+    if long_rows.size == 0:
+        kept[...] = values
     else:
         # Drop-range marking: only rows longer than x contribute a cut, so
         # the mask costs O(truncated rows) scatters plus one boolean
@@ -267,15 +319,19 @@ def firstx_kernel(
         # (row start + x) and cut ends (row end) are strictly increasing,
         # never collide, and never nest, so the parity scan is exactly the
         # inside-a-cut indicator.
-        flips = np.zeros(nnz + 1, dtype=bool)
+        flips = np.zeros(int(offsets[-1]) + 1, dtype=bool)
         flips[offsets[:-1][long_rows] + x] = True
         flips[offsets[1:][long_rows]] = True
         drop = np.logical_xor.accumulate(flips[:-1])
-        kept = values[np.logical_not(drop, out=drop)]
-    if out_values is None:
-        return out_offsets, kept
-    out_values[...] = kept
-    return out_offsets, out_values
+        keep = np.logical_not(drop, out=drop)
+        # Compact block by block into the output: the only temporary is
+        # one block's worth of kept ids, not a second copy of the column.
+        pos = 0
+        for lo in range(0, keep.shape[0], _BLOCK):
+            part = values[lo : lo + _BLOCK][keep[lo : lo + _BLOCK]]
+            kept[pos : pos + part.shape[0]] = part
+            pos += part.shape[0]
+    return out_offsets, kept
 
 
 def ngram_kernel(
@@ -284,40 +340,51 @@ def ngram_kernel(
     n: int,
     out_hash_size: int,
     out_offsets: np.ndarray | None = None,
-    out_values: np.ndarray | None = None,
+    alloc: Callable[[int, np.dtype], np.ndarray] = np.empty,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hash every window of ``n`` consecutive ids within a row to a new id.
 
     Operates on the already row-wise-concatenated column (see
     :func:`repro.preprocessing.data.rowwise_concat_csr`); windows never span
-    row boundaries.
+    row boundaries. ``out_offsets`` must hold ``rows + 1`` entries; the int64
+    values output comes from ``alloc(num_windows, dtype)``.
     """
     if n < 1:
         raise ValueError("Ngram needs n >= 1")
-    lengths = lengths_from_offsets(offsets)
-    out_lengths = np.maximum(lengths - n + 1, 0)
+    out_lengths = lengths_from_offsets(offsets)
+    out_lengths -= n - 1
+    np.maximum(out_lengths, 0, out=out_lengths)
     out_offsets = offsets_from_lengths(out_lengths, out=out_offsets)
-    nnz = int(offsets[-1])
-    if nnz == 0 or int(out_offsets[-1]) == 0:
-        empty = values[:0] if out_values is None else out_values[:0]
-        return out_offsets, empty
-    v = values.astype(np.uint64)
-    prime = np.uint64(1_000_003)
-    h = np.zeros(nnz, dtype=np.uint64)
-    for t in range(n):
-        shifted = np.zeros(nnz, dtype=np.uint64)
-        shifted[: nnz - t] = v[t:]
-        h = h * prime + shifted
-    num_rows = len(offsets) - 1
-    row_ids = np.repeat(np.arange(num_rows), lengths)
-    tail_rows = np.full(nnz, -1, dtype=np.int64)
-    tail_rows[: nnz - (n - 1)] = row_ids[n - 1 :] if n > 1 else row_ids
-    valid = row_ids == tail_rows
-    grams = (h[valid] % np.uint64(out_hash_size)).astype(np.int64)
-    if out_values is None:
+    total = int(out_offsets[-1])
+    grams = alloc(total, np.dtype(np.int64))
+    if total == 0:
         return out_offsets, grams
-    out_values[...] = grams
-    return out_offsets, out_values
+    # Row r's j-th window starts at element offsets[r] + j and lands at
+    # out_offsets[r] + j, so window k starts at element k + shift[k]; only
+    # these windows are hashed.
+    shift = np.repeat(offsets[:-1] - out_offsets[:-1], out_lengths)
+    del out_lengths  # freed before the per-block temporaries: a lower peak
+    v = _as_uint64(values)
+    out = _as_uint64(grams)
+    prime = np.uint64(1_000_003)
+    for lo in range(0, total, _BLOCK):
+        hi = min(lo + _BLOCK, total)
+        # Horner's rule over the contiguous ids under this block's windows:
+        # h[i] hashes the window starting at element first + i.
+        first, last = lo + int(shift[lo]), hi + int(shift[hi - 1])
+        h = v[first:last]
+        for t in range(1, n):
+            # The first step allocates h (v is never written); later ones reuse it.
+            h = np.multiply(h, prime, out=None if t == 1 else h)
+            h += v[first + t : last + t]
+        # Window k of the block starts at h[k + shift[k] - first]; the
+        # indices are in bounds, and mode="clip" lets take() skip buffering.
+        index = np.arange(lo - first, hi - first)
+        index += shift[lo:hi]
+        block = out[lo:hi]
+        np.take(h, index, out=block, mode="clip")
+        _mod_inplace(block, out_hash_size)
+    return out_offsets, grams
 
 
 @dataclass

@@ -369,11 +369,20 @@ def _describe_array(arr: np.ndarray, arena: ShardArena, extra_pools, iota: np.nd
             ptr = arr.__array_interface__["data"][0]
             if pool_addr <= ptr and ptr + arr.nbytes <= pool_addr + pool_size:
                 return ("shm", pool_name, ptr - pool_addr, arr.dtype.str, arr.shape[0])
-        staged = arena.take(arr.shape[0], arr.dtype)
-        np.copyto(staged, np.ascontiguousarray(arr))
-        loc = arena.locate(staged)
+        loc = _stage_heap_array(arr, arena)
     name, offset = loc
     return ("shm", name, offset, arr.dtype.str, arr.shape[0])
+
+
+def _stage_heap_array(arr: np.ndarray, arena: ShardArena) -> tuple[str, int]:
+    """Copy an output that lives on the worker's heap into its shm arena.
+
+    Only steps without a fused lowering (``_GenericStep``) produce heap
+    outputs; every fused step leases its outputs from the arena directly.
+    """
+    staged = arena.take(arr.shape[0], arr.dtype)
+    np.copyto(staged, np.ascontiguousarray(arr))
+    return arena.locate(staged)
 
 
 def _worker_main(conn, payload: bytes) -> None:

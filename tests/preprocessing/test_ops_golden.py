@@ -113,6 +113,35 @@ class TestGoldenSparse:
         gb = Ngram(inputs=("s",), output="y", n=2, out_hash_size=10**9).apply(b)
         assert ga.values[0] != gb.values[0]
 
+    def test_ngram_bigram_frozen_values(self):
+        """Freeze the window hash: (10,20), (20,30) and (50,60) mod 10**6."""
+        out = Ngram(inputs=("s",), output="y", n=2, out_hash_size=10**6).apply(sparse_batch())
+        np.testing.assert_array_equal(out.offsets, [0, 2, 2, 2, 3])
+        np.testing.assert_array_equal(out.values, [50, 90, 210])
+
+    def test_ngram_trigram_over_three_inputs_frozen_values(self):
+        # Concatenated rows: [1, 2, 5], [8, 9], [3], [-4, 6, 7, 10].
+        batch = Batch(
+            sparse={
+                "a": SparseColumn("a", [0, 2, 2, 3, 4], [1, 2, 3, -4], 100),
+                "b": SparseColumn("b", [0, 1, 1, 1, 3], [5, 6, 7], 100),
+                "c": SparseColumn("c", [0, 0, 2, 2, 3], [8, 9, 10], 100),
+            }
+        )
+        out = Ngram(inputs=("a", "b", "c"), output="y", n=3, out_hash_size=999_983).apply(batch)
+        np.testing.assert_array_equal(out.offsets, [0, 1, 1, 1, 3])
+        np.testing.assert_array_equal(out.values, [445, 2873, 2550])
+
+    def test_mapid_default_params_frozen_values(self):
+        """The default multiplier wraps uint64; freeze what that yields."""
+        out = MapId(inputs=("s",), output="y").apply(sparse_batch())
+        np.testing.assert_array_equal(
+            out.values, [357611, 715221, 72831, 430441, 788051, 145661]
+        )
+        negative = Batch(sparse={"s": SparseColumn("s", [0, 2, 3], [-1, -(2**40), 7], 100)})
+        out = MapId(inputs=("s",), output="y", table_size=2**32 + 1).apply(negative)
+        np.testing.assert_array_equal(out.values, [1640531538, 930722050, 1401181140])
+
 
 class TestGoldenChains:
     def test_plan0_dense_chain_end_to_end(self):
