@@ -153,11 +153,11 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_fast_path_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--plan-cache", metavar="DIR",
-                        help="content-addressed plan/solve cache directory; "
+                        help="content-addressed plan cache directory; "
                              "an unchanged workload re-plans as a hash lookup")
     parser.add_argument("--no-parallel-search", action="store_true",
-                        help="evaluate mapping candidates sequentially instead of "
-                             "in a process pool (plans are identical either way)")
+                        help="accepted and ignored: mapping candidates are always "
+                             "evaluated sequentially")
     parser.add_argument("--force", action="store_true",
                         help="overwrite existing output files instead of failing")
 
@@ -227,21 +227,17 @@ def _make_planner(args, workload) -> RapPlanner:
         mapping_strategy=getattr(args, "mapping", "rap"),
         fusion_enabled=not getattr(args, "no_fusion", False),
         cache=PlanCache(cache_dir) if cache_dir else None,
-        parallel_search=not getattr(args, "no_parallel_search", False),
     )
 
 
 def _print_cache_stats(planner: RapPlanner) -> None:
     if planner.cache is None:
         return
-    stats = {"plan cache": planner.cache.stats.to_dict()}
-    if planner.solve_cache is not None:
-        stats["solve cache"] = planner.solve_cache.stats.to_dict()
+    stats = planner.cache.stats
     lines = {
-        name: f"{s['hits']} hit(s) ({s.get('disk_hits', 0)} disk-tier), "
-        f"{s['misses']} miss(es), {s['stores']} store(s), "
-        f"{s.get('lock_contention', 0)} lock-contended"
-        for name, s in stats.items()
+        "plan cache": f"{stats.hits} hit(s) ({stats.disk_hits} disk-tier), "
+        f"{stats.misses} miss(es), {stats.stores} store(s), "
+        f"{stats.lock_contention} lock-contended"
     }
     print()
     print(format_kv(lines, title="Planner fast path"))
@@ -260,8 +256,6 @@ def _bind_cache_metrics(planner: RapPlanner, telemetry: TelemetrySession | None)
         return
     if planner.cache is not None:
         planner.cache.bind_metrics(telemetry.registry, "plan")
-    if planner.solve_cache is not None:
-        planner.solve_cache.bind_metrics(telemetry.registry, "milp")
 
 
 def _print_telemetry_summary(telemetry: TelemetrySession | None) -> None:

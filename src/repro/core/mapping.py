@@ -21,10 +21,6 @@ graphs are movable.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from ..dlrm.training import TrainingWorkload
@@ -191,29 +187,8 @@ class MappingEvaluation:
         return (self.objective_us, sum(self.exposed_per_gpu) + self.comm_us)
 
 
-def _init_candidate_worker(payload: bytes) -> None:
-    """Worker initializer: unpickle the (mapper, graph set) pair once."""
-    global _WORKER_STATE
-    _WORKER_STATE = pickle.loads(payload)
-
-
-_WORKER_STATE: tuple | None = None
-
-
-def _evaluate_candidate_task(mapping: GraphMapping) -> MappingEvaluation:
-    mapper, graph_set = _WORKER_STATE
-    return mapper.evaluate(graph_set, mapping)
-
-
 class RapMapper:
-    """The §7.2 joint mapping + scheduling heuristic.
-
-    With ``parallel=True`` each hill-climb round's candidate mappings are
-    priced concurrently in a process pool. Evaluation is a pure function of
-    (mapper state, graph set, mapping), and results are reduced in the
-    candidates' submission order, so the search trajectory -- and therefore
-    the final plan -- is bit-identical to the sequential path.
-    """
+    """The §7.2 joint mapping + scheduling heuristic."""
 
     def __init__(
         self,
@@ -222,57 +197,12 @@ class RapMapper:
         fusion: HorizontalFusionPass,
         scheduler: ResourceAwareScheduler,
         max_moves: int | None = None,
-        parallel: bool = False,
-        max_workers: int | None = None,
     ) -> None:
         self.workload = workload
         self.cost_model = cost_model
         self.fusion = fusion
         self.scheduler = scheduler
         self.max_moves = max_moves
-        self.parallel = parallel
-        self.max_workers = max_workers
-        self._parallel_broken = False
-
-    # ------------------------------------------------------------------
-    # Parallel candidate evaluation
-    # ------------------------------------------------------------------
-
-    def _make_pool(self, graph_set: GraphSet) -> ProcessPoolExecutor | None:
-        """Spin up a candidate-evaluation pool, or ``None`` when impossible."""
-        if self._parallel_broken:
-            return None
-        try:
-            payload = pickle.dumps((self, graph_set))
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-            workers = self.max_workers or min(4, os.cpu_count() or 1)
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=ctx,
-                initializer=_init_candidate_worker,
-                initargs=(payload,),
-            )
-        except Exception:
-            self._parallel_broken = True
-            return None
-
-    def _evaluate_candidates(
-        self,
-        graph_set: GraphSet,
-        candidates: list[GraphMapping],
-        pool: ProcessPoolExecutor | None,
-    ) -> list[MappingEvaluation]:
-        """Price every candidate, preserving submission order exactly."""
-        if pool is not None and len(candidates) > 1:
-            try:
-                futures = [pool.submit(_evaluate_candidate_task, c) for c in candidates]
-                return [f.result() for f in futures]
-            except Exception:
-                # A broken pool (pickling, crashed worker) falls back to the
-                # sequential path for the remainder of the search.
-                self._parallel_broken = True
-        return [self.evaluate(graph_set, c) for c in candidates]
 
     # ------------------------------------------------------------------
 
@@ -344,32 +274,26 @@ class RapMapper:
             budget = self.max_moves if self.max_moves is not None else 4 * len(graph_set.graphs)
         global_batch = self.workload.global_batch
         stale = 0
-        pool = self._make_pool(graph_set) if self.parallel else None
-
-        try:
-            for _ in range(budget):
-                exposed = current.exposed_per_gpu
-                src = max(range(n), key=lambda g: exposed[g])
-                dst = min(range(n), key=lambda g: exposed[g])
-                if src == dst or exposed[src] <= 1e-9:
+        for _ in range(budget):
+            exposed = current.exposed_per_gpu
+            src = max(range(n), key=lambda g: exposed[g])
+            dst = min(range(n), key=lambda g: exposed[g])
+            if src == dst or exposed[src] <= 1e-9:
+                break
+            candidates = list(
+                self._candidate_moves(graph_set, current.mapping, src, dst, global_batch)
+            )
+            if not candidates:
+                break
+            evaluations = [self.evaluate(graph_set, c) for c in candidates]
+            current = min(evaluations, key=lambda e: e.objective_key)
+            if current.objective_key < best.objective_key:
+                best = current
+                stale = 0
+            else:
+                stale += 1
+                if stale >= patience:
                     break
-                candidates = list(
-                    self._candidate_moves(graph_set, current.mapping, src, dst, global_batch)
-                )
-                if not candidates:
-                    break
-                evaluations = self._evaluate_candidates(graph_set, candidates, pool)
-                current = min(evaluations, key=lambda e: e.objective_key)
-                if current.objective_key < best.objective_key:
-                    best = current
-                    stale = 0
-                else:
-                    stale += 1
-                    if stale >= patience:
-                        break
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
         best.mapping.strategy = "rap"
         return best
 

@@ -25,7 +25,6 @@ from ..gpusim.cluster import ClusterIterationResult
 from ..gpusim.device import RAP_POLICY, CoRunPolicy
 from ..gpusim.kernel import KernelDesc
 from ..milp.branch_and_bound import BranchAndBoundSolver
-from ..milp.solve_cache import SolveCache
 from ..preprocessing.executor import DataPreparation, estimate_data_preparation
 from ..preprocessing.graph import GraphSet
 from .capacity import OverlappingCapacityEstimator
@@ -142,10 +141,13 @@ class RapPlanner:
 
     - ``cache``: a :class:`repro.core.plan_cache.PlanCache`; planning
       requests whose content hash matches a cached entry return the stored
-      plan (bit-identical to the cold search) without searching.
-    - ``parallel_search``: price each mapping round's candidate moves in a
-      process pool; the reduction order is deterministic so plans stay
-      bit-identical to the sequential path.
+      plan (bit-identical to the cold search) without searching. It is the
+      planner's only cache: repeated fusion MILPs within a search are
+      absorbed by the fusion pass's structure memo, so each planner owns
+      a plain :class:`~repro.milp.branch_and_bound.BranchAndBoundSolver`.
+    - ``parallel_search`` is accepted and ignored, because the benchmark's
+      planner still passes it: candidate moves are always priced
+      in-process (DESIGN §9 says why).
     - :meth:`replan` re-plans incrementally when only latencies drifted or
       at most one graph changed structurally, warm-starting from the
       previous plan's mapping instead of re-running the full search.
@@ -162,7 +164,6 @@ class RapPlanner:
         max_mapping_moves: int | None = None,
         cache: PlanCache | None = None,
         parallel_search: bool = False,
-        solver: BranchAndBoundSolver | None = None,
     ) -> None:
         if mapping_strategy not in MAPPING_STRATEGIES:
             raise ValueError(
@@ -176,17 +177,11 @@ class RapPlanner:
         self.max_mapping_moves = max_mapping_moves
         self.cache = cache
         self.stats = PlannerStats()
-        if solver is None:
-            # MILP solves are content-cached alongside the plan cache so a
-            # replan that rebuilds the same fusion instances skips straight
-            # to the stored solutions (persisted when the plan cache is).
-            solve_dir = cache.directory / "milp" if cache and cache.directory else None
-            solver = BranchAndBoundSolver(cache=SolveCache(solve_dir))
-        self.solver = solver
+        self.solver = BranchAndBoundSolver()
         self.estimator = OverlappingCapacityEstimator(workload.spec)
         self.cost_model = CoRunningCostModel(self.estimator, predictor)
         self.fusion = HorizontalFusionPass(
-            workload.spec, enabled=fusion_enabled, exact=exact_fusion, solver=solver
+            workload.spec, enabled=fusion_enabled, exact=exact_fusion, solver=self.solver
         )
         self.scheduler = ResourceAwareScheduler(self.cost_model)
         self.mapper = RapMapper(
@@ -195,13 +190,8 @@ class RapPlanner:
             self.fusion,
             self.scheduler,
             max_moves=max_mapping_moves,
-            parallel=parallel_search,
         )
         self.interleaver = InterbatchInterleaver(enabled=interleaving_enabled)
-
-    @property
-    def solve_cache(self) -> SolveCache | None:
-        return self.solver.cache
 
     def set_predictor(self, predictor) -> None:
         """Swap the latency predictor pricing the search.

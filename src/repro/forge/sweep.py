@@ -149,8 +149,7 @@ class ScenarioOutcome:
 
 
 def _make_planner(workload, strategy: str = "rap") -> RapPlanner:
-    # Child processes must never nest process pools: parallel search off.
-    return RapPlanner(workload, mapping_strategy=strategy, parallel_search=False)
+    return RapPlanner(workload, mapping_strategy=strategy)
 
 
 def _longest_degraded_streak(report: ResilienceReport) -> int:

@@ -81,7 +81,7 @@ def atomic_write_json(path: str | Path, payload: Any, indent: int | None = 2) ->
 def advisory_lock(path: str | Path, blocking: bool = False) -> Iterator[bool]:
     """Advisory exclusive file lock; yields whether it was acquired.
 
-    Cooperating writers (the plan/solve cache disk tiers) take the lock
+    Cooperating writers (the plan cache's disk tier) take the lock
     before publishing entries so two concurrent processes never interleave
     writes to the same directory. The lock never raises on contention:
     the caller receives ``False`` and is expected to degrade (skip the

@@ -8,7 +8,6 @@ paths.
 
 from .model import Constraint, MilpProblem, Variable
 from .branch_and_bound import BranchAndBoundSolver, MilpSolution
-from .solve_cache import SolveCache, SolveCacheStats, problem_fingerprint
 from .linearize import add_binary_product, add_pairwise_products
 from .fusion_problem import (
     FusionAssignment,
@@ -23,9 +22,6 @@ __all__ = [
     "Variable",
     "BranchAndBoundSolver",
     "MilpSolution",
-    "SolveCache",
-    "SolveCacheStats",
-    "problem_fingerprint",
     "add_binary_product",
     "add_pairwise_products",
     "FusionAssignment",

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MilpProblem
-from .solve_cache import SolveCache, problem_fingerprint
 
 __all__ = ["MilpSolution", "BranchAndBoundSolver"]
 
@@ -59,40 +58,24 @@ class MilpSolution:
 class BranchAndBoundSolver:
     """Solve a :class:`MilpProblem` with HiGHS behind a root-LP warm-start gate."""
 
+    #: Always ``None``: the solver caches nothing. Kept only because the
+    #: traced benchmark (``perfbench/tracing.py``) reads ``solver.cache``
+    #: around every solve; drop it together with that reader.
+    cache = None
+
     def __init__(
         self,
         node_limit: int = 20_000,
         time_limit_s: float = 30.0,
         integrality_tol: float = 1e-6,
         gap_tol: float = 1e-9,
-        cache: SolveCache | None = None,
     ) -> None:
         self.node_limit = node_limit
         self.time_limit_s = time_limit_s
         self.integrality_tol = integrality_tol
         self.gap_tol = gap_tol
-        self.cache = cache
 
     def solve(self, problem: MilpProblem, warm_start: np.ndarray | None = None) -> MilpSolution:
-        key = None
-        if self.cache is not None:
-            key = problem_fingerprint(
-                problem,
-                self.node_limit,
-                self.time_limit_s,
-                self.integrality_tol,
-                self.gap_tol,
-                warm_start,
-            )
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
-        solution = self._solve(problem, warm_start)
-        if key is not None:
-            self.cache.put(key, solution)
-        return solution
-
-    def _solve(self, problem: MilpProblem, warm_start: np.ndarray | None = None) -> MilpSolution:
         from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
         deadline = time.monotonic() + self.time_limit_s

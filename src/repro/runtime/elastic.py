@@ -150,9 +150,8 @@ def surviving_mapping(
 def clone_planner(planner: RapPlanner, workload: TrainingWorkload) -> RapPlanner:
     """A planner with ``planner``'s knobs re-targeted at a new workload.
 
-    Shares the plan cache and MILP solver (and through it the solve
-    cache), so a membership change benefits from every artifact the larger
-    fleet already paid for.
+    Shares the plan cache, so a membership change benefits from every
+    plan the larger fleet already paid for.
     """
     return RapPlanner(
         workload,
@@ -163,6 +162,4 @@ def clone_planner(planner: RapPlanner, workload: TrainingWorkload) -> RapPlanner
         exact_fusion=planner.exact_fusion,
         max_mapping_moves=planner.max_mapping_moves,
         cache=planner.cache,
-        parallel_search=planner.mapper.parallel,
-        solver=planner.solver,
     )

@@ -42,8 +42,6 @@ from pathlib import Path
 from ..core.plan_cache import PlanCache, invariant_plan_key
 from ..core.planner import RapPlanner
 from ..core.serialization import plan_to_json
-from ..milp.branch_and_bound import BranchAndBoundSolver
-from ..milp.solve_cache import SolveCache
 from ..runtime.checkpoint import CheckpointManager
 from ..runtime.executor import FaultTolerantRuntime
 from ..runtime.journal import RunJournal
@@ -65,7 +63,6 @@ class ServiceSummary:
     ticks: int = 0
     jobs: list[dict] = field(default_factory=list)
     plan_cache: dict = field(default_factory=dict)
-    solve_cache: dict = field(default_factory=dict)
     reuse: dict = field(default_factory=dict)
     fleet_gpu_kernel_us: float = 0.0
 
@@ -74,7 +71,6 @@ class ServiceSummary:
             "ticks": self.ticks,
             "jobs": self.jobs,
             "plan_cache": self.plan_cache,
-            "solve_cache": self.solve_cache,
             "reuse": self.reuse,
             "fleet_gpu_kernel_us": self.fleet_gpu_kernel_us,
         }
@@ -142,23 +138,22 @@ class PreprocessingService:
         self.checkpoint_every = checkpoint_every
         self.keep_checkpoints = keep_checkpoints
         self.telemetry_enabled = telemetry
-        # One shared plan cache + MILP solver across every tenant planner:
-        # both are content-addressed, so sharing is safe by construction
-        # and is exactly what makes cross-tenant reuse free. ``cache_dir``
+        # One plan cache shared by every tenant planner: it is
+        # content-addressed, so sharing is safe by construction and is
+        # exactly what makes cross-tenant reuse free. It is the service's
+        # only cache -- each planner solves its own fusion MILPs. ``cache_dir``
         # lets a fresh service process warm-start from a previous root.
         cache_dir = Path(cache_dir) if cache_dir is not None else self.root / "cache"
         self.plan_cache = PlanCache(cache_dir)
-        self.solver = BranchAndBoundSolver(cache=SolveCache(cache_dir / "milp"))
         self.reuse = SharedPlanIndex(self.plan_cache)
         self.metrics = ServiceMetrics()
         self.plan_cache.bind_metrics(self.metrics.registry, cache="plan")
-        self.solver.cache.bind_metrics(self.metrics.registry, cache="milp")
         self.journal = RunJournal(self.root / "service.jsonl")
         self._planner_factory = planner_factory or self._default_planner
         self.jobs: list[Job] = []
 
     def _default_planner(self, workload) -> RapPlanner:
-        return RapPlanner(workload, cache=self.plan_cache, solver=self.solver)
+        return RapPlanner(workload, cache=self.plan_cache)
 
     # ------------------------------------------------------------------
     # Submission
@@ -201,8 +196,14 @@ class PreprocessingService:
         workload = carved_workload(job.workload, share)
         planner = self._planner_factory(workload)
         exact_key = planner._cache_key(job.graphs)
+        plan = None
         if self.plan_cache.get_text(exact_key) is not None:
-            return planner, planner.plan(job.graphs), "warm-exact"
+            # The raw text may be torn; only the planner's parse decides
+            # whether it hit. A miss has already searched cold.
+            hits = planner.stats.cache_hits
+            plan = planner.plan(job.graphs)
+            if planner.stats.cache_hits > hits:
+                return planner, plan, "warm-exact"
         invariant_key = invariant_plan_key(
             workload,
             job.graphs,
@@ -214,15 +215,16 @@ class PreprocessingService:
             planner.solver,
             predictor_fingerprint=planner._predictor_fingerprint(),
         )
-        hit = self.reuse.lookup(invariant_key, workload, job.graphs)
-        if hit is not None:
-            plan, specialized = hit
-            # Promote to this tenant's exact key so its next admission is
-            # a plain exact hit; the stored bytes are exactly what a
-            # plan_to_json of the renamed plan would produce.
-            self.plan_cache.put_text(exact_key, specialized)
-            return planner, plan, "warm-invariant"
-        plan = planner.plan(job.graphs)
+        if plan is None:
+            hit = self.reuse.lookup(invariant_key, workload, job.graphs)
+            if hit is not None:
+                plan, specialized = hit
+                # Promote to this tenant's exact key so its next admission
+                # is a plain exact hit; the stored bytes are exactly what a
+                # plan_to_json of the renamed plan would produce.
+                self.plan_cache.put_text(exact_key, specialized)
+                return planner, plan, "warm-invariant"
+            plan = planner.plan(job.graphs)
         text = self.plan_cache.get_text(exact_key) or plan_to_json(plan)
         self.reuse.store(invariant_key, text, job.graphs)
         return planner, plan, "cold"
@@ -520,7 +522,6 @@ class PreprocessingService:
         summary = ServiceSummary(
             ticks=tick,
             plan_cache=self.plan_cache.stats.to_dict(),
-            solve_cache=self.solver.cache.stats.to_dict(),
             reuse={
                 "hits": self.reuse.hits,
                 "misses": self.reuse.misses,

@@ -108,13 +108,26 @@ class TestCacheCrashSafety:
         key = planner._cache_key(graphs)
         assert cache.get(key, workload, graphs) is not None
 
-    def test_solve_cache_artifacts_are_parseable(self, tmp_path, plan_setting):
-        graphs, workload = plan_setting
-        cache = PlanCache(tmp_path)
-        planner = RapPlanner(workload, cache=cache)
-        planner.plan(graphs)
-        for artifact in (tmp_path / "milp").glob("*.milp.json"):
-            json.loads(artifact.read_text())
+
+def test_cache_directory_holds_only_plan_entries(tmp_path, capsys):
+    """The CLI and the service leave plan entries and a lock file, nothing else."""
+    from repro.cli import main
+    from repro.service import PreprocessingService, TenantSpec
+
+    cache_dir = tmp_path / "cache"
+    argv = ["plan", "--plan", "0", "--gpus", "2", "--batch", "512",
+            "--plan-cache", str(cache_dir)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    service = PreprocessingService(
+        tmp_path / "svc", num_gpus=2, telemetry=False, cache_dir=cache_dir
+    )
+    service.submit(TenantSpec(name="alice", plan_id=0, local_batch=512, num_iterations=2))
+    service.run()
+    names = sorted(p.relative_to(cache_dir).as_posix() for p in cache_dir.rglob("*"))
+    assert ".lock" in names
+    assert any(name.endswith(".plan.json") for name in names)
+    assert all(name.endswith(".plan.json") or name == ".lock" for name in names), names
 
 
 def test_cache_key_stable_under_lock_file(tmp_path, plan_setting):

@@ -1,22 +1,18 @@
-"""Thread-safety and lock-contention accounting of the shared caches.
+"""Thread-safety and lock-contention accounting of the shared plan cache.
 
 The service prices concurrent admissions through one shared
-:class:`PlanCache` and one shared :class:`SolveCache`; both must survive
-a thread hammer without losing entries or corrupting stats, and a busy
-advisory lock must degrade to a *distinct* ``lock_contention`` outcome
-rather than a miss or an error.
+:class:`PlanCache`; it must survive a thread hammer without losing
+entries or corrupting stats, and a busy advisory lock must degrade to a
+*distinct* ``lock_contention`` outcome rather than a miss or an error.
 """
 
 import os
 import threading
 
-import numpy as np
 import pytest
 
 from repro.core import PlanCache, RapPlanner, plan_to_json
 from repro.dlrm import TrainingWorkload, model_for_plan
-from repro.milp.branch_and_bound import MilpSolution
-from repro.milp.solve_cache import SolveCache
 from repro.preprocessing import build_plan
 from repro.telemetry.registry import MetricsRegistry
 
@@ -112,48 +108,6 @@ class TestPlanCacheConcurrency:
         cache.put_text("contended", "payload")
         assert (tmp_path / "contended.plan.json").read_text() == "payload"
         assert cache.stats.lock_contention == 1
-
-
-class TestSolveCacheConcurrency:
-    @staticmethod
-    def _solution(seed: int) -> MilpSolution:
-        return MilpSolution(
-            status="optimal",
-            x=np.asarray([float(seed), 1.0, 0.0]),
-            objective=float(seed),
-            nodes_explored=seed,
-            gap=0.0,
-        )
-
-    def test_put_get_hammer(self, tmp_path):
-        cache = SolveCache(tmp_path)
-
-        def worker(index: int) -> None:
-            for round_ in range(ROUNDS):
-                key = f"milp{(index + round_) % 4}"
-                cache.put(key, self._solution(index))
-                solution = cache.get(key)
-                assert solution is not None and solution.status == "optimal"
-
-        assert _hammer(worker) == []
-        assert cache.stats.stores == THREADS * ROUNDS
-        assert cache.stats.hits == THREADS * ROUNDS
-        assert cache.stats.misses == 0
-        assert cache.stats.lookups == cache.stats.hits
-
-    def test_busy_lock_counts_distinctly(self, tmp_path):
-        cache = SolveCache(tmp_path)
-        fd = os.open(tmp_path / ".lock", os.O_RDWR | os.O_CREAT, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            cache.put("contended", self._solution(3))
-        finally:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
-        assert cache.stats.lock_contention == 1
-        assert cache.stats.misses == 0
-        assert not (tmp_path / "contended.milp.json").exists()
-        assert cache.get("contended").objective == 3.0  # memory tier serves
 
 
 class TestCliSurface:

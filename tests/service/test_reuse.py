@@ -116,7 +116,9 @@ class TestSharedPlanIndex:
             predictor_fingerprint=planner._predictor_fingerprint(),
         )
 
-    def test_isomorphic_tenant_hits_without_solver(self, tenant_a, tenant_b, tmp_path):
+    def test_isomorphic_tenant_hits_without_solver(
+        self, tenant_a, tenant_b, tmp_path, solve_calls
+    ):
         graphs, _, workload = tenant_a
         graphs_b, _, workload_b = tenant_b
         cache = PlanCache(tmp_path)
@@ -127,14 +129,33 @@ class TestSharedPlanIndex:
         index.store(self._key(planner_a, graphs), plan_to_json(plan_a), graphs)
 
         planner_b = RapPlanner(workload_b, cache=cache)
-        before = planner_b.solver.cache.stats.lookups
+        solve_calls.clear()
         hit = index.lookup(self._key(planner_b, graphs_b), workload_b, graphs_b)
         assert hit is not None
         plan_b, text = hit
-        assert planner_b.solver.cache.stats.lookups == before  # no solve at all
+        assert len(solve_calls) == 0  # no solve at all
         assert planner_b.stats.plans == 0  # the planner never searched
         assert plan_to_json(plan_b) == text
         assert index.hits == 1
+
+    def test_invariant_hit_skips_milp_a_cold_search_needs(
+        self, tenant_a, tenant_b, tmp_path, solve_calls
+    ):
+        # Exact fusion makes the cold search reach the MILP, so the zero
+        # count on the invariant hit is a real probe, not a vacuous one.
+        graphs, _, workload = tenant_a
+        graphs_b, _, workload_b = tenant_b
+        cache = PlanCache(tmp_path)
+        index = SharedPlanIndex(cache)
+        planner_a = RapPlanner(workload, cache=cache, exact_fusion=True)
+        plan_a = planner_a.plan(graphs)
+        assert len(solve_calls) > 0
+        index.store(self._key(planner_a, graphs), plan_to_json(plan_a), graphs)
+
+        solve_calls.clear()
+        planner_b = RapPlanner(workload_b, cache=cache, exact_fusion=True)
+        assert index.lookup(self._key(planner_b, graphs_b), workload_b, graphs_b) is not None
+        assert len(solve_calls) == 0
 
     def test_drifted_calibration_fingerprint_misses(self, tenant_a, tenant_b, tmp_path):
         graphs, _, workload = tenant_a

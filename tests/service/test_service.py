@@ -179,11 +179,12 @@ class TestFaultContainment:
 
 
 class TestWarmReAdmission:
-    def test_exact_rerun_hits_without_solver(self, tmp_path):
+    def test_exact_rerun_hits_without_solver(self, tmp_path, solve_calls):
         first = PreprocessingService(tmp_path / "first", num_gpus=2, telemetry=False)
         first.submit(_light("alice", num_iterations=2))
         cold = first.run()
         assert cold.job("alice")["plan_source"] == "cold"
+        solve_calls.clear()
 
         second = PreprocessingService(
             tmp_path / "second", num_gpus=2, telemetry=False,
@@ -192,15 +193,16 @@ class TestWarmReAdmission:
         second.submit(_light("alice", num_iterations=2))
         warm = second.run()
         assert warm.job("alice")["plan_source"] == "warm-exact"
-        assert second.solver.cache.stats.lookups == 0  # no MILP at all
+        assert len(solve_calls) == 0  # no MILP at all
         assert plan_to_json(second.jobs[0].runtime.plan) == plan_to_json(
             first.jobs[0].runtime.plan
         )
 
-    def test_isomorphic_tenant_hits_invariant_tier(self, tmp_path):
+    def test_isomorphic_tenant_hits_invariant_tier(self, tmp_path, solve_calls):
         first = PreprocessingService(tmp_path / "first", num_gpus=2, telemetry=False)
         first.submit(_light("alice", num_iterations=2))
         first.run()
+        solve_calls.clear()
 
         twin = PreprocessingService(
             tmp_path / "twin", num_gpus=2, telemetry=False,
@@ -209,9 +211,33 @@ class TestWarmReAdmission:
         twin.submit(_light("zelda", num_iterations=2, rename=True))
         summary = twin.run()
         assert summary.job("zelda")["plan_source"] == "warm-invariant"
-        assert twin.solver.cache.stats.lookups == 0
+        assert len(solve_calls) == 0
         # The renamed plan landed under zelda's own names.
         assert "zelda" in plan_to_json(twin.jobs[0].runtime.plan)
+
+
+    def test_torn_exact_entry_is_reported_cold(self, tmp_path):
+        first = PreprocessingService(tmp_path / "first", num_gpus=2, telemetry=False)
+        first.submit(_light("alice", num_iterations=2))
+        first.run()
+        entries = list((tmp_path / "first" / "cache").glob("*.plan.json"))
+        assert entries
+        for entry in entries:
+            text = entry.read_text()
+            entry.write_text(text[: len(text) // 2])
+
+        second = PreprocessingService(
+            tmp_path / "second", num_gpus=2, telemetry=False,
+            cache_dir=tmp_path / "first" / "cache",
+        )
+        second.submit(_light("alice", num_iterations=2))
+        summary = second.run()
+        # The torn entry is a miss, so admission searched cold.
+        assert summary.job("alice")["plan_source"] == "cold"
+        assert summary.plan_cache["hits"] == 0
+        assert plan_to_json(second.jobs[0].runtime.plan) == plan_to_json(
+            first.jobs[0].runtime.plan
+        )
 
 
 class TestQueueing:

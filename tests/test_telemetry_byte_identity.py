@@ -5,7 +5,9 @@ stdout, the journal and the three telemetry artifacts (``metrics.prom``,
 ``metrics.jsonl``, ``trace.json``) of one ``rap-repro run`` under kernel
 failures, latency overruns and pool crashes, captured before the runtime
 cached per-plan telemetry inputs. Caching what a plan install fixes must
-leave every sample, metric, trace event and journal record unchanged.
+leave every sample, metric, trace event and journal record unchanged. The
+two metrics digests were re-pinned when the MILP solve cache was removed:
+its ``rap_cache_*{cache="milp"}`` families are the only bytes that left.
 """
 
 import hashlib
