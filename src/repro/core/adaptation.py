@@ -64,6 +64,14 @@ def scale_plan_kernels(
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
+    if scale == 1.0:
+        # Nothing to scale. Recovery rewrites the lists (kernels are frozen),
+        # so the containers are still fresh copies.
+        return (
+            [{idx: list(kernels) for idx, kernels in per_gpu.items()}
+             for per_gpu in plan.assignments_per_gpu],
+            [list(kernels) for kernels in plan.trailing_per_gpu],
+        )
     assignments = [
         {
             idx: [k.with_duration(k.duration_us * scale) for k in kernels]

@@ -48,6 +48,7 @@ __all__ = [
     "graph_structure_key",
     "graph_fingerprint",
     "graph_set_fingerprint",
+    "graph_set_structure_fingerprint",
     "workload_fingerprint",
     "plan_cache_key",
     "canonical_name_maps",
@@ -98,9 +99,59 @@ def graph_fingerprint(graph: FeatureGraph) -> tuple:
     return graph_structure_key(graph) + (float(graph.avg_list_length),)
 
 
+def _content(graph_set: GraphSet) -> tuple:
+    """Everything a graph-set digest reads, as a cheaply comparable value.
+
+    Operators are compared by identity first (``tuple`` equality), so an
+    unchanged set compares in one pass over its graphs and op lists. An
+    operator is a value: it is never mutated in place.
+    """
+    return (
+        graph_set.rows,
+        tuple(
+            (g.name, g.consumer, g.avg_list_length, tuple(g.ops))
+            for g in graph_set.graphs
+        ),
+    )
+
+
+def _memoized_digest(graph_set: GraphSet, kind: str, payload) -> str:
+    """``sha256(repr(payload(graph_set)))``, recomputed only when the set
+    has changed since this digest was last taken of it."""
+    content = _content(graph_set)
+    hit = graph_set.digests.get(kind)
+    if hit is not None and hit[0] == content:
+        return hit[1]
+    digest = hashlib.sha256(repr(payload(graph_set)).encode()).hexdigest()
+    graph_set.digests[kind] = (content, digest)
+    return digest
+
+
 def graph_set_fingerprint(graph_set: GraphSet) -> str:
-    payload = (graph_set.rows, tuple(graph_fingerprint(g) for g in graph_set))
-    return hashlib.sha256(repr(payload).encode()).hexdigest()
+    """Content hash of a graph set: rows plus every graph's fingerprint.
+
+    Memoized per graph set object: a repeated call on an unchanged set
+    costs one comparison of its graphs' fields, and any change (a list
+    length, a graph added or replaced, the row count) takes a new digest.
+    """
+    return _memoized_digest(
+        graph_set,
+        "content",
+        lambda gs: (gs.rows, tuple(graph_fingerprint(g) for g in gs)),
+    )
+
+
+def graph_set_structure_fingerprint(graph_set: GraphSet) -> str:
+    """Hash of every graph's :func:`graph_structure_key`, in set order.
+
+    Latency-independent, like the keys it hashes; memoized per graph set
+    object like :func:`graph_set_fingerprint`.
+    """
+    return _memoized_digest(
+        graph_set,
+        "structure",
+        lambda gs: tuple(graph_structure_key(g) for g in gs),
+    )
 
 
 def workload_fingerprint(workload: TrainingWorkload) -> str:

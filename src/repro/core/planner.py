@@ -18,6 +18,7 @@ and Fig. 12.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..dlrm.training import TrainingWorkload
@@ -40,12 +41,23 @@ from .mapping import (
     map_data_parallel,
     rebuild_comm,
 )
-from .plan_cache import PlanCache, graph_structure_key, plan_cache_key
+from .plan_cache import (
+    PlanCache,
+    graph_set_fingerprint,
+    graph_set_structure_fingerprint,
+    graph_structure_key,
+    plan_cache_key,
+)
 from .scheduler import ResourceAwareScheduler
 
 __all__ = ["RapPlan", "RapRunReport", "RapPlanner", "PlannerStats"]
 
 MAPPING_STRATEGIES = ("rap", "data_parallel", "data_locality")
+
+#: Entries in :meth:`RapPlanner.replan`'s memo. On the fault-injected
+#: watchdog workload every repeated replan input recurs within 7 distinct
+#: inputs of its last use (DESIGN §9), so 8 entries catch every repeat.
+REPLAN_MEMO_SIZE = 8
 
 
 @dataclass
@@ -123,6 +135,7 @@ class PlannerStats:
     cache_misses: int = 0
     incremental_replans: int = 0
     full_replans: int = 0
+    memo_hits: int = 0
 
     def to_dict(self) -> dict[str, int]:
         return {
@@ -131,6 +144,7 @@ class PlannerStats:
             "cache_misses": self.cache_misses,
             "incremental_replans": self.incremental_replans,
             "full_replans": self.full_replans,
+            "memo_hits": self.memo_hits,
         }
 
 
@@ -150,7 +164,9 @@ class RapPlanner:
       in-process (DESIGN §9 says why).
     - :meth:`replan` re-plans incrementally when only latencies drifted or
       at most one graph changed structurally, warm-starting from the
-      previous plan's mapping instead of re-running the full search.
+      previous plan's mapping instead of re-running the full search. A
+      replan that repeats one of the last :data:`REPLAN_MEMO_SIZE` replan
+      inputs returns that replan's plan object without searching.
     """
 
     def __init__(
@@ -192,6 +208,7 @@ class RapPlanner:
             max_moves=max_mapping_moves,
         )
         self.interleaver = InterbatchInterleaver(enabled=interleaving_enabled)
+        self._replan_memo: OrderedDict[tuple, RapPlan] = OrderedDict()
 
     def set_predictor(self, predictor) -> None:
         """Swap the latency predictor pricing the search.
@@ -202,9 +219,11 @@ class RapPlanner:
         calibration loop uses this to inject a
         :class:`repro.telemetry.CalibratedPredictor` when the drift
         detector fires; the cache key tracks the predictor's fingerprint,
-        so calibrated plans never collide with stale ones.
+        so calibrated plans never collide with stale ones. The replan memo
+        is cleared outright.
         """
         self.cost_model.predictor = predictor
+        self._replan_memo.clear()
 
     def _predictor_fingerprint(self) -> str | None:
         """Cache-key identity of the active latency model (None = oracle)."""
@@ -298,8 +317,14 @@ class RapPlanner:
     ) -> RapPlan:
         """Re-plan for a (possibly changed) graph set, incrementally if safe.
 
-        The cache is consulted first -- an unchanged instance is a pure
-        hash lookup. Otherwise, when ``previous`` exists and the new graph
+        The plan cache, when attached, is consulted first. Then the replan
+        memo: a request whose inputs equal one of the last
+        :data:`REPLAN_MEMO_SIZE` requests returns that request's plan object
+        unsearched. Its key is exactly what the warm-started search reads
+        -- the graph set's content, the structure of ``previous``'s graph
+        set, ``previous``'s placements and the predictor fingerprint --
+        while the workload, knobs and solver are fixed per planner.
+        Otherwise, when ``previous`` exists and the new graph
         set keeps the same feature names with at most one graph changed
         *structurally* (uniform latency drift changes no structure), the
         previous mapping seeds the hill climb under a reduced move budget
@@ -338,15 +363,34 @@ class RapPlanner:
         if initial_mapping is not None:
             self.stats.incremental_replans += 1
             plan = self._search(graph_set, initial_mapping=initial_mapping, move_budget=budget)
-        elif self._incremental_eligible(graph_set, previous):
+        else:
+            plan = self._memoized_replan(graph_set, previous, budget)
+        if key is not None:
+            self.cache.put(key, plan)
+        return plan
+
+    def _memoized_replan(self, graph_set: GraphSet, previous: RapPlan, budget: int) -> RapPlan:
+        key = (
+            graph_set_fingerprint(graph_set),
+            graph_set_structure_fingerprint(previous.graph_set),
+            tuple((name, tuple(p)) for name, p in previous.mapping.placements.items()),
+            self._predictor_fingerprint(),
+        )
+        plan = self._replan_memo.get(key)
+        if plan is not None:
+            self.stats.memo_hits += 1
+            self._replan_memo.move_to_end(key)
+            return plan
+        if self._incremental_eligible(graph_set, previous):
             self.stats.incremental_replans += 1
             initial = self._warm_mapping(graph_set, previous)
             plan = self._search(graph_set, initial_mapping=initial, move_budget=budget)
         else:
             self.stats.full_replans += 1
             plan = self._search(graph_set)
-        if key is not None:
-            self.cache.put(key, plan)
+        self._replan_memo[key] = plan
+        if len(self._replan_memo) > REPLAN_MEMO_SIZE:
+            self._replan_memo.popitem(last=False)
         return plan
 
     def _incremental_eligible(self, graph_set: GraphSet, previous: RapPlan) -> bool:

@@ -154,6 +154,9 @@ class GraphSet:
         outputs = [op.output for g in self.graphs for op in g.ops]
         if len(set(outputs)) != len(outputs):
             raise ValueError("operator output columns must be unique across the GraphSet")
+        #: Content digests of this set (``repro.core.plan_cache``), each
+        #: stored with the content it was taken from.
+        self.digests: dict[str, tuple] = {}
 
     def __iter__(self) -> Iterator[FeatureGraph]:
         return iter(self.graphs)

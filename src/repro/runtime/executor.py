@@ -409,6 +409,7 @@ class FaultTolerantRuntime:
         # journal's bytes exactly as before.
         self.tenant = tenant
         self.graph_set = graph_set
+        self._installed_plan: _InstalledPlan | None = None
         self._install_plan(plan if plan is not None else planner.plan(graph_set), planner)
         self.injector = injector or FaultInjector()
         self.retry_policy = retry_policy or RetryPolicy()
@@ -416,7 +417,7 @@ class FaultTolerantRuntime:
         self.pool = pool or CpuWorkerPool()
         self.sequential_fault_threshold = sequential_fault_threshold
         # Builds the survivor-fleet planner after a membership change; the
-        # default clone shares the plan cache and MILP solver.
+        # default clone shares the plan cache.
         self.planner_factory = planner_factory or clone_planner
         self.journal = journal
         # Telemetry is strictly opt-in: with ``telemetry=None`` no sample is
@@ -451,6 +452,7 @@ class FaultTolerantRuntime:
         # graph set, and cumulatively relative to the base graph set.
         self._scale = 1.0
         self._total_scale = 1.0
+        self._drifted: tuple = (None, 1.0, None)
         # Kernels persistently evicted to the host pool.
         self._cpu_kernels: list[KernelDesc] = []
         # Elastic-membership state: monotone plan generation counter, the
@@ -503,6 +505,12 @@ class FaultTolerantRuntime:
         """
         if planner is not None:
             self.planner = planner
+        installed = self._installed_plan
+        if installed is not None and installed.plan is plan and installed.planner is self.planner:
+            # A replan memo hit hands back the plan object already live:
+            # what was derived from it still holds (``_installed`` rebuilds
+            # it if the predictor has changed since).
+            return
         self.plan = plan
         self._installed_plan = _InstalledPlan(self.planner, plan)
 
@@ -889,13 +897,15 @@ class FaultTolerantRuntime:
     def _replan(self, iteration: int = -1, reason: str = "watchdog") -> None:
         """Regenerate the plan for the live (possibly drifted) distribution.
 
-        Goes through the planner's fast path: an unchanged instance is a
-        plan-cache hit, and uniform drift (which rescales latencies but not
-        graph structure) re-plans incrementally from the active plan's
-        mapping instead of re-running the full search.
+        Goes through the planner's fast path: a replan whose live graph set,
+        active plan and predictor repeat a recent replan's is served from
+        the planner's replan memo (the same plan object, so the installed
+        plan's derived data survives too), and uniform drift (which
+        rescales latencies but not graph structure) re-plans incrementally
+        from the active plan's mapping instead of re-running the full
+        search.
         """
-        drifted = drift_graph_set(self.graph_set, self._total_scale)
-        self._install_plan(self.planner.replan(drifted, previous=self.plan))
+        self._install_plan(self.planner.replan(self._live_graph_set(), previous=self.plan))
         self._scale = 1.0
         self._cpu_kernels.clear()
         self.watchdog.reset()
@@ -1142,8 +1152,8 @@ class FaultTolerantRuntime:
     def _shadow_evaluate(self, iteration: int, report: ResilienceReport) -> bool:
         """Search a candidate, score it over the window, maybe promote.
 
-        The candidate is searched by a planner clone (shared plan/MILP
-        caches) priced with the *current* calibrated costs -- continuous
+        The candidate is searched by a planner clone (shared plan cache)
+        priced with the *current* calibrated costs -- continuous
         calibration, not waiting for the drift edge -- then both the live
         plan and the candidate are re-simulated under each recorded
         window entry's exact conditions (uniform scale + per-op drift).
@@ -1343,9 +1353,16 @@ class FaultTolerantRuntime:
     # ------------------------------------------------------------------
 
     def _live_graph_set(self) -> GraphSet:
+        """The base graph set under the cumulative drift, built once per
+        (base, scale) so repeated replans hand the planner the same object
+        and its fingerprints stay memoized."""
         if self._total_scale == 1.0:
             return self.graph_set
-        return drift_graph_set(self.graph_set, self._total_scale)
+        base, scale, drifted = self._drifted
+        if base is not self.graph_set or scale != self._total_scale:
+            drifted = drift_graph_set(self.graph_set, self._total_scale)
+            self._drifted = (self.graph_set, self._total_scale, drifted)
+        return drifted
 
     def _lose_gpu(self, iteration: int, event: FaultEvent) -> list[LadderTransition]:
         """Shrink the fleet after a terminal device loss.
