@@ -5,7 +5,7 @@ handcrafted CUDA-stream and MPS GPU-sharing baselines, all reporting
 through a common :class:`BaselineReport`.
 """
 
-from .common import BaselineReport, dp_mapping_comm_bytes, unfused_kernels_per_gpu
+from .common import BaselineReport, unfused_kernels_per_gpu
 from .sequential import run_sequential_baseline
 from .cuda_stream import run_cuda_stream_baseline
 from .mps_baseline import run_mps_baseline
@@ -13,7 +13,6 @@ from .torcharrow import CpuWorkerPool, run_torcharrow_baseline
 
 __all__ = [
     "BaselineReport",
-    "dp_mapping_comm_bytes",
     "unfused_kernels_per_gpu",
     "run_sequential_baseline",
     "run_cuda_stream_baseline",

@@ -16,7 +16,7 @@ from ..gpusim.kernel import KernelDesc
 from ..core.mapping import map_data_parallel
 from ..preprocessing.graph import GraphSet
 
-__all__ = ["BaselineReport", "unfused_kernels_per_gpu", "dp_mapping_comm_bytes"]
+__all__ = ["BaselineReport", "unfused_kernels_per_gpu"]
 
 
 @dataclass
@@ -57,6 +57,3 @@ def unfused_kernels_per_gpu(
         per_gpu.append(kernels)
     return per_gpu, mapping.input_comm_bytes, mapping.input_comm_transfers
 
-
-def dp_mapping_comm_bytes(graph_set: GraphSet, workload: TrainingWorkload) -> float:
-    return map_data_parallel(graph_set, workload).input_comm_bytes

@@ -15,7 +15,12 @@ This module implements that loop:
 - :class:`AdaptiveReplanner` -- monitor drift, decide when to regenerate
   (relative change beyond a threshold), and time the regeneration (which
   the paper reports as "a few minutes" on real hardware and is milliseconds
-  here).
+  here). Between regenerations the stale plan is scored with
+  :meth:`~repro.core.planner.RapPlanner.evaluate_scaled`.
+
+:func:`scale_plan_kernels` lives in :mod:`repro.core.planner` and is
+re-exported here: it is the one function that drifts a frozen placement,
+shared by this loop, shadow scoring and the fault-tolerant runtime.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 
 from ..dlrm.training import TrainingWorkload
 from ..preprocessing.graph import FeatureGraph, GraphSet
-from .planner import RapPlan, RapPlanner, RapRunReport
+from .planner import RapPlan, RapPlanner, scale_plan_kernels
 
 __all__ = ["drift_graph_set", "scale_plan_kernels", "AdaptationEvent", "AdaptiveReplanner"]
 
@@ -49,41 +54,6 @@ def drift_graph_set(graph_set: GraphSet, list_length_scale: float) -> GraphSet:
         for g in graph_set
     ]
     return GraphSet(drifted, rows=graph_set.rows)
-
-
-def scale_plan_kernels(
-    plan: RapPlan, scale: float
-) -> tuple[list[dict[int, list]], list[list]]:
-    """A plan's placement with every kernel duration scaled by ``scale``.
-
-    This is the first-order stale-plan effect of input drift: the placement
-    (which stage hosts which kernel) is frozen, but each kernel's work --
-    and therefore its duration -- tracks the live distribution. Returns
-    ``(assignments_per_gpu, trailing_per_gpu)`` ready for
-    :meth:`repro.dlrm.training.TrainingWorkload.simulate`.
-    """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if scale == 1.0:
-        # Nothing to scale. Recovery rewrites the lists (kernels are frozen),
-        # so the containers are still fresh copies.
-        return (
-            [{idx: list(kernels) for idx, kernels in per_gpu.items()}
-             for per_gpu in plan.assignments_per_gpu],
-            [list(kernels) for kernels in plan.trailing_per_gpu],
-        )
-    assignments = [
-        {
-            idx: [k.with_duration(k.duration_us * scale) for k in kernels]
-            for idx, kernels in per_gpu.items()
-        }
-        for per_gpu in plan.assignments_per_gpu
-    ]
-    trailing = [
-        [k.with_duration(k.duration_us * scale) for k in kernels]
-        for kernels in plan.trailing_per_gpu
-    ]
-    return assignments, trailing
 
 
 @dataclass
@@ -145,7 +115,13 @@ class AdaptiveReplanner:
             self._planned_scale = list_length_scale
             report = self._planner.evaluate(self._plan)
         else:
-            report = self._evaluate_stale(drifted)
+            # The stale plan keeps its placement; each kernel's work tracks
+            # the drifted total -- the first-order effect of list-length drift.
+            planned = self._plan.graph_set.standalone_latency_us(self.workload.spec)
+            live = drifted.standalone_latency_us(self.workload.spec)
+            report = self._planner.evaluate_scaled(
+                self._plan, live / planned if planned > 0 else 1.0
+            )
         event = AdaptationEvent(
             list_length_scale=list_length_scale,
             replanned=replanned,
@@ -155,24 +131,3 @@ class AdaptiveReplanner:
         )
         self.events.append(event)
         return event
-
-    def _evaluate_stale(self, drifted: GraphSet) -> RapRunReport:
-        """Execute the *current* plan's placement against drifted kernels.
-
-        Keeps each kernel's stage assignment but re-costs it under the new
-        distribution by scaling kernel durations with the drifted total
-        work -- the first-order effect of list-length drift.
-        """
-        planned_total = self._plan.graph_set.standalone_latency_us(self.workload.spec)
-        drifted_total = drifted.standalone_latency_us(self.workload.spec)
-        scale = drifted_total / planned_total if planned_total > 0 else 1.0
-        assignments, trailing = scale_plan_kernels(self._plan, scale)
-        result = self.workload.simulate(
-            assignments_per_gpu=assignments,
-            trailing_per_gpu=trailing,
-            input_comm_bytes=self._plan.input_comm_bytes,
-            input_comm_transfers=max(1, self._plan.input_comm_transfers),
-        )
-        prep = max(self._plan.data_prep_per_gpu, key=lambda p: p.total_us)
-        timeline = self._planner.interleaver.steady_state(result.iteration_time_us, prep)
-        return RapRunReport(plan=self._plan, cluster_result=result, timeline=timeline)

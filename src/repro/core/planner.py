@@ -50,7 +50,7 @@ from .plan_cache import (
 )
 from .scheduler import ResourceAwareScheduler
 
-__all__ = ["RapPlan", "RapRunReport", "RapPlanner", "PlannerStats"]
+__all__ = ["RapPlan", "RapRunReport", "RapPlanner", "PlannerStats", "scale_plan_kernels"]
 
 MAPPING_STRATEGIES = ("rap", "data_parallel", "data_locality")
 
@@ -124,6 +124,32 @@ class RapRunReport:
     def training_slowdown(self) -> float:
         ideal = self.plan.workload.ideal_iteration_us()
         return self.iteration_us / ideal if ideal > 0 else 1.0
+
+
+def scale_plan_kernels(
+    plan: RapPlan, scale: float, drift_factors: dict[str, float] | None = None
+) -> tuple[list[dict[int, list[KernelDesc]]], list[list[KernelDesc]]]:
+    """A plan's placement under drift: the one run-time placement function.
+
+    The placement (which stage hosts which kernel) is frozen; each kernel
+    is drifted by the uniform ``scale`` and then by its op type's
+    ``drift_factors`` entry (:meth:`KernelDesc.drifted`), which is what
+    both the runtime and shadow scoring run. Returns fresh containers
+    ``(assignments_per_gpu, trailing_per_gpu)`` that recovery may rewrite,
+    ready for :meth:`repro.dlrm.training.TrainingWorkload.simulate`.
+    """
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    factors = drift_factors or {}
+
+    def drift(kernels: list[KernelDesc]) -> list[KernelDesc]:
+        return [k.drifted(scale).drifted(factors.get(k.tag, 1.0)) for k in kernels]
+
+    assignments = [
+        {stage: drift(kernels) for stage, kernels in per_gpu.items()}
+        for per_gpu in plan.assignments_per_gpu
+    ]
+    return assignments, [drift(kernels) for kernels in plan.trailing_per_gpu]
 
 
 @dataclass
@@ -422,16 +448,7 @@ class RapPlanner:
 
     def evaluate(self, plan: RapPlan, policy: CoRunPolicy = RAP_POLICY) -> RapRunReport:
         """Simulate one steady-state iteration of the plan on the cluster."""
-        result = self.workload.simulate(
-            assignments_per_gpu=plan.assignments_per_gpu,
-            trailing_per_gpu=plan.trailing_per_gpu,
-            input_comm_bytes=plan.input_comm_bytes,
-            input_comm_transfers=max(1, plan.input_comm_transfers),
-            policy=policy,
-        )
-        prep = max(plan.data_prep_per_gpu, key=lambda p: p.total_us, default=DataPreparation(0, 0, 0))
-        timeline = self.interleaver.steady_state(result.iteration_time_us, prep)
-        return RapRunReport(plan=plan, cluster_result=result, timeline=timeline)
+        return self._report(plan, plan.assignments_per_gpu, plan.trailing_per_gpu, policy)
 
     def evaluate_scaled(
         self,
@@ -442,30 +459,19 @@ class RapPlanner:
     ) -> RapRunReport:
         """Shadow-mode evaluation: simulate ``plan`` under a drifted regime.
 
-        Replays the plan with every placed kernel's duration multiplied by
-        ``scale`` (uniform input drift) and additionally by its op type's
-        ``drift_factors`` entry -- the same composition the runtime applies
-        to the live plan -- without mutating the plan or recording
-        calibration samples. With ``scale == 1`` and no factors this is
-        exactly :meth:`evaluate`. The shadow promotion loop (DESIGN.md §15)
-        uses this to score the live plan and a candidate like-for-like over
-        a replayed window of recent iteration conditions.
+        Replays the plan's placement through :func:`scale_plan_kernels`, the
+        function the runtime runs each drifted iteration through, so a
+        scored plan is priced exactly as the live runtime would run it --
+        without mutating the plan or recording calibration samples. With
+        ``scale == 1`` and no factors this is exactly :meth:`evaluate`. The
+        shadow promotion loop (DESIGN.md §15) uses this to score the live
+        plan and a candidate like-for-like over a replayed window of recent
+        iteration conditions.
         """
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        factors = drift_factors or {}
+        assignments, trailing = scale_plan_kernels(plan, scale, drift_factors)
+        return self._report(plan, assignments, trailing, policy)
 
-        def drifted(kernel: KernelDesc) -> KernelDesc:
-            factor = scale * factors.get(kernel.tag, 1.0)
-            if factor == 1.0:
-                return kernel
-            return kernel.with_duration(kernel.duration_us * factor)
-
-        assignments = [
-            {stage: [drifted(k) for k in kernels] for stage, kernels in per_gpu.items()}
-            for per_gpu in plan.assignments_per_gpu
-        ]
-        trailing = [[drifted(k) for k in kernels] for kernels in plan.trailing_per_gpu]
+    def _report(self, plan: RapPlan, assignments, trailing, policy: CoRunPolicy) -> RapRunReport:
         result = self.workload.simulate(
             assignments_per_gpu=assignments,
             trailing_per_gpu=trailing,

@@ -28,7 +28,7 @@ from ..preprocessing.ops import Ngram
 from .plotting import ascii_line_chart
 from .reporting import format_table
 
-__all__ = ["run", "render", "turning_point", "SETTINGS"]
+__all__ = ["run", "render", "SETTINGS"]
 
 SETTINGS = ("baseline", "fusion", "rap")
 
@@ -122,10 +122,6 @@ def run(
         "turning_points": turning,
         "table4": utilization,
     }
-
-
-def turning_point(results: dict, setting: str) -> int | None:
-    return results["turning_points"].get(setting)
 
 
 def render(results: dict) -> str:

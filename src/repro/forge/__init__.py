@@ -33,7 +33,6 @@ from .scenario import (
 )
 from .sweep import (
     GATE_CRITERIA,
-    ScenarioOutcome,
     SweepConfig,
     build_scorecard,
     run_scenario,
@@ -54,7 +53,6 @@ __all__ = [
     "AuditResult",
     "audit_scenario",
     "GATE_CRITERIA",
-    "ScenarioOutcome",
     "SweepConfig",
     "build_scorecard",
     "run_scenario",

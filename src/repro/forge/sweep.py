@@ -49,7 +49,6 @@ from .scenario import Scenario, scenario_digest
 
 __all__ = [
     "GATE_CRITERIA",
-    "ScenarioOutcome",
     "SweepConfig",
     "run_scenario",
     "sweep",
@@ -130,17 +129,6 @@ class SweepConfig:
             raise ValueError("jobs must be >= 0 (0 = run inline)")
         if self.resume_check_every < 1:
             raise ValueError("resume_check_every must be >= 1")
-
-
-@dataclass
-class ScenarioOutcome:
-    """One admitted scenario's scored run (JSON-ready via ``row``)."""
-
-    row: dict
-
-    @property
-    def ok(self) -> bool:
-        return self.row.get("status") == "ok"
 
 
 # ----------------------------------------------------------------------

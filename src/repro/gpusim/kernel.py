@@ -95,6 +95,18 @@ class KernelDesc:
     def with_duration(self, duration_us: float) -> "KernelDesc":
         return replace(self, duration_us=duration_us)
 
+    def drifted(self, factor: float) -> "KernelDesc":
+        """This kernel with its duration multiplied by ``factor`` (input drift).
+
+        The one run-time change to a placed kernel's duration. The launch
+        overhead is a fixed part of the duration, so a drift that takes the
+        duration below it caps the overhead at the new duration.
+        """
+        if factor == 1.0:
+            return self
+        duration_us = self.duration_us * factor
+        return replace(self, duration_us=duration_us, launch_us=min(self.launch_us, duration_us))
+
     def scaled(self, fraction: float, suffix: str = "") -> "KernelDesc":
         """Return a shard covering ``fraction`` of this kernel's work.
 

@@ -167,11 +167,6 @@ def _greedy_assignment(instance: FusionInstance) -> list[int]:
     return instance.asap_levels()
 
 
-def _pair_gain(groups: dict[tuple[str, int], list[int]], op_type: str, step: int, delta: int) -> int:
-    size = len(groups.get((op_type, step), []))
-    return size + delta
-
-
 def _local_improve(instance: FusionInstance, steps: list[int], max_rounds: int = 6) -> list[int]:
     """Move single ops between steps when it grows the co-scheduled pair count.
 

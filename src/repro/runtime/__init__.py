@@ -30,7 +30,6 @@ from .elastic import (
     MembershipChange,
     clone_planner,
     reshard_cost_us,
-    shrink_workload,
     surviving_mapping,
 )
 from .executor import (
@@ -64,7 +63,6 @@ from .ladder import (
     SHARD_RETRY,
     TRAILING,
     LadderTransition,
-    next_rung,
 )
 from .report import IterationRecord, ResilienceReport
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -91,7 +89,6 @@ __all__ = [
     "RESHARD_BASE_US",
     "MembershipChange",
     "reshard_cost_us",
-    "shrink_workload",
     "surviving_mapping",
     "clone_planner",
     "CheckpointManager",
@@ -126,7 +123,6 @@ __all__ = [
     "TRAILING",
     "SEQUENTIAL",
     "CPU_FALLBACK",
-    "next_rung",
     "LadderTransition",
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",

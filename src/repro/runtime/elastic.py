@@ -27,7 +27,6 @@ __all__ = [
     "RESHARD_BASE_US",
     "MembershipChange",
     "reshard_cost_us",
-    "shrink_workload",
     "surviving_mapping",
     "clone_planner",
 ]
@@ -91,13 +90,6 @@ def reshard_cost_us(moved_bytes: float, spec: GpuSpec) -> float:
     if moved_bytes < 0:
         raise ValueError("moved_bytes must be non-negative")
     return RESHARD_BASE_US + moved_bytes * 1e-3 / spec.pcie_bw_gbps
-
-
-def shrink_workload(
-    workload: TrainingWorkload, lost_gpu: int
-) -> tuple[TrainingWorkload, tuple[str, ...], float]:
-    """Survivor workload plus (moved table names, moved bytes)."""
-    return workload.shrunk(lost_gpu)
 
 
 def surviving_mapping(

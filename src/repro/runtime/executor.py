@@ -37,12 +37,12 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from ..baselines.torcharrow import CpuWorkerPool
-from ..core.adaptation import drift_graph_set, scale_plan_kernels
+from ..core.adaptation import drift_graph_set
 from ..core.codegen import compile_plan
 from ..core.fusion import fit_kernel_to_leftover, shard_by_latency
 from ..core.hybrid import GPU_TO_CPU_SLOWDOWN, cpu_fallback_production_us, degraded_pool
 from ..core.latency_predictor import kernel_features
-from ..core.planner import RapPlan, RapPlanner, RapRunReport
+from ..core.planner import RapPlan, RapPlanner, RapRunReport, scale_plan_kernels
 from ..core.serialization import kernel_from_dict, kernel_to_dict, plan_from_json, plan_to_json
 from ..dlrm.training import TrainingWorkload
 from ..gpusim.kernel import KernelDesc
@@ -373,8 +373,9 @@ class _InstalledPlan:
     @cached_property
     def site_features(self) -> list[tuple[float, ...]]:
         """The features in :meth:`FaultTolerantRuntime._observe_kernels`
-        order: per GPU, staged then trailing. Scaled copies of a kernel
-        differ only in ``duration_us``, so they share its features."""
+        order: per GPU, staged then trailing. Drifted copies of a kernel
+        differ only in durations, which are not features, so they share
+        its features."""
         staged, trailing = self._gpu_rows
         return [r[4] for gpu_staged, gpu_trailing in zip(staged, trailing)
                 for r in gpu_staged + gpu_trailing]
@@ -520,6 +521,33 @@ class FaultTolerantRuntime:
         if installed.predictor is not self.planner.cost_model.predictor:
             installed = self._installed_plan = _InstalledPlan(self.planner, self.plan)
         return installed
+
+    def _begin_epoch(
+        self,
+        iteration: int,
+        reason: str,
+        plan: RapPlan,
+        planner: RapPlanner | None = None,
+        *,
+        scale: float = 1.0,
+        cpu_kernels: list[KernelDesc] | None = None,
+    ) -> None:
+        """The one plan-epoch transition: every plan change after
+        construction except restore and the loss of the last GPU.
+
+        Installs ``plan``, sets the drift scale relative to it and the
+        kernels evicted to the host pool, restarts the watchdog window and
+        the epoch's retry budget, and notes the replan. Callers journal
+        their own record.
+        """
+        self._install_plan(plan, planner)
+        self._scale = scale
+        self._cpu_kernels = list(cpu_kernels) if cpu_kernels else []
+        self.watchdog.reset()
+        self.plan_epoch += 1
+        self._epoch_retry_used = 0
+        if self.telemetry is not None:
+            self.telemetry.note_replan(iteration, reason, self.plan_epoch)
 
     # ------------------------------------------------------------------
     # Top level
@@ -767,13 +795,13 @@ class FaultTolerantRuntime:
                 pool_restart_us += event.magnitude * POOL_RESTART_BASE_US
                 pool_fraction = min(pool_fraction, 0.5)
 
-        assignments, trailing = scale_plan_kernels(self.plan, self._scale)
-        # Injected per-op-type drift and calibration sampling happen here,
-        # after uniform drift scaling and before fault recovery mutates the
-        # placement: the sample stream reflects what the kernels *would*
-        # run at, undistorted by this iteration's fault handling.
+        # Uniform drift and injected per-op-type drift, then calibration
+        # sampling, before fault recovery mutates the placement: the sample
+        # stream reflects what the kernels *would* run at, undistorted by
+        # this iteration's fault handling.
         drift_factors = drift_factors_at(self.drift_schedule, iteration)
-        if drift_factors or self.telemetry is not None:
+        assignments, trailing = scale_plan_kernels(self.plan, self._scale, drift_factors)
+        if self.telemetry is not None:
             self._observe_kernels(iteration, assignments, trailing, drift_factors)
         recovery = [0.0] * num_gpus
         retries = 0
@@ -905,14 +933,12 @@ class FaultTolerantRuntime:
         from the active plan's mapping instead of re-running the full
         search.
         """
-        self._install_plan(self.planner.replan(self._live_graph_set(), previous=self.plan))
-        self._scale = 1.0
-        self._cpu_kernels.clear()
-        self.watchdog.reset()
-        self.plan_epoch += 1
-        self._epoch_retry_used = 0
-        if self.telemetry is not None:
-            self.telemetry.note_replan(iteration, reason, self.plan_epoch)
+        self._begin_epoch(
+            iteration, reason, self.planner.replan(self._live_graph_set(), previous=self.plan)
+        )
+        self._journal_replan(iteration, reason)
+
+    def _journal_replan(self, iteration: int, reason: str) -> None:
         self._journal(
             "replan",
             iteration=iteration,
@@ -941,22 +967,9 @@ class FaultTolerantRuntime:
         window restarts against the new plan's predictions. Also the
         restore path out of :meth:`evict_to_cpu`.
         """
-        self._install_plan(plan, planner)
-        self._scale = 1.0
-        self._cpu_kernels.clear()
         self._preempted = False
-        self.watchdog.reset()
-        self.plan_epoch += 1
-        self._epoch_retry_used = 0
-        if self.telemetry is not None:
-            self.telemetry.note_replan(iteration, reason, self.plan_epoch)
-        self._journal(
-            "replan",
-            iteration=iteration,
-            reason=reason,
-            plan_epoch=self.plan_epoch,
-            num_gpus=self.workload.num_gpus,
-        )
+        self._begin_epoch(iteration, reason, plan, planner)
+        self._journal_replan(iteration, reason)
 
     def evict_to_cpu(self, iteration: int = -1, reason: str = "preempted") -> None:
         """Demote every placed kernel to the host pool (service preemption).
@@ -976,21 +989,17 @@ class FaultTolerantRuntime:
                 demoted.extend(per_gpu[stage_idx])
         for trailing in self.plan.trailing_per_gpu:
             demoted.extend(trailing)
-        self._install_plan(
+        self._preempted = True
+        self._begin_epoch(
+            iteration,
+            reason,
             dataclasses.replace(
                 self.plan,
                 assignments_per_gpu=[{} for _ in range(self.workload.num_gpus)],
                 trailing_per_gpu=[[] for _ in range(self.workload.num_gpus)],
-            )
+            ),
+            cpu_kernels=self._cpu_kernels + demoted,
         )
-        self._cpu_kernels.extend(demoted)
-        self._scale = 1.0
-        self._preempted = True
-        self.watchdog.reset()
-        self.plan_epoch += 1
-        self._epoch_retry_used = 0
-        if self.telemetry is not None:
-            self.telemetry.note_replan(iteration, reason, self.plan_epoch)
         self._journal(
             "evict",
             iteration=iteration,
@@ -1039,27 +1048,25 @@ class FaultTolerantRuntime:
         trailing: list[list[KernelDesc]],
         drift_factors: dict[str, float],
     ) -> None:
-        """Apply injected per-op-type drift in place and record samples.
+        """Record one sample per placed kernel of a drifted placement.
 
-        The prediction is made against the *planned* kernel (what the cost
-        model knew); the observation is the drifted duration the simulator
-        will actually execute. Fused kernels keep their member op tag, so
-        per-tag factors and corrections compose cleanly.
+        ``assignments`` / ``trailing`` come from :func:`scale_plan_kernels`
+        over the live plan. The prediction is made against the kernel at
+        the uniform scale (what the cost model knew of the live
+        distribution); the observation is the drifted duration the
+        simulator will actually execute. Fused kernels keep their member op
+        tag, so per-tag factors and corrections compose cleanly.
         """
-        telemetry = self.telemetry
+        scale = self._scale
         observed: list[tuple[KernelDesc, int, float]] = []
-        for gpu, per_gpu in enumerate(assignments):
-            sites = [(per_gpu[stage_idx], stage_idx) for stage_idx in sorted(per_gpu)]
-            sites.append((trailing[gpu], -1))
-            for kernels, stage_idx in sites:
-                for i, kernel in enumerate(kernels):
-                    factor = drift_factors.get(kernel.tag, 1.0)
-                    if factor != 1.0:
-                        kernels[i] = kernel.with_duration(kernel.duration_us * factor)
-                    if telemetry is not None:
-                        observed.append((kernel, stage_idx, kernels[i].duration_us))
-        if telemetry is not None:
-            telemetry.record_kernel_samples(self._observed_samples(iteration, observed))
+        for gpu, per_gpu in enumerate(self.plan.assignments_per_gpu):
+            sites = [(per_gpu[stage], assignments[gpu][stage], stage) for stage in sorted(per_gpu)]
+            sites.append((self.plan.trailing_per_gpu[gpu], trailing[gpu], -1))
+            for planned, drifted, stage_idx in sites:
+                for kernel, ran in zip(planned, drifted):
+                    priced = ran if ran.tag not in drift_factors else kernel.drifted(scale)
+                    observed.append((priced, stage_idx, ran.duration_us))
+        self.telemetry.record_kernel_samples(self._observed_samples(iteration, observed))
 
     def _observed_samples(self, iteration: int, observed: list[tuple[KernelDesc, int, float]]):
         """Samples of the (scaled) planned kernels, priced lazily like
@@ -1235,22 +1242,16 @@ class FaultTolerantRuntime:
             candidate_exposed_us=round(candidate_us, 3),
             anchor=anchor["directory"],
         )
-        # 3. Swap, mirroring _replan's bookkeeping plus the calibrated
-        #    predictor hand-off of _recalibrate_and_replan.
-        self._install_plan(candidate)
-        self._scale = 1.0
-        self._cpu_kernels.clear()
-        self.plan_epoch += 1
-        self._epoch_retry_used = 0
+        # 3. Swap: the calibrated predictor hand-off of
+        #    _recalibrate_and_replan, then the epoch transition.
         if self.telemetry is not None:
             self.planner.set_predictor(shadow_planner.cost_model.predictor)
             self._calibrated = True
             self.telemetry.publish_corrections()
             self.telemetry.drift_detector.reset()
-            self.telemetry.note_replan(iteration, "promotion", self.plan_epoch)
+        self._begin_epoch(iteration, "promotion", candidate)
         # 4. Enter probation with the watchdog suppressed: the probation
         #    monitor owns the only rollback trigger until it settles.
-        self.watchdog.reset()
         self.watchdog.suppress()
         self.shadow.begin_probation(
             iteration,
@@ -1279,20 +1280,20 @@ class FaultTolerantRuntime:
                 plan_text = snapshot.plan_text
             except CheckpointError:
                 pass  # fall back to the in-memory copy (identical bytes)
-        self._install_plan(plan_from_json(plan_text, self.workload, self.graph_set))
         anchor_total = float(anchor.get("total_scale", 1.0)) or 1.0
         # Drift that arrived *during* probation composes onto the anchor's
         # relative scale, so the restored plan sees today's distribution.
-        self._scale = float(anchor.get("scale", 1.0)) * (self._total_scale / anchor_total)
-        self._cpu_kernels = [kernel_from_dict(k) for k in anchor.get("cpu_kernels", [])]
         # The epoch stays monotone -- a rollback is a new plan generation,
         # never a rewind -- which keeps journal validation simple.
-        self.plan_epoch += 1
-        self._epoch_retry_used = 0
-        self.watchdog.reset()
+        self._begin_epoch(
+            iteration,
+            "rollback",
+            plan_from_json(plan_text, self.workload, self.graph_set),
+            scale=float(anchor.get("scale", 1.0)) * (self._total_scale / anchor_total),
+            cpu_kernels=[kernel_from_dict(k) for k in anchor.get("cpu_kernels", [])],
+        )
         self.watchdog.unsuppress()
         if self.telemetry is not None:
-            self.telemetry.note_replan(iteration, "rollback", self.plan_epoch)
             self.telemetry.note_shadow_probation(
                 PROBATION_ROLLED_BACK,
                 summary.get("realized_win"),
@@ -1432,19 +1433,15 @@ class FaultTolerantRuntime:
         live = self._live_graph_set()
         warm = surviving_mapping(self.plan, gpu, survivor_workload, live)
         planner = self.planner_factory(self.planner, survivor_workload)
-        self._install_plan(
-            planner.replan(live, previous=self.plan, initial_mapping=warm), planner
+        self._begin_epoch(
+            iteration,
+            "membership",
+            planner.replan(live, previous=self.plan, initial_mapping=warm),
+            planner,
         )
-        self._scale = 1.0
-        self._cpu_kernels.clear()
-        self.watchdog.reset()
         self._original_ids.pop(gpu)
         reshard_us = reshard_cost_us(moved_bytes, spec)
         self._pending_recovery_us += reshard_us
-        self.plan_epoch += 1
-        self._epoch_retry_used = 0
-        if self.telemetry is not None:
-            self.telemetry.note_replan(iteration, "membership", self.plan_epoch)
         change = MembershipChange(
             iteration=iteration,
             lost_gpu=gpu,
@@ -1756,7 +1753,7 @@ class FaultTolerantRuntime:
         self, rec, kernel, stage_idx, stage, assignments, trailing
     ) -> None:
         """A kernel running longer than predicted may no longer fit its stage."""
-        inflated = kernel.with_duration(kernel.duration_us * rec.event.magnitude)
+        inflated = kernel.drifted(rec.event.magnitude)
         if stage is None:
             # Trailing work cannot overrun a budget; the exposure just grows.
             trailing.append(inflated)

@@ -30,7 +30,6 @@ __all__ = [
     "SEQUENTIAL",
     "CPU_FALLBACK",
     "LADDER",
-    "next_rung",
     "LadderTransition",
 ]
 
@@ -42,12 +41,6 @@ CPU_FALLBACK = "cpu_fallback"
 
 #: Rungs in demotion order; recovery never climbs back up mid-iteration.
 LADDER: tuple[str, ...] = (CO_RUN, SHARD_RETRY, TRAILING, SEQUENTIAL, CPU_FALLBACK)
-
-
-def next_rung(rung: str) -> str | None:
-    """The rung one demotion below ``rung`` (``None`` at the bottom)."""
-    idx = LADDER.index(rung)
-    return LADDER[idx + 1] if idx + 1 < len(LADDER) else None
 
 
 @dataclass(frozen=True)

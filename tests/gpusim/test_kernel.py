@@ -54,6 +54,34 @@ class TestKernelDesc:
         k = make_kernel(duration=100.0)
         assert k.with_duration(42.0).duration_us == 42.0
 
+    def test_drifted_identity_is_same_object(self):
+        k = make_kernel()
+        assert k.drifted(1.0) is k
+
+    def test_drifted_scales_duration_keeps_launch(self):
+        k = make_kernel(duration=100.0, launch=5.0)
+        grown = k.drifted(2.5)
+        assert grown.duration_us == 250.0
+        assert grown.launch_us == 5.0
+        assert (grown.name, grown.demand, grown.tag) == (k.name, k.demand, k.tag)
+
+    def test_drifted_below_launch_caps_launch(self):
+        k = make_kernel(duration=10.0, launch=5.0)
+        shrunk = k.drifted(0.25)
+        assert shrunk.duration_us == 2.5
+        assert shrunk.launch_us == 2.5
+        assert shrunk.body_us == 0.0
+
+    @given(
+        st.floats(min_value=0.0, max_value=1e4),
+        st.lists(st.floats(min_value=1e-3, max_value=1e3), max_size=8),
+    )
+    def test_drifted_launch_stays_within_duration(self, duration, factors):
+        k = make_kernel(duration=duration, launch=min(5.0, duration))
+        for factor in factors:
+            k = k.drifted(factor)
+            assert 0.0 <= k.launch_us <= k.duration_us
+
 
 class TestSharding:
     def test_scaled_identity(self):

@@ -89,6 +89,13 @@ class TestRunCommand:
         assert "kernel_failure@0.9" in out
         assert "kernel_failure" in out
 
+    def test_compounding_plan_drift_completes(self, capsys):
+        """Downward plan_drift steps compound until kernels run shorter than
+        their launch overhead; the run must still complete."""
+        assert main(["run", "--plan", "1", "--iterations", "100",
+                     "--inject", "plan_drift=0.1"]) == 0
+        assert "iterations: 100" in capsys.readouterr().out
+
     def test_seed_makes_runs_reproducible(self, capsys):
         argv = ["run", "--plan", "0", "--gpus", "2", "--batch", "1024",
                 "--iterations", "8", "--seed", "17", "--inject", "kernel_failure=0.7"]
