@@ -18,16 +18,25 @@ This reproduces the behaviour measured in the paper's Fig. 1c (training
 latency inflates once the co-running NGram kernel outgrows the leftover)
 and Fig. 5b (overlapping latency tracks standalone latency linearly once
 capacity is exhausted).
+
+An iteration's result is a pure function of the stages, of the few kernel
+fields the loop reads, of the policy and of the start time, so each device
+remembers its most recent results and hands the same object back for a
+repeated input: results are shared and must never be mutated. The
+utilization trace is a figure artifact; the loop records plain segment
+tuples and :attr:`IterationResult.trace` builds the trace on first read.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .kernel import KernelDesc
 from .resources import GpuSpec, ResourceVector, A100_SPEC
-from .trace import UtilizationTrace
+from .trace import TraceSegment, UtilizationTrace
 
 __all__ = ["StageProfile", "CoRunPolicy", "KernelSpan", "StageSpan", "IterationResult", "GpuDevice"]
 
@@ -73,6 +82,8 @@ class CoRunPolicy:
     def __post_init__(self) -> None:
         if not 0.0 <= self.serialization_fraction <= 1.0:
             raise ValueError("serialization_fraction must be in [0, 1]")
+        if self.demand_inflation < 0:
+            raise ValueError("demand_inflation must be non-negative")
 
     def effective(self, kernel: KernelDesc) -> tuple[float, ResourceVector]:
         """Return (effective duration, effective demand) under this policy."""
@@ -133,16 +144,35 @@ class StageSpan:
         return self.wall_time / self.standalone_us
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterationResult:
-    """Everything the cost model and the figures need from one iteration."""
+    """Everything the cost model and the figures need from one iteration.
+
+    Immutable, because a device hands one result to every caller that
+    repeats its input. ``segments`` holds the utilization timeline as
+    ``(t0, t1, sm, dram, label)`` tuples, where a co-run segment's label is
+    the ``(stage, kernel)`` pair; :attr:`trace` turns them into a
+    :class:`UtilizationTrace` when first read.
+    """
 
     total_time_us: float
     training_time_us: float
     exposed_preprocessing_us: float
-    stage_spans: list[StageSpan] = field(default_factory=list)
-    kernel_spans: list[KernelSpan] = field(default_factory=list)
-    trace: UtilizationTrace = field(default_factory=UtilizationTrace)
+    stage_spans: tuple[StageSpan, ...] = ()
+    kernel_spans: tuple[KernelSpan, ...] = ()
+    segments: tuple[tuple, ...] = field(default=(), repr=False)
+
+    @cached_property
+    def trace(self) -> UtilizationTrace:
+        return UtilizationTrace(
+            TraceSegment(
+                t0,
+                t1,
+                ResourceVector(sm, dram),
+                label if isinstance(label, str) else f"{label[0]}+{label[1]}",
+            )
+            for t0, t1, sm, dram, label in self.segments
+        )
 
     @property
     def training_slowdown(self) -> float:
@@ -157,17 +187,31 @@ class IterationResult:
 
 
 class _RunningKernel:
-    """Mutable progress tracker for a kernel moving through the simulation."""
+    """Mutable progress tracker for a kernel moving through the simulation.
 
-    __slots__ = ("kernel", "remaining_us", "effective_demand", "t_start", "overlapped")
+    ``sm`` / ``dram`` are the components of ``policy.effective(kernel)``'s
+    demand, kept as plain floats for the loop's arithmetic.
+    """
+
+    __slots__ = ("kernel", "remaining_us", "sm", "dram", "t_start", "overlapped")
 
     def __init__(self, kernel: KernelDesc, policy: CoRunPolicy) -> None:
-        duration, demand = policy.effective(kernel)
+        inflation = policy.demand_inflation
         self.kernel = kernel
-        self.remaining_us = duration
-        self.effective_demand = demand
+        self.remaining_us = kernel.duration_us + policy.per_kernel_overhead_us
+        self.sm = kernel.demand.sm * inflation
+        self.dram = kernel.demand.dram * inflation
         self.t_start: float | None = None
         self.overlapped = False
+
+
+#: Results each device remembers, least recently used out first.
+MEMO_ENTRIES = 64
+
+
+def _kernels_key(kernels: Sequence[KernelDesc]) -> tuple:
+    """The kernel fields :meth:`GpuDevice.simulate_iteration` reads."""
+    return tuple((k.name, k.tag, k.duration_us, k.demand.sm, k.demand.dram) for k in kernels)
 
 
 class GpuDevice:
@@ -176,6 +220,7 @@ class GpuDevice:
     def __init__(self, spec: GpuSpec = A100_SPEC, device_id: int = 0) -> None:
         self.spec = spec
         self.device_id = device_id
+        self._memo: OrderedDict[tuple, IterationResult] = OrderedDict()
 
     # ------------------------------------------------------------------
     # Standalone execution
@@ -183,21 +228,20 @@ class GpuDevice:
 
     def run_kernels_standalone(self, kernels: Sequence[KernelDesc], t0: float = 0.0) -> IterationResult:
         """Execute kernels back to back with the device otherwise idle."""
-        trace = UtilizationTrace()
+        segments: list[tuple] = []
         spans: list[KernelSpan] = []
         t = t0
         for k in kernels:
             end = t + k.duration_us
-            trace.record(t, end, k.demand.clamp(), label=k.name)
+            segments.append((t, end, min(k.demand.sm, 1.0), min(k.demand.dram, 1.0), k.name))
             spans.append(KernelSpan(k.name, t, end, k.tag, overlapped=False))
             t = end
         return IterationResult(
             total_time_us=t - t0,
             training_time_us=0.0,
             exposed_preprocessing_us=t - t0,
-            stage_spans=[],
-            kernel_spans=spans,
-            trace=trace,
+            kernel_spans=tuple(spans),
+            segments=tuple(segments),
         )
 
     def run_training_standalone(self, stages: Sequence[StageProfile]) -> IterationResult:
@@ -233,13 +277,42 @@ class GpuDevice:
             latency -- the quantity RAP's scheduler minimizes.
         policy:
             Sharing mechanism (RAP / CUDA stream / MPS) efficiency knobs.
+
+        A repeat of one of the device's last :data:`MEMO_ENTRIES` inputs
+        returns the same (shared, immutable) result object.
         """
         assignments = assignments or {}
         for idx in assignments:
             if not 0 <= idx < len(stages):
                 raise IndexError(f"assignment to stage {idx} outside pipeline of {len(stages)} stages")
 
-        trace = UtilizationTrace()
+        key = (
+            tuple(stages),
+            tuple((idx, _kernels_key(ks)) for idx, ks in sorted(assignments.items())),
+            _kernels_key(trailing_kernels),
+            policy,
+            t0,
+        )
+        memo = self._memo
+        result = memo.get(key)
+        if result is not None:
+            memo.move_to_end(key)
+            return result
+        result = memo[key] = self._simulate(stages, assignments, trailing_kernels, policy, t0)
+        if len(memo) > MEMO_ENTRIES:
+            memo.popitem(last=False)
+        return result
+
+    @staticmethod
+    def _simulate(
+        stages: Sequence[StageProfile],
+        assignments: Mapping[int, Sequence[KernelDesc]],
+        trailing_kernels: Sequence[KernelDesc],
+        policy: CoRunPolicy,
+        t0: float,
+    ) -> IterationResult:
+        segments: list[tuple] = []
+        record = segments.append
         stage_spans: list[StageSpan] = []
         kernel_spans: list[KernelSpan] = []
         queue: list[_RunningKernel] = []
@@ -249,11 +322,13 @@ class GpuDevice:
             queue.extend(_RunningKernel(k, policy) for k in assignments.get(idx, ()))
             stage_start = t
             remaining_work = stage.duration_us
+            stage_sm = stage.utilization.sm
+            stage_dram = stage.utilization.dram
 
             while remaining_work > 1e-12:
                 if not queue:
                     end = t + remaining_work
-                    trace.record(t, end, stage.utilization, label=stage.name)
+                    record((t, end, stage_sm, stage_dram, stage.name))
                     t = end
                     remaining_work = 0.0
                     break
@@ -271,8 +346,8 @@ class GpuDevice:
                         running.remaining_us *= 1.0 - policy.serialization_fraction
                     if serial_us > 0:
                         stall_end = t + serial_us
-                        trace.record(
-                            t, stall_end, running.effective_demand.clamp(), label="issue_stall"
+                        record(
+                            (t, stall_end, min(running.sm, 1.0), min(running.dram, 1.0), "issue_stall")
                         )
                         t = stall_end
                         if running.remaining_us <= 1e-9:
@@ -288,19 +363,16 @@ class GpuDevice:
                             queue.pop(0)
                             continue
                 running.overlapped = True
-                slowdown = max(
-                    1.0,
-                    stage.utilization.sm + running.effective_demand.sm,
-                    stage.utilization.dram + running.effective_demand.dram,
-                )
-                combined = (stage.utilization + running.effective_demand).clamp()
+                sm = stage_sm + running.sm
+                dram = stage_dram + running.dram
+                slowdown = max(1.0, sm, dram)
                 # Wall time until either the kernel or the stage completes.
                 wall_kernel = running.remaining_us * slowdown
                 wall_stage = remaining_work * slowdown
                 wall = min(wall_kernel, wall_stage)
                 progressed = wall / slowdown
                 end = t + wall
-                trace.record(t, end, combined, label=f"{stage.name}+{running.kernel.name}")
+                record((t, end, min(sm, 1.0), min(dram, 1.0), (stage.name, running.kernel.name)))
                 remaining_work -= progressed
                 running.remaining_us -= progressed
                 if running.remaining_us <= 1e-9:
@@ -321,7 +393,7 @@ class GpuDevice:
             if running.t_start is None:
                 running.t_start = t
             end = t + running.remaining_us
-            trace.record(t, end, running.effective_demand.clamp(), label=running.kernel.name)
+            record((t, end, min(running.sm, 1.0), min(running.dram, 1.0), running.kernel.name))
             kernel_spans.append(
                 KernelSpan(running.kernel.name, running.t_start, end, running.kernel.tag, running.overlapped)
             )
@@ -331,9 +403,9 @@ class GpuDevice:
             total_time_us=t - t0,
             training_time_us=training_end - t0,
             exposed_preprocessing_us=t - training_end,
-            stage_spans=stage_spans,
-            kernel_spans=kernel_spans,
-            trace=trace,
+            stage_spans=tuple(stage_spans),
+            kernel_spans=tuple(kernel_spans),
+            segments=tuple(segments),
         )
 
     # ------------------------------------------------------------------

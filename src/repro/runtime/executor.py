@@ -321,7 +321,8 @@ class _InstalledPlan:
 
     Between plan changes the placed kernels are frozen, so the transparent
     path's report, the plan's predicted exposure and every placed kernel's
-    sample inputs are fixed. An instance lives from one
+    sample inputs are fixed, and so are the drifted placement and its
+    sample inputs at one scale. An instance lives from one
     :meth:`FaultTolerantRuntime._install_plan` to the next, or until the
     planner's predictor object changes, since the base prices come from it.
     """
@@ -333,6 +334,11 @@ class _InstalledPlan:
         # A calibrated predictor's prices move with every recorded sample,
         # so only its base prices are fixed per plan.
         self.calibrated = isinstance(self.predictor, CalibratedPredictor)
+        # The last scale seen by :meth:`scaled`: its key, its placement and
+        # (once telemetry asks) its sample rows.
+        self._scaled_key: tuple | None = None
+        self._scaled_placement: tuple | None = None
+        self._scaled_rows: list[tuple] | None = None
 
     @cached_property
     def report(self) -> RapRunReport:
@@ -370,15 +376,51 @@ class _InstalledPlan:
         staged, trailing = self._gpu_rows
         return [r for rows in staged + trailing for r in rows]
 
-    @cached_property
-    def site_features(self) -> list[tuple[float, ...]]:
-        """The features in :meth:`FaultTolerantRuntime._observe_kernels`
-        order: per GPU, staged then trailing. Drifted copies of a kernel
-        differ only in durations, which are not features, so they share
-        its features."""
-        staged, trailing = self._gpu_rows
-        return [r[4] for gpu_staged, gpu_trailing in zip(staged, trailing)
-                for r in gpu_staged + gpu_trailing]
+    def scaled(
+        self, scale: float, drift_factors: dict[str, float], with_rows: bool
+    ) -> tuple[tuple, list[tuple] | None]:
+        """The placement at uniform ``scale`` and per-op ``drift_factors``
+        (:func:`scale_plan_kernels`), and with ``with_rows`` its sample rows.
+
+        Both are kept for the last scale seen, so the containers are shared:
+        callers copy the placement before rewriting it. Rows are
+        ``(tag, base price, observed duration, stage, features, kernel)``:
+        the observation is the drifted duration the simulator runs; the
+        priced kernel is the drifted one, or for an op type with a factor
+        the kernel at the uniform scale (what the cost model knew of the
+        live distribution). Drifted copies differ from the planned kernel
+        only in durations, which are not features, so they share its
+        features. Row order is per GPU, staged then trailing.
+        """
+        key = (scale, tuple(sorted(drift_factors.items())))
+        if key != self._scaled_key:
+            self._scaled_key = key
+            self._scaled_placement = scale_plan_kernels(self.plan, scale, drift_factors)
+            self._scaled_rows = None
+        if with_rows and self._scaled_rows is None:
+            self._scaled_rows = self._sample_rows(scale, drift_factors)
+        return self._scaled_placement, self._scaled_rows
+
+    def _sample_rows(self, scale: float, drift_factors: dict[str, float]) -> list[tuple]:
+        assignments, trailing = self._scaled_placement
+        staged_rows, trailing_rows = self._gpu_rows
+        price = (
+            self.predictor.base_prediction
+            if self.calibrated
+            else self.planner.cost_model.kernel_latency
+        )
+        ran_per_gpu = [
+            [k for stage in sorted(per_gpu) for k in per_gpu[stage]] + gpu_trailing
+            for per_gpu, gpu_trailing in zip(assignments, trailing)
+        ]
+        rows = []
+        for planned, ran_kernels in zip(
+            (s + t for s, t in zip(staged_rows, trailing_rows)), ran_per_gpu, strict=True
+        ):
+            for (tag, _, _, stage, features, kernel), ran in zip(planned, ran_kernels, strict=True):
+                priced = ran if tag not in drift_factors else kernel.drifted(scale)
+                rows.append((tag, price(priced), ran.duration_us, stage, features, priced))
+        return rows
 
 
 class FaultTolerantRuntime:
@@ -729,7 +771,7 @@ class FaultTolerantRuntime:
                 # (predicted, observed) pair, where the observation is the
                 # plan's own modeled duration -- no number changes.
                 self.telemetry.record_kernel_samples(
-                    self._plan_samples(installed, iteration)
+                    self._samples(installed, installed.rows, iteration)
                 )
                 self.telemetry.record_iteration(
                     iteration,
@@ -799,10 +841,20 @@ class FaultTolerantRuntime:
         # sampling, before fault recovery mutates the placement: the sample
         # stream reflects what the kernels *would* run at, undistorted by
         # this iteration's fault handling.
-        drift_factors = drift_factors_at(self.drift_schedule, iteration)
-        assignments, trailing = scale_plan_kernels(self.plan, self._scale, drift_factors)
+        installed = self._installed()
+        (scaled_assignments, scaled_trailing), rows = installed.scaled(
+            self._scale,
+            drift_factors_at(self.drift_schedule, iteration),
+            self.telemetry is not None,
+        )
+        # Recovery rewrites these containers, and the cached ones are shared.
+        assignments = [
+            {stage: list(kernels) for stage, kernels in per_gpu.items()}
+            for per_gpu in scaled_assignments
+        ]
+        trailing = [list(kernels) for kernels in scaled_trailing]
         if self.telemetry is not None:
-            self._observe_kernels(iteration, assignments, trailing, drift_factors)
+            self.telemetry.record_kernel_samples(self._samples(installed, rows, iteration))
         recovery = [0.0] * num_gpus
         retries = 0
         backoff_us = 0.0
@@ -1012,18 +1064,19 @@ class FaultTolerantRuntime:
     # Online calibration
     # ------------------------------------------------------------------
 
-    def _plan_samples(self, installed: _InstalledPlan, iteration: int):
-        """Every placed kernel's sample on the transparent path.
+    def _samples(self, installed: _InstalledPlan, rows: list[tuple], iteration: int):
+        """One sample per placed kernel from ``rows`` (:attr:`_InstalledPlan.rows`
+        on the transparent path, :meth:`_InstalledPlan.scaled` otherwise).
 
-        The observation is the plan's own modeled duration, so recording is
-        read-only. The base (uncorrected) prediction feeds the residual
-        model -- it must stay a stable reference or the correction chases
-        its own output. The active prediction is what the drift detector
-        judges: uncalibrated it is the base price; calibrated it moves with
-        every recorded sample, so each kernel is priced only when the
-        session draws its sample, after every earlier one was recorded.
+        On the transparent path the observation is the plan's own modeled
+        duration, so recording is read-only. The base (uncorrected)
+        prediction feeds the residual model -- it must stay a stable
+        reference or the correction chases its own output. The active
+        prediction is what the drift detector judges: uncalibrated it is the
+        base price; calibrated it moves with every recorded sample, so each
+        kernel is priced only when the session draws its sample, after every
+        earlier one was recorded.
         """
-        rows = installed.rows
         if not installed.calibrated:
             return [
                 CalibrationSample(tag, base, observed_us, iteration, stage, features)
@@ -1040,50 +1093,6 @@ class FaultTolerantRuntime:
                 )
 
         return priced()
-
-    def _observe_kernels(
-        self,
-        iteration: int,
-        assignments: list[dict[int, list[KernelDesc]]],
-        trailing: list[list[KernelDesc]],
-        drift_factors: dict[str, float],
-    ) -> None:
-        """Record one sample per placed kernel of a drifted placement.
-
-        ``assignments`` / ``trailing`` come from :func:`scale_plan_kernels`
-        over the live plan. The prediction is made against the kernel at
-        the uniform scale (what the cost model knew of the live
-        distribution); the observation is the drifted duration the
-        simulator will actually execute. Fused kernels keep their member op
-        tag, so per-tag factors and corrections compose cleanly.
-        """
-        scale = self._scale
-        observed: list[tuple[KernelDesc, int, float]] = []
-        for gpu, per_gpu in enumerate(self.plan.assignments_per_gpu):
-            sites = [(per_gpu[stage], assignments[gpu][stage], stage) for stage in sorted(per_gpu)]
-            sites.append((self.plan.trailing_per_gpu[gpu], trailing[gpu], -1))
-            for planned, drifted, stage_idx in sites:
-                for kernel, ran in zip(planned, drifted):
-                    priced = ran if ran.tag not in drift_factors else kernel.drifted(scale)
-                    observed.append((priced, stage_idx, ran.duration_us))
-        self.telemetry.record_kernel_samples(self._observed_samples(iteration, observed))
-
-    def _observed_samples(self, iteration: int, observed: list[tuple[KernelDesc, int, float]]):
-        """Samples of the (scaled) planned kernels, priced lazily like
-        :meth:`_plan_samples`; features come from the installed plan."""
-        installed = self._installed()
-        predictor = installed.predictor
-        calibrated = installed.calibrated
-        price = self.planner.cost_model.kernel_latency
-        for (kernel, stage_idx, observed_us), features in zip(
-            observed, installed.site_features, strict=True
-        ):
-            active = price(kernel)
-            base = predictor.base_prediction(kernel) if calibrated else active
-            yield CalibrationSample(
-                kernel.tag, base, observed_us, iteration, stage_idx, features,
-                active if active != base else None,
-            )
 
     def _recalibrate_and_replan(self, iteration: int, event: DriftEvent) -> None:
         """Answer a drift detection: inject the calibrated predictor, replan.

@@ -173,8 +173,9 @@ class Tracer:
         """One GPU's stage and kernel events for ``result`` at offset ``t0``.
 
         The runtime hands back the same result object for every clean
-        iteration of a plan, so its events are built once; a repeat only
-        records the offset.
+        iteration of a plan, and the device's memo does for a repeated
+        degraded one, so its events are built once; a repeat only records
+        the offset.
         """
         template = self._templates.get(gpu)
         if template is not None and template[0] is result:

@@ -1,0 +1,187 @@
+"""What a degraded iteration builds, and the per-scale placement cache.
+
+A faulted iteration with telemetry off builds no utilization trace and no
+calibration sample; with telemetry on, one degraded scale prices its
+sample rows once. The installed plan keeps one drifted placement per
+scale, so recovery must get fresh containers to rewrite, and the cached
+placement must be dropped whenever its inputs change.
+"""
+
+import pytest
+
+from repro.core import RapPlanner
+from repro.core.planner import scale_plan_kernels
+from repro.dlrm import TrainingWorkload, model_for_plan
+from repro.gpusim import TraceSegment, UtilizationTrace
+from repro.preprocessing import build_plan
+from repro.runtime import (
+    FaultEvent,
+    FaultInjector,
+    FaultSpec,
+    FaultTolerantRuntime,
+    LatencyWatchdog,
+)
+from repro.runtime import executor
+from repro.runtime.faults import KERNEL_FAILURE, LATENCY_OVERRUN, PLAN_DRIFT
+from repro.runtime.ladder import SHARD_RETRY
+from repro.telemetry import CalibrationSample, TelemetrySession
+
+BATCH = 1024
+FAULT_MIX = (
+    ("kernel_failure", 0.1),
+    ("latency_overrun", 0.1),
+    ("fused_oom", 0.05),
+    ("cpu_pool_crash", 0.02),
+    ("plan_drift", 0.05),
+)
+
+
+@pytest.fixture(scope="module")
+def plan1():
+    graphs, schema = build_plan(1, rows=BATCH)
+    return graphs, TrainingWorkload(model_for_plan(graphs, schema), num_gpus=2, local_batch=BATCH)
+
+
+class ScriptedInjector:
+    def __init__(self, schedule):
+        self.schedule = dict(schedule)
+
+    def faults_for_iteration(self, iteration, plan):
+        return list(self.schedule.get(iteration, []))
+
+
+def quiet_watchdog():
+    """A watchdog that never asks for a replan."""
+    return LatencyWatchdog(error_threshold=1e9, fault_rate_threshold=1e9)
+
+
+def make_runtime(setting, **kwargs):
+    graphs, workload = setting
+    return FaultTolerantRuntime(RapPlanner(workload), graphs, **kwargs)
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def count_inits(monkeypatch, cls, name):
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_faulted_run_without_telemetry_builds_no_trace_or_samples(plan1, monkeypatch):
+    specs = [FaultSpec(kind, rate) for kind, rate in FAULT_MIX]
+    runtime = make_runtime(plan1, injector=FaultInjector(specs, seed=3))
+    segments = count_inits(monkeypatch, TraceSegment, "__post_init__")
+    traces = count_inits(monkeypatch, UtilizationTrace, "__init__")
+    samples = count_inits(monkeypatch, CalibrationSample, "__init__")
+    report = runtime.run(80)
+    assert report.num_faults > 10 and report.degraded_iterations > 10
+    assert segments == [] and traces == [] and samples == []
+
+
+def test_one_degraded_scale_builds_its_rows_once(plan1, monkeypatch):
+    drift = FaultEvent(PLAN_DRIFT, 0, magnitude=1.3)
+    runtime = make_runtime(
+        plan1,
+        injector=ScriptedInjector({0: [drift]}),
+        watchdog=quiet_watchdog(),
+        telemetry=TelemetrySession(),
+    )
+    placements = count_calls(monkeypatch, executor, "scale_plan_kernels")
+    rows = count_calls(monkeypatch, executor._InstalledPlan, "_sample_rows")
+    samples = count_inits(monkeypatch, CalibrationSample, "__init__")
+    plan = runtime.plan
+    report = runtime.run(6)
+    assert runtime.plan is plan and report.replans == 0
+    assert len(placements) == 1 and len(rows) == 1
+    assert len(samples) == 6 * sum(plan.num_kernels_per_gpu())
+
+
+def test_recovery_does_not_rewrite_the_cached_placement(plan1):
+    """Recovery rewrites GPU 0's lists in a degraded iteration; the next,
+    fault-free iteration at the same scale must run the unrewritten
+    placement, as a fresh runtime at that scale does."""
+    scale = 1.5
+    faults = [
+        FaultEvent(PLAN_DRIFT, 0, magnitude=scale),
+        FaultEvent(
+            KERNEL_FAILURE, 0, gpu=0, stage=5, kernel="fused_Logit_x13", recover_after=50
+        ),
+        FaultEvent(
+            LATENCY_OVERRUN, 0, gpu=0, stage=5, kernel="fused_SigridHash_x13", magnitude=40.0
+        ),
+    ]
+    runtime = make_runtime(
+        plan1, injector=ScriptedInjector({0: faults}), watchdog=quiet_watchdog()
+    )
+    assert "fused_Logit_x13" in [k.name for k in runtime.plan.assignments_per_gpu[0][5]]
+    _, _, transitions = runtime.run_iteration(0)
+    assert [t.to_rung for t in transitions].count(SHARD_RETRY) == 1
+    assert len(transitions) == 2  # the re-shard and the demoted overrun
+    assert runtime._scale == scale and not runtime._cpu_kernels
+    record, _, _ = runtime.run_iteration(1)
+
+    fresh = make_runtime(plan1, injector=ScriptedInjector({}), watchdog=quiet_watchdog())
+    fresh._scale = scale
+    expected, _, _ = fresh.run_iteration(1)
+    assert record.to_dict() == expected.to_dict()
+
+
+class DoubledPredictor:
+    """A fitted stand-in predictor pricing every kernel at twice its
+    modeled latency."""
+
+    is_fitted = True
+
+    def predict_kernel(self, kernel):
+        return 2.0 * kernel.duration_us
+
+    def predict_total(self, kernels):
+        return sum(self.predict_kernel(k) for k in kernels)
+
+
+def placement_of(runtime, scale, factors):
+    (assignments, trailing), _ = runtime._installed().scaled(scale, factors, False)
+    return assignments, trailing
+
+
+def test_cached_placement_is_dropped_when_its_inputs_change(plan1, monkeypatch):
+    graphs, workload = plan1
+    runtime = make_runtime(plan1, telemetry=TelemetrySession())
+    placements = count_calls(monkeypatch, executor, "scale_plan_kernels")
+
+    def expect(scale, factors, calls):
+        assert placement_of(runtime, scale, factors) == scale_plan_kernels(
+            runtime.plan, scale, factors
+        )
+        assert len(placements) == calls
+
+    expect(1.2, {}, 1)
+    expect(1.2, {}, 1)  # same scale: served from the cache
+    expect(1.3, {}, 2)  # scale change
+    expect(1.3, {"Logit": 2.0}, 3)  # drift-factor change
+    expect(1.3, {"Logit": 2.0}, 3)
+
+    other_plan = RapPlanner(workload).plan(graphs)
+    runtime._install_plan(other_plan)
+    expect(1.3, {"Logit": 2.0}, 4)  # a new plan installed
+
+    runtime.planner.set_predictor(DoubledPredictor())
+    expect(1.3, {"Logit": 2.0}, 5)  # a new predictor prices the rows
+
