@@ -93,6 +93,17 @@ class RapPlan:
     def max_data_prep_us(self) -> float:
         return max((p.total_us for p in self.data_prep_per_gpu), default=0.0)
 
+    def placed_kernels(self) -> list[KernelDesc]:
+        """Every GPU's staged kernels in stage order, then every GPU's
+        trailing kernels."""
+        staged = [
+            k
+            for per_gpu in self.assignments_per_gpu
+            for stage in sorted(per_gpu)
+            for k in per_gpu[stage]
+        ]
+        return staged + [k for trailing in self.trailing_per_gpu for k in trailing]
+
     def num_kernels_per_gpu(self) -> list[int]:
         return [
             sum(len(v) for v in a.values()) + len(t)

@@ -30,7 +30,7 @@ Beyond the per-kernel ladder, two whole-run mechanisms live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -99,10 +99,15 @@ __all__ = [
     "FaultTolerantRuntime",
     "SimulatedKill",
     "POOL_RESTART_BASE_US",
+    "SEQUENTIAL_FAULT_THRESHOLD",
 ]
 
 #: Host-side worker-pool restart latency per unit of crash magnitude.
 POOL_RESTART_BASE_US = 1_000.0
+
+#: Kernel faults on one GPU in one iteration that suspend its co-running
+#: for that iteration (the sequential fallback).
+SEQUENTIAL_FAULT_THRESHOLD = 3
 
 #: Fraction of a stage's leftover resources offered to re-sharded pieces;
 #: recovering at reduced footprint is what sidesteps OOM-like faults.
@@ -177,7 +182,6 @@ class DataPathVerifier:
         seed: int = 2024,
         strict: bool = True,
         workers: int = 0,
-        engine_metrics=None,
     ) -> None:
         if every < 1:
             raise ValueError("every must be >= 1")
@@ -188,7 +192,6 @@ class DataPathVerifier:
         self.seed = seed
         self.strict = strict
         self.workers = workers
-        self.engine_metrics = engine_metrics
         self.history: list[DataVerification] = []
         self._programs = None
         self._programs_epoch = -1
@@ -210,11 +213,7 @@ class DataPathVerifier:
 
         if self._engine is None or self._engine_epoch != plan_epoch:
             self.close()
-            self._engine = ParallelEngine(
-                plan.graph_set,
-                workers=self.workers,
-                metrics=self.engine_metrics,
-            )
+            self._engine = ParallelEngine(plan.graph_set, workers=self.workers)
             self._engine_epoch = plan_epoch
         return self._engine
 
@@ -349,14 +348,17 @@ class _InstalledPlan:
         return self.plan.predicted_exposed_us
 
     @cached_property
+    def _base_price(self) -> Callable[[KernelDesc], float]:
+        """A kernel's base (uncorrected) price under this plan's predictor."""
+        if self.calibrated:
+            return self.predictor.base_prediction
+        return self.planner.cost_model.kernel_latency
+
+    @cached_property
     def _gpu_rows(self) -> tuple[list[list[tuple]], list[list[tuple]]]:
         """Per GPU, the staged rows (in stage order) and the trailing rows:
         ``(tag, base price, modeled duration, stage, features, kernel)``."""
-        price = (
-            self.predictor.base_prediction
-            if self.calibrated
-            else self.planner.cost_model.kernel_latency
-        )
+        price = self._base_price
 
         def row(kernel: KernelDesc, stage: int) -> tuple:
             features = tuple(kernel_features(kernel))
@@ -404,11 +406,7 @@ class _InstalledPlan:
     def _sample_rows(self, scale: float, drift_factors: dict[str, float]) -> list[tuple]:
         assignments, trailing = self._scaled_placement
         staged_rows, trailing_rows = self._gpu_rows
-        price = (
-            self.predictor.base_prediction
-            if self.calibrated
-            else self.planner.cost_model.kernel_latency
-        )
+        price = self._base_price
         ran_per_gpu = [
             [k for stage in sorted(per_gpu) for k in per_gpu[stage]] + gpu_trailing
             for per_gpu, gpu_trailing in zip(assignments, trailing)
@@ -435,8 +433,6 @@ class FaultTolerantRuntime:
         retry_policy: RetryPolicy | None = None,
         watchdog: LatencyWatchdog | None = None,
         pool: CpuWorkerPool | None = None,
-        sequential_fault_threshold: int = 3,
-        planner_factory: Callable[[RapPlanner, TrainingWorkload], RapPlanner] | None = None,
         journal: RunJournal | None = None,
         telemetry: TelemetrySession | None = None,
         drift_schedule: Sequence[LatencyDrift] = (),
@@ -445,8 +441,6 @@ class FaultTolerantRuntime:
         shadow: ShadowPlanner | None = None,
         tenant: str | None = None,
     ) -> None:
-        if sequential_fault_threshold < 1:
-            raise ValueError("sequential_fault_threshold must be >= 1")
         # Multi-tenant service runs tag every journal record with the
         # owning tenant; ``None`` (every standalone run) leaves the
         # journal's bytes exactly as before.
@@ -458,10 +452,6 @@ class FaultTolerantRuntime:
         self.retry_policy = retry_policy or RetryPolicy()
         self.watchdog = watchdog or LatencyWatchdog()
         self.pool = pool or CpuWorkerPool()
-        self.sequential_fault_threshold = sequential_fault_threshold
-        # Builds the survivor-fleet planner after a membership change; the
-        # default clone shares the plan cache.
-        self.planner_factory = planner_factory or clone_planner
         self.journal = journal
         # Telemetry is strictly opt-in: with ``telemetry=None`` no sample is
         # recorded, no span is emitted, and execution is bit-identical to a
@@ -759,13 +749,6 @@ class FaultTolerantRuntime:
             # runs once per plan, not once per iteration.
             installed = self._installed()
             report = installed.report
-            record = IterationRecord(
-                iteration=iteration,
-                iteration_us=report.iteration_us,
-                exposed_us=report.exposed_preprocessing_us,
-                plan_epoch=epoch,
-            )
-            drift_event: DriftEvent | None = None
             if self.telemetry is not None:
                 # Recording is read-only: each placed kernel contributes its
                 # (predicted, observed) pair, where the observation is the
@@ -780,24 +763,14 @@ class FaultTolerantRuntime:
                     per_gpu_results=report.cluster_result.per_gpu,
                     plan_epoch=epoch,
                 )
-                drift_event = self.telemetry.check_drift(iteration)
-            decision = self.watchdog.observe(
-                installed.predicted_exposed_us, report.exposed_preprocessing_us, 0
+            replanned = self._route_triggers(iteration, report.exposed_preprocessing_us, 0)
+            record = IterationRecord(
+                iteration=iteration,
+                iteration_us=report.iteration_us,
+                exposed_us=report.exposed_preprocessing_us,
+                replanned=replanned,
+                plan_epoch=epoch,
             )
-            if self.shadow is not None:
-                # Guarded mode: both replan triggers feed the shadow loop,
-                # which evaluates a candidate at this iteration's shadow
-                # step instead of swapping plans blind.
-                if drift_event is not None:
-                    self.shadow.note_trigger(iteration, "drift")
-                elif decision.replan:
-                    self.shadow.note_trigger(iteration, "watchdog")
-            elif drift_event is not None:
-                self._recalibrate_and_replan(iteration, drift_event)
-                record = IterationRecord(**{**record.to_dict(), "replanned": True})
-            elif decision.replan:
-                self._replan(iteration)
-                record = IterationRecord(**{**record.to_dict(), "replanned": True})
             return record, [], []
 
         return self._run_degraded(iteration, faults, epoch=epoch)
@@ -811,12 +784,10 @@ class FaultTolerantRuntime:
         iteration: int,
         faults: list[FaultEvent],
         *,
+        epoch: int,
         total_faults: int | None = None,
-        epoch: int | None = None,
         force_replanned: bool = False,
     ) -> tuple[IterationRecord, list[FaultEvent], list[LadderTransition]]:
-        if epoch is None:
-            epoch = self.plan_epoch
         # A membership change earlier in this iteration leaves its priced
         # redistribution here; under the bulk-synchronous barrier it extends
         # every survivor equally, so it adds to the iteration as a constant.
@@ -878,7 +849,7 @@ class FaultTolerantRuntime:
         # -- every remaining placed kernel runs exposed, where it cannot
         # perturb training.
         for gpu in range(num_gpus):
-            if faults_per_gpu[gpu] < self.sequential_fault_threshold:
+            if faults_per_gpu[gpu] < SEQUENTIAL_FAULT_THRESHOLD:
                 continue
             demoted = [k for stage in sorted(assignments[gpu]) for k in assignments[gpu][stage]]
             if not demoted:
@@ -918,34 +889,7 @@ class FaultTolerantRuntime:
         # The watchdog judges the plan against what the plan could predict:
         # kernel-level exposure, not the one-shot reshard constant (the
         # membership change already replanned and reset the window).
-        drift_event: DriftEvent | None = (
-            self.telemetry.check_drift(iteration) if self.telemetry is not None else None
-        )
-        decision = self.watchdog.observe(
-            self._installed().predicted_exposed_us, exposed_us, len(faults)
-        )
-        replanned = False
-        if self._preempted:
-            # An evicted tenant holds no carve; neither the watchdog nor
-            # drift may replan it back onto the GPUs (the service restores
-            # capacity explicitly through adopt_plan).
-            pass
-        elif self.shadow is not None:
-            # Guarded mode: route triggers into the shadow loop (see the
-            # transparent path above for rationale).
-            if drift_event is not None:
-                self.shadow.note_trigger(iteration, "drift")
-            elif decision.replan:
-                self.shadow.note_trigger(iteration, "watchdog")
-        elif drift_event is not None:
-            # Sustained model error beats the exposure watchdog: a plain
-            # replan would reuse the stale predictions, so recalibrate
-            # first and replan once with the corrected model.
-            self._recalibrate_and_replan(iteration, drift_event)
-            replanned = True
-        elif decision.replan:
-            self._replan(iteration)
-            replanned = True
+        replanned = self._route_triggers(iteration, exposed_us, len(faults))
 
         iteration_us = max(timeline.iteration_us, cpu_us) + reshard_us
         exposed_us += reshard_us
@@ -973,6 +917,41 @@ class FaultTolerantRuntime:
             plan_epoch=epoch,
         )
         return record, faults, transitions
+
+    def _route_triggers(self, iteration: int, exposed_us: float, num_faults: int) -> bool:
+        """Judge the iteration's two replan triggers and act on the winner.
+
+        Checks the drift detector, then feeds the watchdog. Sustained model
+        error beats the exposure watchdog: a plain replan would reuse the
+        stale predictions, so drift recalibrates first and replans once
+        with the corrected model. With a shadow planner attached both
+        triggers feed the guarded promotion loop instead, which evaluates a
+        candidate at this iteration's shadow step rather than swapping
+        plans blind. A preempted tenant holds no carve, so neither trigger
+        may replan it back onto the GPUs (the service restores capacity
+        through :meth:`adopt_plan`). Returns whether the plan changed.
+        """
+        drift_event = (
+            self.telemetry.check_drift(iteration) if self.telemetry is not None else None
+        )
+        decision = self.watchdog.observe(
+            self._installed().predicted_exposed_us, exposed_us, num_faults
+        )
+        if self._preempted:
+            return False
+        if self.shadow is not None:
+            if drift_event is not None:
+                self.shadow.note_trigger(iteration, "drift")
+            elif decision.replan:
+                self.shadow.note_trigger(iteration, "watchdog")
+            return False
+        if drift_event is not None:
+            self._recalibrate_and_replan(iteration, drift_event)
+            return True
+        if decision.replan:
+            self._replan(iteration)
+            return True
+        return False
 
     def _replan(self, iteration: int = -1, reason: str = "watchdog") -> None:
         """Regenerate the plan for the live (possibly drifted) distribution.
@@ -1033,19 +1012,12 @@ class FaultTolerantRuntime:
         are suppressed for the duration; they would otherwise claw back
         the revoked capacity.
         """
-        import dataclasses
-
-        demoted: list[KernelDesc] = []
-        for per_gpu in self.plan.assignments_per_gpu:
-            for stage_idx in sorted(per_gpu):
-                demoted.extend(per_gpu[stage_idx])
-        for trailing in self.plan.trailing_per_gpu:
-            demoted.extend(trailing)
+        demoted = self.plan.placed_kernels()
         self._preempted = True
         self._begin_epoch(
             iteration,
             reason,
-            dataclasses.replace(
+            replace(
                 self.plan,
                 assignments_per_gpu=[{} for _ in range(self.workload.num_gpus)],
                 trailing_per_gpu=[[] for _ in range(self.workload.num_gpus)],
@@ -1103,12 +1075,9 @@ class FaultTolerantRuntime:
         changes the planner's cache fingerprint, so the replan cannot hit
         the stale pre-drift cache entry.
         """
-        calibrated = self.telemetry.calibrated_predictor(
-            self.planner.cost_model.predictor
+        self._adopt_calibrated(
+            self.telemetry.calibrated_predictor(self.planner.cost_model.predictor)
         )
-        self.planner.set_predictor(calibrated)
-        self._calibrated = True
-        self.telemetry.publish_corrections()
         if self.journal is not None:
             self._journal(
                 "recalibrate",
@@ -1123,12 +1092,21 @@ class FaultTolerantRuntime:
                     for op, c in self.telemetry.residual.corrections().items()
                 },
             )
-        # Fresh detection window against the corrected model: if the
-        # correction only partially absorbed the drift (early windows mix
-        # pre- and post-drift samples), the detector re-fires after another
-        # sustained breach and calibration converges iteratively.
-        self.telemetry.drift_detector.reset()
         self._replan(iteration, reason="drift")
+
+    def _adopt_calibrated(self, predictor: CalibratedPredictor) -> None:
+        """Hand the planner a calibrated predictor and publish its corrections.
+
+        The drift detector starts a fresh window against the corrected
+        model: if the correction only partially absorbed the drift (early
+        windows mix pre- and post-drift samples), the detector re-fires
+        after another sustained breach and calibration converges
+        iteratively.
+        """
+        self.planner.set_predictor(predictor)
+        self._calibrated = True
+        self.telemetry.publish_corrections()
+        self.telemetry.drift_detector.reset()
 
     # ------------------------------------------------------------------
     # Shadow planning: guarded promotion, probation, automatic rollback
@@ -1154,15 +1132,14 @@ class FaultTolerantRuntime:
             iteration_us=float(record.iteration_us),
         )
         action = self.shadow.observe(obs)
-        if action == PROBATION_ROLLED_BACK:
-            self._shadow_rollback(iteration)
-            return IterationRecord(**{**record.to_dict(), "replanned": True})
-        if action == PROBATION_COMMITTED:
-            self._shadow_commit(iteration)
+        if action in (PROBATION_ROLLED_BACK, PROBATION_COMMITTED):
+            self._end_probation(iteration, action)
+            if action == PROBATION_ROLLED_BACK:
+                return replace(record, replanned=True)
             return record
         if self.shadow.wants_candidate(iteration, self.plan_epoch):
             if self._shadow_evaluate(iteration, report):
-                return IterationRecord(**{**record.to_dict(), "replanned": True})
+                return replace(record, replanned=True)
         return record
 
     def _shadow_evaluate(self, iteration: int, report: ResilienceReport) -> bool:
@@ -1251,13 +1228,10 @@ class FaultTolerantRuntime:
             candidate_exposed_us=round(candidate_us, 3),
             anchor=anchor["directory"],
         )
-        # 3. Swap: the calibrated predictor hand-off of
-        #    _recalibrate_and_replan, then the epoch transition.
+        # 3. Swap: the calibrated predictor hand-off, then the epoch
+        #    transition.
         if self.telemetry is not None:
-            self.planner.set_predictor(shadow_planner.cost_model.predictor)
-            self._calibrated = True
-            self.telemetry.publish_corrections()
-            self.telemetry.drift_detector.reset()
+            self._adopt_calibrated(shadow_planner.cost_model.predictor)
         self._begin_epoch(iteration, "promotion", candidate)
         # 4. Enter probation with the watchdog suppressed: the probation
         #    monitor owns the only rollback trigger until it settles.
@@ -1274,87 +1248,64 @@ class FaultTolerantRuntime:
         )
         return True
 
-    def _shadow_rollback(self, iteration: int) -> None:
-        """Probation breached: restore the anchor state transactionally."""
-        summary = self.shadow.finish_probation(PROBATION_ROLLED_BACK, iteration)
-        anchor = summary["anchor"]
-        plan_text = anchor["plan"]
-        if anchor.get("directory") and self._checkpoints is not None:
-            from .checkpoint import CheckpointError
+    def _end_probation(self, iteration: int, outcome: str, abort_reason: str = "") -> None:
+        """Close the open probation with ``outcome`` and journal the result.
 
-            try:
-                snapshot = self._checkpoints.load(
-                    self._checkpoints.directory / anchor["directory"]
-                )
-                plan_text = snapshot.plan_text
-            except CheckpointError:
-                pass  # fall back to the in-memory copy (identical bytes)
-        anchor_total = float(anchor.get("total_scale", 1.0)) or 1.0
-        # Drift that arrived *during* probation composes onto the anchor's
-        # relative scale, so the restored plan sees today's distribution.
-        # The epoch stays monotone -- a rollback is a new plan generation,
-        # never a rewind -- which keeps journal validation simple.
-        self._begin_epoch(
-            iteration,
-            "rollback",
-            plan_from_json(plan_text, self.workload, self.graph_set),
-            scale=float(anchor.get("scale", 1.0)) * (self._total_scale / anchor_total),
-            cpu_kernels=[kernel_from_dict(k) for k in anchor.get("cpu_kernels", [])],
-        )
-        self.watchdog.unsuppress()
-        if self.telemetry is not None:
-            self.telemetry.note_shadow_probation(
-                PROBATION_ROLLED_BACK,
-                summary.get("realized_win"),
-                summary.get("predicted_win"),
-            )
-        self._journal_promotion_result(summary)
-        self._unpin_anchor(anchor)
+        - Rolled back: probation breached, so the anchor state is restored
+          transactionally.
+        - Committed: the promotion becomes the plan of record, and the
+          watchdog window restarts against it.
+        - Aborted (``abort_reason`` says why): a membership change voided
+          the comparison -- the anchor plan was searched for a fleet that
+          no longer exists -- so neither keeping probation open nor
+          rolling back is meaningful.
 
-    def _shadow_commit(self, iteration: int) -> None:
-        """Probation survived: the promotion becomes the plan of record."""
-        summary = self.shadow.finish_probation(PROBATION_COMMITTED, iteration)
-        self.watchdog.reset()
-        self.watchdog.unsuppress()
-        if self.telemetry is not None:
-            self.telemetry.note_shadow_probation(
-                PROBATION_COMMITTED,
-                summary.get("realized_win"),
-                summary.get("predicted_win"),
-            )
-        self._journal_promotion_result(summary)
-        self._unpin_anchor(summary["anchor"])
-
-    def _shadow_abort(self, iteration: int, reason: str) -> None:
-        """Void an open probation without restoring the anchor.
-
-        Used when a membership change invalidates the comparison: the
-        anchor plan was searched for a fleet that no longer exists, so
-        neither keeping probation open nor rolling back is meaningful.
+        Every outcome lifts the watchdog's suppression and unpins the anchor.
         """
-        summary = self.shadow.finish_probation(PROBATION_ABORTED, iteration)
-        summary["abort_reason"] = reason
+        summary = self.shadow.finish_probation(outcome, iteration)
+        anchor = summary["anchor"]
+        if outcome == PROBATION_ABORTED:
+            summary["abort_reason"] = abort_reason
+        elif outcome == PROBATION_COMMITTED:
+            self.watchdog.reset()
+        elif outcome == PROBATION_ROLLED_BACK:
+            plan_text = anchor["plan"]
+            if anchor.get("directory") and self._checkpoints is not None:
+                from .checkpoint import CheckpointError
+
+                try:
+                    snapshot = self._checkpoints.load(
+                        self._checkpoints.directory / anchor["directory"]
+                    )
+                    plan_text = snapshot.plan_text
+                except CheckpointError:
+                    pass  # fall back to the in-memory copy (identical bytes)
+            anchor_total = float(anchor.get("total_scale", 1.0)) or 1.0
+            # Drift that arrived *during* probation composes onto the
+            # anchor's relative scale, so the restored plan sees today's
+            # distribution. The epoch stays monotone -- a rollback is a new
+            # plan generation, never a rewind -- which keeps journal
+            # validation simple.
+            self._begin_epoch(
+                iteration,
+                "rollback",
+                plan_from_json(plan_text, self.workload, self.graph_set),
+                scale=float(anchor.get("scale", 1.0)) * (self._total_scale / anchor_total),
+                cpu_kernels=[kernel_from_dict(k) for k in anchor.get("cpu_kernels", [])],
+            )
         self.watchdog.unsuppress()
         if self.telemetry is not None:
             self.telemetry.note_shadow_probation(
-                PROBATION_ABORTED,
-                summary.get("realized_win"),
-                summary.get("predicted_win"),
+                outcome, summary.get("realized_win"), summary.get("predicted_win")
             )
-        self._journal_promotion_result(summary)
-        self._unpin_anchor(summary["anchor"])
-
-    def _journal_promotion_result(self, summary: dict) -> None:
         fields = {
             key: (round(value, 6) if isinstance(value, float) else value)
             for key, value in summary.items()
             if key != "anchor"
         }
-        fields["anchor"] = summary["anchor"].get("directory")
+        fields["anchor"] = anchor.get("directory")
         fields["plan_epoch"] = self.plan_epoch
         self._journal("promotion_result", **fields)
-
-    def _unpin_anchor(self, anchor: dict) -> None:
         if anchor.get("directory") and self._checkpoints is not None:
             self._checkpoints.unpin(anchor["directory"])
 
@@ -1391,7 +1342,7 @@ class FaultTolerantRuntime:
         if self.shadow is not None and self.shadow.in_probation:
             # A membership change voids the probation baseline: the anchor
             # plan was searched for a fleet that no longer exists.
-            self._shadow_abort(iteration, "membership change")
+            self._end_probation(iteration, PROBATION_ABORTED, "membership change")
         original = self._original_ids[gpu]
         spec = self.workload.spec
 
@@ -1399,55 +1350,26 @@ class FaultTolerantRuntime:
             # Last device: the whole pipeline falls off the fleet. All
             # embedding state moves to host memory and every placed kernel
             # is evicted to the worker pool.
-            evicted: list[KernelDesc] = []
-            for per_gpu in self.plan.assignments_per_gpu:
-                for stage in sorted(per_gpu):
-                    evicted.extend(per_gpu[stage])
-            for trailing in self.plan.trailing_per_gpu:
-                evicted.extend(trailing)
-            self._cpu_kernels.extend(evicted)
+            self._cpu_kernels.extend(self.plan.placed_kernels())
             moved_bytes = sum(t.nbytes for t in self.workload.config.tables)
             moved_tables = tuple(t.name for t in self.workload.config.tables)
-            reshard_us = reshard_cost_us(moved_bytes, spec)
+            survivors = 0
             self._cpu_only = True
             self._cpu_train_us = None
-            self._original_ids.pop(gpu)
             self.plan_epoch += 1
             self._epoch_retry_used = 0
-            change = MembershipChange(
-                iteration=iteration,
-                lost_gpu=gpu,
-                lost_gpu_original=original,
-                survivors=0,
-                moved_tables=moved_tables,
-                moved_bytes=moved_bytes,
-                reshard_us=reshard_us,
-                plan_epoch=self.plan_epoch,
+        else:
+            survivor_workload, moved_tables, moved_bytes = self.workload.shrunk(gpu)
+            live = self._live_graph_set()
+            warm = surviving_mapping(self.plan, gpu, survivor_workload, live)
+            planner = clone_planner(self.planner, survivor_workload)
+            self._begin_epoch(
+                iteration,
+                "membership",
+                planner.replan(live, previous=self.plan, initial_mapping=warm),
+                planner,
             )
-            self._membership_log.append(change)
-            self._pending_recovery_us += reshard_us
-            self._journal("membership", **change.to_dict())
-            return [
-                LadderTransition(
-                    iteration=iteration,
-                    gpu=gpu,
-                    kernel="*",
-                    from_rung=CO_RUN,
-                    to_rung=CPU_FALLBACK,
-                    reason="last GPU lost; pipeline evicted to host pool",
-                )
-            ]
-
-        survivor_workload, moved_tables, moved_bytes = self.workload.shrunk(gpu)
-        live = self._live_graph_set()
-        warm = surviving_mapping(self.plan, gpu, survivor_workload, live)
-        planner = self.planner_factory(self.planner, survivor_workload)
-        self._begin_epoch(
-            iteration,
-            "membership",
-            planner.replan(live, previous=self.plan, initial_mapping=warm),
-            planner,
-        )
+            survivors = survivor_workload.num_gpus
         self._original_ids.pop(gpu)
         reshard_us = reshard_cost_us(moved_bytes, spec)
         self._pending_recovery_us += reshard_us
@@ -1455,7 +1377,7 @@ class FaultTolerantRuntime:
             iteration=iteration,
             lost_gpu=gpu,
             lost_gpu_original=original,
-            survivors=survivor_workload.num_gpus,
+            survivors=survivors,
             moved_tables=moved_tables,
             moved_bytes=moved_bytes,
             reshard_us=reshard_us,
@@ -1463,7 +1385,18 @@ class FaultTolerantRuntime:
         )
         self._membership_log.append(change)
         self._journal("membership", **change.to_dict())
-        return []
+        if survivors:
+            return []
+        return [
+            LadderTransition(
+                iteration=iteration,
+                gpu=gpu,
+                kernel="*",
+                from_rung=CO_RUN,
+                to_rung=CPU_FALLBACK,
+                reason="last GPU lost; pipeline evicted to host pool",
+            )
+        ]
 
     def _run_cpu_only(
         self, iteration: int, epoch: int, num_faults: int = 0
@@ -1579,28 +1512,22 @@ class FaultTolerantRuntime:
         graph_set: GraphSet,
         workload: TrainingWorkload,
         make_planner: Callable[[TrainingWorkload], RapPlanner],
-        injector: FaultInjector | None = None,
-        retry_policy: RetryPolicy | None = None,
-        watchdog: LatencyWatchdog | None = None,
-        pool: CpuWorkerPool | None = None,
-        sequential_fault_threshold: int = 3,
-        planner_factory: Callable[[RapPlanner, TrainingWorkload], RapPlanner] | None = None,
-        journal: RunJournal | None = None,
+        *,
         telemetry: TelemetrySession | None = None,
         drift_schedule: Sequence[LatencyDrift] | None = None,
-        verifier: DataPathVerifier | None = None,
-        feeder=None,
         shadow: ShadowPlanner | None = None,
-        tenant: str | None = None,
+        **options,
     ) -> tuple["FaultTolerantRuntime", ResilienceReport, int]:
         """Rebuild a runtime from a checkpoint :class:`Snapshot`.
 
         ``workload`` is the *original* (full-fleet) workload; the snapshot's
         membership history is replayed over it so the restored fleet shape,
         embedding placement, and interconnect match the killed process
-        exactly. Returns ``(runtime, report, next_iteration)``; continuing
-        with ``runtime.run(..., start_iteration=next_iteration,
-        report=report)`` replays the uninterrupted run bit-identically.
+        exactly. ``drift_schedule`` defaults to the checkpointed one, and
+        ``options`` are the constructor's other keyword arguments. Returns
+        ``(runtime, report, next_iteration)``; continuing with
+        ``runtime.run(..., start_iteration=next_iteration, report=report)``
+        replays the uninterrupted run bit-identically.
         """
         state = snapshot.state
         membership = [MembershipChange.from_dict(m) for m in state.get("membership", [])]
@@ -1629,19 +1556,10 @@ class FaultTolerantRuntime:
             planner,
             graph_set,
             plan=plan,
-            injector=injector,
-            retry_policy=retry_policy,
-            watchdog=watchdog,
-            pool=pool,
-            sequential_fault_threshold=sequential_fault_threshold,
-            planner_factory=planner_factory,
-            journal=journal,
             telemetry=telemetry,
             drift_schedule=drift_schedule,
-            verifier=verifier,
-            feeder=feeder,
             shadow=shadow,
-            tenant=tenant,
+            **options,
         )
         if shadow is not None:
             shadow.load_state(state.get("shadow", {}))
@@ -1756,6 +1674,16 @@ class FaultTolerantRuntime:
         )
         rec.final_rung = to_rung
 
+    def _reshard_to_leftover(self, kernel: KernelDesc, stage) -> list[KernelDesc] | None:
+        """``kernel`` re-sharded into pieces that fit the reshard fraction of
+        ``stage``'s leftover resources; ``None`` if it cannot be, or for
+        trailing work (no stage)."""
+        if stage is None:
+            return None
+        return fit_kernel_to_leftover(
+            kernel, stage.leftover().scale(_RESHARD_LEFTOVER_FRACTION), self.workload.spec
+        )
+
     # -- fault-class handlers ------------------------------------------
 
     def _recover_overrun(
@@ -1806,15 +1734,7 @@ class FaultTolerantRuntime:
                     f"fused OOM; de-fused into {len(members)} member kernel(s)",
                 )
                 return
-            pieces = (
-                fit_kernel_to_leftover(
-                    kernel,
-                    stage.leftover().scale(_RESHARD_LEFTOVER_FRACTION),
-                    self.workload.spec,
-                )
-                if stage is not None
-                else None
-            )
+            pieces = self._reshard_to_leftover(kernel, stage)
             if pieces is not None:
                 assignments.setdefault(stage_idx, []).extend(pieces)
                 rec.wasted_us += kernel.duration_us
@@ -1866,12 +1786,8 @@ class FaultTolerantRuntime:
         self._epoch_retry_used += allowed
 
         persistent = depth == -1
-        if not persistent and stage is not None:
-            pieces = fit_kernel_to_leftover(
-                kernel,
-                stage.leftover().scale(_RESHARD_LEFTOVER_FRACTION),
-                self.workload.spec,
-            )
+        if not persistent:
+            pieces = self._reshard_to_leftover(kernel, stage)
             if pieces is not None:
                 assignments.setdefault(stage_idx, []).extend(pieces)
                 self._transition(

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 from ..dlrm.model import model_for_plan
 from ..dlrm.training import TrainingWorkload
 from ..preprocessing.plans import PLAN_TABLE, build_plan
-from ..runtime.faults import FAULT_KINDS, KERNEL_FAILURE, FaultInjector, FaultSpec
+from ..runtime.faults import FAULT_KINDS, GPU_LOST, KERNEL_FAILURE, FaultInjector, FaultSpec
 from .reuse import renamed_model
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -98,6 +98,13 @@ class TenantSpec:
             raise ValueError("fault_rate must be in [0, 1]")
         if self.fault_kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.fault_kind!r}")
+        if self.fault_kind == GPU_LOST:
+            # The service owns the fleet and carves it for every tenant; a
+            # carve models shares of whole devices, not one tenant's loss.
+            raise ValueError(
+                "tenants cannot inject gpu_lost: the service owns the fleet and "
+                "its carves do not model per-tenant device loss"
+            )
 
     @property
     def weight(self) -> float:

@@ -122,7 +122,6 @@ class PreprocessingService:
         num_gpus: int = 2,
         fair_share: bool = True,
         max_concurrent: int | None = None,
-        planner_factory=None,
         checkpoint_every: int = 0,
         keep_checkpoints: int = 3,
         telemetry: bool = True,
@@ -149,11 +148,7 @@ class PreprocessingService:
         self.metrics = ServiceMetrics()
         self.plan_cache.bind_metrics(self.metrics.registry, cache="plan")
         self.journal = RunJournal(self.root / "service.jsonl")
-        self._planner_factory = planner_factory or self._default_planner
         self.jobs: list[Job] = []
-
-    def _default_planner(self, workload) -> RapPlanner:
-        return RapPlanner(workload, cache=self.plan_cache)
 
     # ------------------------------------------------------------------
     # Submission
@@ -194,7 +189,7 @@ class PreprocessingService:
         """Plan ``job`` at ``share`` of the leftover: cache, rename, or search."""
         self._ensure_built(job)
         workload = carved_workload(job.workload, share)
-        planner = self._planner_factory(workload)
+        planner = RapPlanner(workload, cache=self.plan_cache)
         exact_key = planner._cache_key(job.graphs)
         plan = None
         if self.plan_cache.get_text(exact_key) is not None:

@@ -329,8 +329,3 @@ class TestValidation:
         runtime = make_runtime(setting)
         with pytest.raises(ValueError):
             runtime.run(0)
-
-    def test_rejects_bad_sequential_threshold(self, setting):
-        graphs, _, planner, plan, _ = setting
-        with pytest.raises(ValueError):
-            FaultTolerantRuntime(planner, graphs, plan=plan, sequential_fault_threshold=0)

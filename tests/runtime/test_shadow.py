@@ -303,6 +303,25 @@ class TestFullCycle:
         assert not runtime.watchdog.suppressed
         assert shadow.last_realized_win is not None
 
+    def test_commit_restarts_watchdog_window(self, setting):
+        """The committed plan is judged afresh: the window fed while the
+        watchdog was suppressed during probation does not carry over."""
+        shadow = ShadowPlanner(config=ShadowConfig(rollback_threshold=0.30))
+        runtime = make_runtime(setting, shadow=shadow, drift_schedule=SUSTAINED)
+        window_at_commit = []
+        original = runtime._shadow_step
+
+        def spy(iteration, record, report):
+            commits = shadow.counters()["commits"]
+            result = original(iteration, record, report)
+            if shadow.counters()["commits"] > commits:
+                window_at_commit.append(runtime.watchdog.state_dict())
+            return result
+
+        runtime._shadow_step = spy
+        runtime.run(14)
+        assert window_at_commit == [{"errors": [], "faults": [], "armed": True}]
+
     def test_membership_change_aborts_probation(self, setting):
         """Losing a GPU mid-probation voids the comparison: the anchor plan
         was searched for a fleet that no longer exists."""

@@ -287,6 +287,7 @@ class TestTenantSpecParsing:
 
     @pytest.mark.parametrize("text", [
         "", "a:plan", "a:plan=9", "a:class=vip", "a,a", "a:mystery=1",
+        "a:kind=gpu_lost:faults=0.1",
     ])
     def test_bad_specs_rejected(self, text):
         with pytest.raises(ValueError):
@@ -319,3 +320,18 @@ class TestServeCli:
     def test_serve_rejects_bad_tenants(self, tmp_path, capsys):
         assert main(["serve", "--tenants", "a,a", "--service-root", str(tmp_path)]) != 0
         assert "unique" in capsys.readouterr().err
+
+    def test_serve_rejects_gpu_lost_tenant(self, tmp_path, capsys):
+        """The service owns the fleet; a tenant's runtime may not shrink it
+        under the carve (it used to crash with an IndexError)."""
+        code = main([
+            "serve",
+            "--tenants", "a:plan=1:iters=60:faults=0.05:kind=gpu_lost:seed=6,"
+                         "b:plan=0:iters=30:arrive=10",
+            "--gpus", "4",
+            "--service-root", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith("rap-repro: error: ") and "gpu_lost" in err
