@@ -40,15 +40,8 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from .baselines import (
-    run_cuda_stream_baseline,
-    run_mps_baseline,
-    run_sequential_baseline,
-    run_torcharrow_baseline,
-)
 from .core import (
     PlanCache,
-    PlanLoadError,
     RapPlanner,
     compile_plan,
     generate_plan_module,
@@ -88,7 +81,6 @@ from .runtime import (
     SimulatedKill,
     validate_records,
 )
-from .service import PreprocessingService, parse_tenant_specs
 from .telemetry import LatencyDrift, TelemetrySession
 
 __all__ = ["main", "build_parser"]
@@ -108,22 +100,21 @@ def _parse_fleet(spec: str) -> tuple:
 def _describe_workload(args, workload) -> str:
     """One-line workload label reflecting the fleet actually built."""
     label = f"plan {args.plan}, {workload.num_gpus} GPUs, batch {args.batch}"
-    if getattr(args, "fleet", None):
+    if args.fleet:
         label += f" ({', '.join(workload.fleet_profile)})"
     return label
 
 
 def _workload(args) -> tuple:
-    if getattr(args, "random_plan", False):
+    if args.random_plan:
         graphs, schema = generate_random_plan(
             RandomPlanConfig(seed=args.seed), rows=args.batch
         )
     else:
         graphs, schema = build_plan(args.plan, rows=args.batch)
     model = model_for_plan(graphs, schema)
-    fleet = getattr(args, "fleet", None)
-    if fleet:
-        specs = _parse_fleet(fleet)
+    if args.fleet:
+        specs = _parse_fleet(args.fleet)
         workload = TrainingWorkload(
             model,
             num_gpus=len(specs),
@@ -155,9 +146,6 @@ def _add_fast_path_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--plan-cache", metavar="DIR",
                         help="content-addressed plan cache directory; "
                              "an unchanged workload re-plans as a hash lookup")
-    parser.add_argument("--no-parallel-search", action="store_true",
-                        help="accepted and ignored: mapping candidates are always "
-                             "evaluated sequentially")
     parser.add_argument("--force", action="store_true",
                         help="overwrite existing output files instead of failing")
 
@@ -220,13 +208,17 @@ def _check_clobber(path: str | None, force: bool) -> None:
         raise ValueError(f"{path} exists; pass --force to overwrite")
 
 
-def _make_planner(args, workload) -> RapPlanner:
-    cache_dir = getattr(args, "plan_cache", None)
+def _make_planner(args, workload, telemetry: TelemetrySession | None = None) -> RapPlanner:
+    """The planner ``plan`` and ``run`` search with; ``--mapping`` and
+    ``--no-fusion`` exist on ``plan`` only."""
+    cache = PlanCache(args.plan_cache) if args.plan_cache else None
+    if cache is not None and telemetry is not None:
+        cache.bind_metrics(telemetry.registry, "plan")
     return RapPlanner(
         workload,
         mapping_strategy=getattr(args, "mapping", "rap"),
         fusion_enabled=not getattr(args, "no_fusion", False),
-        cache=PlanCache(cache_dir) if cache_dir else None,
+        cache=cache,
     )
 
 
@@ -244,18 +236,28 @@ def _print_cache_stats(planner: RapPlanner) -> None:
 
 
 def _make_telemetry(args) -> TelemetrySession | None:
-    if getattr(args, "no_telemetry", False):
-        if getattr(args, "metrics_dir", None):
+    if args.no_telemetry:
+        if args.metrics_dir:
             raise ValueError("--metrics-dir conflicts with --no-telemetry")
         return None
-    return TelemetrySession(metrics_dir=getattr(args, "metrics_dir", None))
+    return TelemetrySession(metrics_dir=args.metrics_dir)
 
 
-def _bind_cache_metrics(planner: RapPlanner, telemetry: TelemetrySession | None) -> None:
-    if telemetry is None:
-        return
-    if planner.cache is not None:
-        planner.cache.bind_metrics(telemetry.registry, "plan")
+def _dependent_flags(args, required: str, **flags: str) -> dict:
+    """Map each keyword of ``flags`` to its ``args`` attribute's value, for
+    the flags the user set (not ``None``); setting any of them without
+    ``--<required>`` is an error."""
+    given = {
+        key: getattr(args, dest)
+        for key, dest in flags.items()
+        if getattr(args, dest) is not None
+    }
+    if given and not getattr(args, required):
+        dest = flags[next(iter(given))]
+        raise ValueError(
+            f"--{dest.replace('_', '-')} requires --{required.replace('_', '-')}"
+        )
+    return given
 
 
 def _print_telemetry_summary(telemetry: TelemetrySession | None) -> None:
@@ -391,78 +393,16 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _check_resume_compat(snapshot, specs, args, drift_schedule=(), shadow=None) -> None:
-    """Refuse to resume under a configuration the checkpoint was not cut for.
-
-    Resumption is only bit-identical when the seed, injection schedule, and
-    workload shape match the killed process; anything else would silently
-    diverge from the uninterrupted run.
-    """
-    state = snapshot.state
-    echo = state.get("injector", {})
-    if echo.get("seed") is not None and echo["seed"] != args.seed:
-        raise ValueError(
-            f"--resume: checkpoint was cut with seed {echo['seed']}, got --seed {args.seed}"
-        )
-    saved_specs = [
-        (s["kind"], s["rate"], s["magnitude"], s["persistence"])
-        for s in echo.get("specs", [])
-    ]
-    live_specs = [(s.kind, s.rate, s.magnitude, s.persistence) for s in specs]
-    if saved_specs and saved_specs != live_specs:
-        raise ValueError("--resume: --inject schedule differs from the checkpointed run")
-    saved_drift = state.get("drift_schedule", [])
-    live_drift = [d.to_dict() for d in drift_schedule]
-    if saved_drift and saved_drift != live_drift:
-        raise ValueError("--resume: --drift schedule differs from the checkpointed run")
-    wl = state.get("workload", {})
-    if wl.get("local_batch") is not None and wl["local_batch"] != args.batch:
-        raise ValueError(
-            f"--resume: checkpoint batch {wl['local_batch']} != --batch {args.batch}"
-        )
-    shrinks = sum(
-        1 for m in state.get("membership", []) if int(m.get("survivors", 0)) >= 1
-    )
-    requested = (
-        len(_parse_fleet(args.fleet)) if getattr(args, "fleet", None) else args.gpus
-    )
-    if wl.get("num_gpus") is not None and wl["num_gpus"] != requested - shrinks:
-        raise ValueError(
-            f"--resume: checkpoint fleet ({wl['num_gpus']} GPUs after {shrinks} "
-            f"loss(es)) is inconsistent with the requested {requested} GPU(s)"
-        )
-    # Shadow promotion changes the replan trajectory, so resuming with a
-    # different shadow configuration than the checkpoint's would diverge.
-    saved_shadow = state.get("shadow")
-    if saved_shadow is not None and shadow is None:
-        raise ValueError(
-            "--resume: checkpoint was cut with shadow planning enabled; pass --shadow"
-        )
-    if saved_shadow is None and shadow is not None:
-        raise ValueError(
-            "--resume: checkpoint was cut without shadow planning; drop --shadow"
-        )
-    if saved_shadow is not None and saved_shadow.get("config") != shadow.config.to_dict():
-        raise ValueError(
-            "--resume: shadow guardrail configuration differs from the checkpointed run"
-        )
-
-
 def _make_shadow(args) -> ShadowPlanner | None:
     """Build the shadow promotion loop from ``--shadow`` (DESIGN.md §15)."""
-    shadow_flags = ("promote_margin", "probation_iters", "rollback_threshold")
-    if not args.shadow:
-        set_flags = [f for f in shadow_flags if getattr(args, f) is not None]
-        if set_flags:
-            raise ValueError(f"--{set_flags[0].replace('_', '-')} requires --shadow")
-        return None
-    overrides = {
-        flag: getattr(args, flag)
-        for flag in shadow_flags
-        if getattr(args, flag) is not None
-    }
-    config = ShadowConfig(**{**ShadowConfig().to_dict(), **overrides})
-    return ShadowPlanner(config=config)
+    overrides = _dependent_flags(
+        args,
+        "shadow",
+        promote_margin="promote_margin",
+        probation_iters="probation_iters",
+        rollback_threshold="rollback_threshold",
+    )
+    return ShadowPlanner(config=ShadowConfig(**overrides)) if args.shadow else None
 
 
 def _print_shadow_summary(runtime) -> None:
@@ -488,13 +428,13 @@ def _print_shadow_summary(runtime) -> None:
 
 def _make_feeder(args, telemetry) -> tuple[PipelinedFeeder | None, IngestMetrics | None]:
     """Build the streaming-ingest feeder from ``--source`` (DESIGN.md §14)."""
-    ingest_flags = ("overload_policy", "queue_capacity", "ingest_workers", "ingest_depth")
+    queue = _dependent_flags(
+        args, "source", policy="overload_policy", capacity="queue_capacity"
+    )
+    feeder_options = _dependent_flags(
+        args, "source", workers="ingest_workers", depth="ingest_depth"
+    )
     if not args.source:
-        set_flags = [f for f in ingest_flags if getattr(args, f) is not None]
-        if set_flags:
-            raise ValueError(
-                f"--{set_flags[0].replace('_', '-')} requires --source"
-            )
         return None, None
     src = build_source(args.source, seed=args.seed)
     rows = src.rows_per_batch
@@ -504,16 +444,8 @@ def _make_feeder(args, telemetry) -> tuple[PipelinedFeeder | None, IngestMetrics
             f"yields {rows}-row batches while --batch is {args.batch}; align them"
         )
     metrics = IngestMetrics(telemetry.registry if telemetry is not None else None)
-    queue = QueueConfig(
-        capacity=args.queue_capacity if args.queue_capacity is not None else 4,
-        policy=args.overload_policy if args.overload_policy is not None else "block",
-    )
     feeder = PipelinedFeeder(
-        src,
-        depth=args.ingest_depth if args.ingest_depth is not None else 2,
-        workers=args.ingest_workers if args.ingest_workers is not None else 1,
-        queue=queue,
-        metrics=metrics,
+        src, queue=QueueConfig(**queue), metrics=metrics, **feeder_options
     )
     return feeder, metrics
 
@@ -547,8 +479,13 @@ def _print_ingest_summary(runtime, metrics: IngestMetrics | None) -> None:
 
 def cmd_run(args) -> int:
     _check_clobber(args.save_report, args.force)
-    if args.resume and not args.checkpoint_dir:
-        raise ValueError("--resume requires --checkpoint-dir")
+    _dependent_flags(
+        args, "checkpoint_dir", resume="resume", kill_after_iter="kill_after_iter"
+    )
+    for flag in ("verify_data", "engine_workers", "checkpoint_every"):
+        value = getattr(args, flag)
+        if value < 0:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
     graphs, schema, workload = _workload(args)
     specs = [_parse_inject(s) for s in args.inject or []]
     drift_schedule = [_parse_drift(s) for s in args.drift or []]
@@ -572,6 +509,15 @@ def cmd_run(args) -> int:
         checkpoints = CheckpointManager(args.checkpoint_dir)
         journal = RunJournal(Path(args.checkpoint_dir) / "journal.jsonl")
 
+    options = dict(
+        injector=FaultInjector(specs, seed=args.seed),
+        journal=journal,
+        telemetry=telemetry,
+        drift_schedule=drift_schedule,
+        verifier=verifier,
+        feeder=feeder,
+        shadow=shadow,
+    )
     start = 0
     report = None
     try:
@@ -581,19 +527,12 @@ def cmd_run(args) -> int:
                 raise ValueError(
                     f"--resume: no valid checkpoint under {args.checkpoint_dir}"
                 )
-            _check_resume_compat(snapshot, specs, args, drift_schedule, shadow)
             runtime, report, start = FaultTolerantRuntime.restore(
                 snapshot,
                 graphs,
                 workload,
-                lambda wl: _make_planner(args, wl),
-                injector=FaultInjector(specs, seed=args.seed),
-                journal=journal,
-                telemetry=telemetry,
-                drift_schedule=drift_schedule or None,
-                verifier=verifier,
-                feeder=feeder,
-                shadow=shadow,
+                lambda wl: _make_planner(args, wl, telemetry),
+                **options,
             )
             if start >= args.iterations:
                 raise ValueError(
@@ -601,22 +540,10 @@ def cmd_run(args) -> int:
                     f"nothing left of --iterations {args.iterations}"
                 )
         else:
-            planner = _make_planner(args, workload)
-            _bind_cache_metrics(planner, telemetry)
             plan = load_plan(args.load_plan, workload, graphs) if args.load_plan else None
             runtime = FaultTolerantRuntime(
-                planner,
-                graphs,
-                plan=plan,
-                injector=FaultInjector(specs, seed=args.seed),
-                journal=journal,
-                telemetry=telemetry,
-                drift_schedule=drift_schedule,
-                verifier=verifier,
-                feeder=feeder,
-                shadow=shadow,
+                _make_planner(args, workload, telemetry), graphs, plan=plan, **options
             )
-        _bind_cache_metrics(runtime.planner, telemetry)
         print(
             format_kv(
                 {
@@ -827,6 +754,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .baselines import (
+        run_cuda_stream_baseline,
+        run_mps_baseline,
+        run_sequential_baseline,
+        run_torcharrow_baseline,
+    )
+
     graphs, schema, workload = _workload(args)
     rap = RapPlanner(workload).plan_and_evaluate(graphs)
     rows = []
@@ -867,6 +801,8 @@ def cmd_predictor(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    from .service import PreprocessingService, parse_tenant_specs
+
     specs = parse_tenant_specs(args.tenants)
     service = PreprocessingService(
         args.service_root,
@@ -941,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "run journal under DIR")
     p_run.add_argument("--checkpoint-every", type=int, default=5, metavar="N",
                        help="checkpoint cadence in iterations (default 5; 0 disables)")
-    p_run.add_argument("--resume", action="store_true",
+    p_run.add_argument("--resume", action="store_true", default=None,
                        help="resume from the newest valid checkpoint in --checkpoint-dir "
                             "(bit-identical to an uninterrupted run under the same seed)")
     p_run.add_argument("--kill-after-iter", type=int, metavar="K",
@@ -1101,9 +1037,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except PlanLoadError as exc:
-        print(f"rap-repro: error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"rap-repro: error: {exc}", file=sys.stderr)
         return 2

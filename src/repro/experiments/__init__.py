@@ -15,26 +15,3 @@ tests and benchmarks) and ``render(results) -> str`` (the printable form).
 | fig12    | Fig. 12 (mapping adaptability on skewed workload)       |
 | table5   | Table 5 (latency predictor accuracy)                    |
 """
-
-from . import fig1, fig5, fig9, fig10, fig11, fig12, sensitivity, table5, tables
-from .plotting import ascii_bar_chart, ascii_line_chart
-from .reporting import format_kv, format_table, geomean
-from .runner import run_all
-
-__all__ = [
-    "fig1",
-    "fig5",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "sensitivity",
-    "table5",
-    "tables",
-    "ascii_bar_chart",
-    "ascii_line_chart",
-    "format_kv",
-    "format_table",
-    "geomean",
-    "run_all",
-]

@@ -30,7 +30,8 @@ Beyond the per-kernel ladder, two whole-run mechanisms live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import json
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -419,6 +420,68 @@ class _InstalledPlan:
                 priced = ran if tag not in drift_factors else kernel.drifted(scale)
                 rows.append((tag, price(priced), ran.duration_us, stage, features, priced))
         return rows
+
+
+def _injector_echo(injector) -> dict:
+    """The injector identity a checkpoint records: seed and rate specs."""
+    return {
+        "seed": getattr(injector, "seed", None),
+        "specs": [asdict(s) for s in getattr(injector, "specs", ())],
+    }
+
+
+def _check_resumable(
+    state: dict,
+    workload: TrainingWorkload,
+    shrinks: int,
+    injector,
+    drift_schedule: Sequence[LatencyDrift] | None,
+    shadow: ShadowPlanner | None,
+) -> None:
+    """Refuse to resume under a configuration the checkpoint was not cut for.
+
+    A resumed run replays the uninterrupted one only when the fault seed
+    and specs, the batch, the original fleet size, the drift schedule and
+    the shadow guardrails all match the killed process. ``workload`` is
+    the original (full-fleet) workload and ``shrinks`` the number of GPU
+    losses the checkpoint records; a ``drift_schedule`` of ``None`` adopts
+    the checkpointed one. An empty or absent spec list, drift schedule or
+    shadow state means "none"; an injector or workload echo that a legacy
+    checkpoint never wrote is skipped.
+    """
+    comparisons = []
+    if "injector" in state:
+        saved, live = state["injector"], _injector_echo(injector)
+        comparisons.append(("fault seed", saved.get("seed"), live["seed"]))
+        comparisons.append(("fault specs", saved.get("specs", []), live["specs"]))
+    saved_workload = state.get("workload", {})
+    if "local_batch" in saved_workload:
+        comparisons.append(("batch", saved_workload["local_batch"], workload.local_batch))
+    if "num_gpus" in saved_workload:
+        comparisons.append(
+            ("original GPU count", saved_workload["num_gpus"] + shrinks, workload.num_gpus)
+        )
+    if drift_schedule is not None:
+        comparisons.append((
+            "drift schedule",
+            state.get("drift_schedule", []),
+            [d.to_dict() for d in drift_schedule],
+        ))
+    comparisons.append((
+        "shadow config",
+        state.get("shadow", {}).get("config"),
+        shadow.config.to_dict() if shadow is not None else None,
+    ))
+    for what, saved, live in comparisons:
+        if saved != live:
+            raise ValueError(
+                f"checkpoint was cut with {what} {_echo_text(saved)}, but the "
+                f"resuming run has {_echo_text(live)}"
+            )
+
+
+def _echo_text(value) -> str:
+    return "none" if value in (None, []) else json.dumps(value, sort_keys=True)
 
 
 class FaultTolerantRuntime:
@@ -1437,8 +1500,9 @@ class FaultTolerantRuntime:
 
         The plan itself rides alongside as its exact serialized text (see
         :meth:`save_checkpoint`); this dict carries the control state plus
-        echoes of the injector and workload shape so a resuming process can
-        refuse a mismatched configuration instead of silently diverging.
+        echoes of the injector and workload shape, which :meth:`restore`
+        compares so a mismatched configuration is refused instead of
+        silently diverging.
         """
         state = {
             "plan_epoch": self.plan_epoch,
@@ -1450,18 +1514,7 @@ class FaultTolerantRuntime:
             "membership": [m.to_dict() for m in self._membership_log],
             "original_ids": list(self._original_ids),
             "watchdog": self.watchdog.state_dict(),
-            "injector": {
-                "seed": getattr(self.injector, "seed", None),
-                "specs": [
-                    {
-                        "kind": s.kind,
-                        "rate": s.rate,
-                        "magnitude": s.magnitude,
-                        "persistence": s.persistence,
-                    }
-                    for s in getattr(self.injector, "specs", ())
-                ],
-            },
+            "injector": _injector_echo(self.injector),
             "workload": {
                 "model": self.workload.config.name,
                 "num_gpus": self.workload.num_gpus,
@@ -1528,9 +1581,20 @@ class FaultTolerantRuntime:
         ``(runtime, report, next_iteration)``; continuing with
         ``runtime.run(..., start_iteration=next_iteration, report=report)``
         replays the uninterrupted run bit-identically.
+
+        Raises ``ValueError`` when the checkpoint was cut under a different
+        configuration (see :func:`_check_resumable`).
         """
         state = snapshot.state
         membership = [MembershipChange.from_dict(m) for m in state.get("membership", [])]
+        _check_resumable(
+            state,
+            workload,
+            sum(1 for change in membership if change.survivors >= 1),
+            options.get("injector") or FaultInjector(),
+            drift_schedule,
+            shadow,
+        )
         live = workload
         for change in membership:
             if change.survivors >= 1:

@@ -21,9 +21,12 @@ from repro.runtime import (
     LatencyWatchdog,
     ResilienceReport,
     RunJournal,
+    ShadowConfig,
+    ShadowPlanner,
     SimulatedKill,
     validate_records,
 )
+from repro.telemetry import LatencyDrift
 
 NUM_GPUS = 3
 BATCH = 512
@@ -417,3 +420,82 @@ class TestKillAndResume:
         assert types.index("kill") < types.index("resume")
         # Everything after the kill came from the resumed process.
         assert types[types.index("resume") + 1] == "run"
+
+
+FAULTS = (FaultSpec(kind=KERNEL_FAILURE, rate=0.2),)
+DRIFT = (LatencyDrift("Clamp", 2.5, start_iteration=1),)
+
+
+class TestResumeCompatibility:
+    """``restore`` refuses a configuration the checkpoint was not cut for.
+
+    Each case cuts a checkpoint under one configuration and resumes it
+    under another. An empty spec list, drift schedule or shadow state is
+    "none", so adding one on resume is as much a mismatch as changing it.
+    """
+
+    @staticmethod
+    def config(setting, seed=SEED, specs=(), drift=(), shadow=None, gpus=NUM_GPUS,
+               batch=BATCH):
+        _, model, _ = setting
+        return {
+            "workload": TrainingWorkload(model, num_gpus=gpus, local_batch=batch),
+            "injector": FaultInjector(specs, seed=seed),
+            "drift_schedule": list(drift),
+            "shadow": ShadowPlanner(config=shadow) if shadow is not None else None,
+        }
+
+    def cut(self, setting, tmp_path, **config):
+        graphs = setting[0]
+        options = self.config(setting, **config)
+        runtime = FaultTolerantRuntime(
+            RapPlanner(options.pop("workload")), graphs, **options
+        )
+        report = runtime.run(2)
+        manager = CheckpointManager(tmp_path)
+        runtime.save_checkpoint(manager, report, next_iteration=2)
+        return manager.latest()
+
+    def resume(self, setting, snapshot, **config):
+        options = self.config(setting, **config)
+        return FaultTolerantRuntime.restore(
+            snapshot, setting[0], options.pop("workload"), RapPlanner, **options
+        )
+
+    @pytest.mark.parametrize("cut_with,resume_with,what", [
+        ({}, {"seed": SEED + 1}, "fault seed"),
+        ({}, {"specs": FAULTS}, "fault specs"),
+        ({"specs": FAULTS}, {"specs": (FaultSpec(kind=KERNEL_FAILURE, rate=0.3),)},
+         "fault specs"),
+        ({"specs": FAULTS}, {}, "fault specs"),
+        ({}, {"drift": DRIFT}, "drift schedule"),
+        ({"drift": DRIFT}, {"drift": (LatencyDrift("Clamp", 3.0, start_iteration=1),)},
+         "drift schedule"),
+        ({"drift": DRIFT}, {}, "drift schedule"),
+        ({}, {"batch": 2 * BATCH}, "batch"),
+        ({}, {"gpus": NUM_GPUS - 1}, "GPU count"),
+        ({}, {"shadow": ShadowConfig()}, "shadow config"),
+        ({"shadow": ShadowConfig()}, {}, "shadow config"),
+        ({"shadow": ShadowConfig()}, {"shadow": ShadowConfig(promote_margin=0.2)},
+         "shadow config"),
+    ], ids=[
+        "seed", "specs-added", "specs-changed", "specs-dropped", "drift-added",
+        "drift-changed", "drift-dropped", "batch", "fleet", "shadow-on",
+        "shadow-off", "shadow-config",
+    ])
+    def test_mismatch_is_refused(self, setting, tmp_path, cut_with, resume_with, what):
+        snapshot = self.cut(setting, tmp_path, **cut_with)
+        with pytest.raises(ValueError, match=what):
+            self.resume(setting, snapshot, **resume_with)
+
+    def test_same_configuration_resumes(self, setting, tmp_path):
+        config = {"specs": FAULTS, "drift": DRIFT, "shadow": ShadowConfig()}
+        snapshot = self.cut(setting, tmp_path, **config)
+        _, _, start = self.resume(setting, snapshot, **config)
+        assert start == 2
+
+    def test_legacy_checkpoint_without_echoes_is_not_compared(self, setting, tmp_path):
+        snapshot = self.cut(setting, tmp_path)
+        del snapshot.state["injector"], snapshot.state["workload"]
+        _, _, start = self.resume(setting, snapshot, seed=SEED + 1)
+        assert start == 2

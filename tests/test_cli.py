@@ -236,14 +236,6 @@ class TestPlanCacheFlag:
         assert "1 hit(s)" in warm_out
         assert warm_json.read_text() == cold_json.read_text()
 
-    def test_no_parallel_search_same_plan(self, capsys, tmp_path):
-        seq_json = tmp_path / "seq.json"
-        par_json = tmp_path / "par.json"
-        assert main(["plan", *self.BASE, "--no-parallel-search",
-                     "--save-json", str(seq_json)]) == 0
-        assert main(["plan", *self.BASE, "--save-json", str(par_json)]) == 0
-        assert seq_json.read_text() == par_json.read_text()
-
     def test_no_cache_no_stats_block(self, capsys):
         assert main(["plan", *self.BASE]) == 0
         assert "Planner fast path" not in capsys.readouterr().out
@@ -333,6 +325,29 @@ class TestCheckpointResume:
         assert main([*mismatched, "--iterations", "12",
                      "--checkpoint-dir", str(ckpt), "--resume"]) == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_resume_refuses_faults_the_checkpoint_lacks(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        argv = ["run", "--plan", "0", "--gpus", "2", "--batch", "512",
+                "--iterations", "12", "--checkpoint-dir", str(ckpt),
+                "--checkpoint-every", "4"]
+        assert main([*argv, "--kill-after-iter", "8"]) == 3
+        capsys.readouterr()
+        assert main([*argv, "--resume", "--inject", "kernel_failure=0.9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rap-repro: error:") and "fault specs" in err
+        assert err.count("\n") == 1
+
+    def test_kill_without_checkpoint_dir_is_an_error(self, capsys):
+        assert main([*self.BASE, "--iterations", "4", "--kill-after-iter", "2"]) == 2
+        assert "--kill-after-iter requires --checkpoint-dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--verify-data", "--engine-workers",
+                                      "--checkpoint-every"])
+    def test_negative_count_is_an_error(self, flag, capsys):
+        assert main([*self.BASE, "--iterations", "2", flag, "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"rap-repro: error: {flag} must be >= 0, got -1\n"
 
     def test_resume_past_the_end_is_an_error(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"

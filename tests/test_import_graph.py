@@ -5,6 +5,8 @@ one process-mode ingest handoff (pickling) and no graph library, so
 importing the CLI must not load any module of those removed lanes. scipy
 is imported by the MILP solver and the Fig. 5 experiment only when they
 run, so importing the CLI or the planner package must not load it either.
+The CLI loads the service, the forge and the figure harnesses only inside
+the subcommands that use them.
 """
 
 import json
@@ -31,6 +33,15 @@ def _loaded_after_import(module: str) -> list[str]:
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_only_the_reporting_helpers():
+    """The service, the forge and the figure harnesses load only when the
+    subcommand that needs them runs."""
+    loaded = _loaded_after_import("repro.cli")
+    assert [m for m in loaded if m.startswith(("repro.service", "repro.forge"))] == []
+    experiments = [m for m in loaded if m.startswith("repro.experiments")]
+    assert experiments == ["repro.experiments", "repro.experiments.reporting"]
 
 
 def test_cli_import_loads_no_removed_lane():
