@@ -55,6 +55,7 @@ from ..telemetry import (
     CalibrationSample,
     DriftEvent,
     LatencyDrift,
+    SampleBatch,
     TelemetrySession,
     drift_factors_at,
 )
@@ -322,7 +323,9 @@ class _InstalledPlan:
     Between plan changes the placed kernels are frozen, so the transparent
     path's report, the plan's predicted exposure and every placed kernel's
     sample inputs are fixed, and so are the drifted placement and its
-    sample inputs at one scale. An instance lives from one
+    sample inputs at one scale. Under an uncalibrated predictor the sample
+    inputs are whole samples, so each row set becomes one
+    :class:`SampleBatch`. An instance lives from one
     :meth:`FaultTolerantRuntime._install_plan` to the next, or until the
     planner's predictor object changes, since the base prices come from it.
     """
@@ -335,10 +338,10 @@ class _InstalledPlan:
         # so only its base prices are fixed per plan.
         self.calibrated = isinstance(self.predictor, CalibratedPredictor)
         # The last scale seen by :meth:`scaled`: its key, its placement and
-        # (once telemetry asks) its sample rows.
+        # (once telemetry asks) its samples.
         self._scaled_key: tuple | None = None
         self._scaled_placement: tuple | None = None
-        self._scaled_rows: list[tuple] | None = None
+        self._scaled_samples: SampleBatch | list[tuple] | None = None
 
     @cached_property
     def report(self) -> RapRunReport:
@@ -373,17 +376,29 @@ class _InstalledPlan:
         return staged, trailing
 
     @cached_property
-    def rows(self) -> list[tuple]:
-        """The rows in transparent-path order: every GPU's staged kernels,
-        then every GPU's trailing kernels."""
+    def samples(self) -> SampleBatch | list[tuple]:
+        """The transparent path's samples (see :meth:`_samples_of`): every
+        GPU's staged kernels, then every GPU's trailing kernels."""
         staged, trailing = self._gpu_rows
-        return [r for rows in staged + trailing for r in rows]
+        return self._samples_of([r for rows in staged + trailing for r in rows])
+
+    def _samples_of(self, rows: list[tuple]) -> SampleBatch | list[tuple]:
+        """One row set's samples: uncalibrated, the batch of its samples;
+        calibrated, the rows themselves, since each active price must be
+        read when its sample is recorded (after every earlier one)."""
+        if self.calibrated:
+            return rows
+        return SampleBatch(
+            CalibrationSample(tag, base, observed_us, -1, stage, features)
+            for tag, base, observed_us, stage, features, _ in rows
+        )
 
     def scaled(
-        self, scale: float, drift_factors: dict[str, float], with_rows: bool
-    ) -> tuple[tuple, list[tuple] | None]:
+        self, scale: float, drift_factors: dict[str, float], with_samples: bool
+    ) -> tuple[tuple, SampleBatch | list[tuple] | None]:
         """The placement at uniform ``scale`` and per-op ``drift_factors``
-        (:func:`scale_plan_kernels`), and with ``with_rows`` its sample rows.
+        (:func:`scale_plan_kernels`), and with ``with_samples`` its samples
+        (see :meth:`_samples_of`).
 
         Both are kept for the last scale seen, so the containers are shared:
         callers copy the placement before rewriting it. Rows are
@@ -399,10 +414,10 @@ class _InstalledPlan:
         if key != self._scaled_key:
             self._scaled_key = key
             self._scaled_placement = scale_plan_kernels(self.plan, scale, drift_factors)
-            self._scaled_rows = None
-        if with_rows and self._scaled_rows is None:
-            self._scaled_rows = self._sample_rows(scale, drift_factors)
-        return self._scaled_placement, self._scaled_rows
+            self._scaled_samples = None
+        if with_samples and self._scaled_samples is None:
+            self._scaled_samples = self._samples_of(self._sample_rows(scale, drift_factors))
+        return self._scaled_placement, self._scaled_samples
 
     def _sample_rows(self, scale: float, drift_factors: dict[str, float]) -> list[tuple]:
         assignments, trailing = self._scaled_placement
@@ -816,9 +831,7 @@ class FaultTolerantRuntime:
                 # Recording is read-only: each placed kernel contributes its
                 # (predicted, observed) pair, where the observation is the
                 # plan's own modeled duration -- no number changes.
-                self.telemetry.record_kernel_samples(
-                    self._samples(installed, installed.rows, iteration)
-                )
+                self._record_samples(installed, installed.samples, iteration)
                 self.telemetry.record_iteration(
                     iteration,
                     report.iteration_us,
@@ -876,7 +889,7 @@ class FaultTolerantRuntime:
         # stream reflects what the kernels *would* run at, undistorted by
         # this iteration's fault handling.
         installed = self._installed()
-        (scaled_assignments, scaled_trailing), rows = installed.scaled(
+        (scaled_assignments, scaled_trailing), samples = installed.scaled(
             self._scale,
             drift_factors_at(self.drift_schedule, iteration),
             self.telemetry is not None,
@@ -888,7 +901,7 @@ class FaultTolerantRuntime:
         ]
         trailing = [list(kernels) for kernels in scaled_trailing]
         if self.telemetry is not None:
-            self.telemetry.record_kernel_samples(self._samples(installed, rows, iteration))
+            self._record_samples(installed, samples, iteration)
         recovery = [0.0] * num_gpus
         retries = 0
         backoff_us = 0.0
@@ -1099,8 +1112,10 @@ class FaultTolerantRuntime:
     # Online calibration
     # ------------------------------------------------------------------
 
-    def _samples(self, installed: _InstalledPlan, rows: list[tuple], iteration: int):
-        """One sample per placed kernel from ``rows`` (:attr:`_InstalledPlan.rows`
+    def _record_samples(
+        self, installed: _InstalledPlan, samples: SampleBatch | list[tuple], iteration: int
+    ) -> None:
+        """Record one sample per placed kernel (:attr:`_InstalledPlan.samples`
         on the transparent path, :meth:`_InstalledPlan.scaled` otherwise).
 
         On the transparent path the observation is the plan's own modeled
@@ -1108,26 +1123,24 @@ class FaultTolerantRuntime:
         prediction feeds the residual model -- it must stay a stable
         reference or the correction chases its own output. The active
         prediction is what the drift detector judges: uncalibrated it is the
-        base price; calibrated it moves with every recorded sample, so each
-        kernel is priced only when the session draws its sample, after every
-        earlier one was recorded.
+        base price, so the plan's batch is recorded whole; calibrated it
+        moves with every recorded sample, so each kernel is priced only when
+        the session draws its sample, after every earlier one was recorded.
         """
         if not installed.calibrated:
-            return [
-                CalibrationSample(tag, base, observed_us, iteration, stage, features)
-                for tag, base, observed_us, stage, features, _ in rows
-            ]
+            self.telemetry.record_batch(samples, iteration)
+            return
         price = self.planner.cost_model.kernel_latency
 
         def priced():
-            for tag, base, observed_us, stage, features, kernel in rows:
+            for tag, base, observed_us, stage, features, kernel in samples:
                 active = price(kernel)
                 yield CalibrationSample(
                     tag, base, observed_us, iteration, stage, features,
                     active if active != base else None,
                 )
 
-        return priced()
+        self.telemetry.record_kernel_samples(priced())
 
     def _recalibrate_and_replan(self, iteration: int, event: DriftEvent) -> None:
         """Answer a drift detection: inject the calibrated predictor, replan.

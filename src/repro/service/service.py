@@ -129,6 +129,8 @@ class PreprocessingService:
     ) -> None:
         if max_concurrent is not None and max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
+        if checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.num_gpus = num_gpus

@@ -21,6 +21,7 @@ from .calibration import (
     DriftEvent,
     LatencyDrift,
     ResidualModel,
+    SampleBatch,
     drift_factors_at,
 )
 from .chrome import (
@@ -69,6 +70,7 @@ __all__ = [
     "ResidualModel",
     "RUNTIME_PID",
     "RUNTIME_TID",
+    "SampleBatch",
     "TelemetrySession",
     "Tracer",
     "counter_event",

@@ -8,7 +8,9 @@ calibration argument of DLRM performance-model work, this module closes
 the loop:
 
 - the runtime records one :class:`CalibrationSample` per executed kernel:
-  the cost model's prediction next to the simulator's observed latency;
+  the cost model's prediction next to the simulator's observed latency.
+  An uncalibrated plan's samples repeat every iteration at one scale, so
+  they are recorded as one precomputed :class:`SampleBatch`;
 - :class:`ResidualModel` maintains a per-op-type multiplicative correction
   from a sliding window of log-ratio residuals (running median by default;
   a :class:`repro.ml.gbdt.GradientBoostingRegressor` over kernel features
@@ -31,9 +33,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -41,6 +45,7 @@ from ..ml.gbdt import GradientBoostingRegressor
 
 __all__ = [
     "CalibrationSample",
+    "SampleBatch",
     "LatencyDrift",
     "drift_factors_at",
     "ResidualModel",
@@ -119,6 +124,61 @@ class CalibrationSample:
             features=tuple(float(f) for f in data.get("features", ())),
             active_predicted_us=None if active is None else float(active),
         )
+
+
+def _drift_summary(samples) -> tuple[dict[str, float], float]:
+    """What :class:`DriftDetector` reads of one iteration's samples: each op
+    type's mean absolute relative error, in first-appearance order, and the
+    mean over all samples (0.0 when there are none)."""
+    per_op: dict[str, list[float]] = {}
+    errors: list[float] = []
+    for s in samples:
+        error = s.abs_relative_error
+        errors.append(error)
+        per_op.setdefault(s.op_type, []).append(error)
+    means = {op: sum(errs) / len(errs) for op, errs in per_op.items()}
+    return means, (sum(errors) / len(errors) if errors else 0.0)
+
+
+class SampleBatch:
+    """One iteration's samples, built once and recorded at many iterations.
+
+    Between plan changes an uncalibrated plan records the same samples every
+    iteration at one scale, and only the iteration number differs. A batch
+    holds them as iteration-free templates (a template's own ``iteration``
+    is ignored; the recorder supplies it), in recording order, plus what
+    every recording reads:
+
+    - ``ops``: per op type in first-appearance order, its templates and
+      their observed latencies;
+    - ``drift``: the drift detector's per-op mean errors and overall mean.
+
+    The templates are shared by every iteration that records the batch, so
+    each one's ``log_ratio`` is computed at most once. Treat a batch as
+    immutable.
+    """
+
+    __slots__ = ("templates", "ops", "drift")
+
+    def __init__(self, templates) -> None:
+        self.templates: tuple[CalibrationSample, ...] = tuple(templates)
+        grouped: dict[str, list[CalibrationSample]] = {}
+        for t in self.templates:
+            grouped.setdefault(t.op_type, []).append(t)
+        self.ops: tuple[tuple[str, tuple, tuple[float, ...]], ...] = tuple(
+            (op, tuple(ts), tuple(t.observed_us for t in ts)) for op, ts in grouped.items()
+        )
+        self.drift = _drift_summary(self.templates)
+
+    def __len__(self) -> int:
+        return len(self.templates)
+
+    def __iter__(self):
+        return iter(self.templates)
+
+    def samples(self, iteration: int) -> list[CalibrationSample]:
+        """The batch as recorded at ``iteration``, in recording order."""
+        return [replace(t, iteration=iteration) for t in self.templates]
 
 
 @dataclass(frozen=True)
@@ -202,7 +262,14 @@ class ResidualModel:
     Corrections are memoized per op type: :meth:`record` drops its op's
     entry and :meth:`load_state` drops them all, and nothing else writes
     the windows, so a memoized value always equals the median over the
-    current window.
+    current window. Once an op's correction has been read, its window's
+    log-ratios are also kept sorted, updated per recorded sample, so a
+    later read takes the median without sorting.
+
+    A window holds the recorded samples; a batch's entries are its shared
+    templates, and each window keeps the iteration numbers beside it, so
+    :meth:`samples_for` and :meth:`state_dict` return every sample with
+    the iteration it was recorded at.
     """
 
     def __init__(
@@ -225,6 +292,8 @@ class ResidualModel:
         self.min_fit_samples = min_fit_samples
         self.clip = clip
         self._samples: dict[str, deque[CalibrationSample]] = {}
+        self._iterations: dict[str, deque[int]] = {}
+        self._sorted: dict[str, list[float]] = {}
         self._gbdt: dict[str, GradientBoostingRegressor] = {}
         self._gbdt_stale: set[str] = set()
         self._corrections: dict[str, float] = {}
@@ -232,20 +301,49 @@ class ResidualModel:
 
     # ------------------------------------------------------------------
 
-    def record(self, sample: CalibrationSample) -> None:
-        window = self._samples.setdefault(
-            sample.op_type, deque(maxlen=self.window)
-        )
-        window.append(sample)
-        self._corrections.pop(sample.op_type, None)
-        self._gbdt_stale.add(sample.op_type)
-        self.total_samples += 1
+    def record(
+        self, sample: CalibrationSample | SampleBatch, iteration: int | None = None
+    ) -> None:
+        """Record one sample, or every sample of a :class:`SampleBatch` as
+        recorded at ``iteration``."""
+        if isinstance(sample, CalibrationSample):
+            self._extend(sample.op_type, (sample,), (sample.iteration,))
+            self.total_samples += 1
+            return
+        for op_type, templates, _ in sample.ops:
+            self._extend(op_type, templates, repeat(iteration, len(templates)))
+        self.total_samples += len(sample)
+
+    def _extend(self, op_type: str, samples, iterations) -> None:
+        window = self._samples.get(op_type)
+        if window is None:
+            window = self._samples[op_type] = deque(maxlen=self.window)
+            self._iterations[op_type] = deque(maxlen=self.window)
+        ordered = self._sorted.get(op_type)
+        if ordered is None:
+            window.extend(samples)
+        else:
+            for s in samples:
+                if len(window) == window.maxlen:
+                    del ordered[bisect_left(ordered, window[0].log_ratio)]
+                window.append(s)
+                insort(ordered, s.log_ratio)
+        self._iterations[op_type].extend(iterations)
+        self._corrections.pop(op_type, None)
+        self._gbdt_stale.add(op_type)
 
     def op_types(self) -> list[str]:
         return sorted(self._samples)
 
+    def _stamped(self, op_type: str):
+        """``(sample, iteration recorded at)`` pairs of one window."""
+        return zip(self._samples.get(op_type, ()), self._iterations.get(op_type, ()))
+
     def samples_for(self, op_type: str) -> list[CalibrationSample]:
-        return list(self._samples.get(op_type, ()))
+        return [
+            s if s.iteration == it else replace(s, iteration=it)
+            for s, it in self._stamped(op_type)
+        ]
 
     # ------------------------------------------------------------------
 
@@ -257,7 +355,9 @@ class ResidualModel:
         window = self._samples.get(op_type)
         if window is None or len(window) < self.min_samples:
             return 1.0
-        log_ratios = sorted(s.log_ratio for s in window)
+        log_ratios = self._sorted.get(op_type)
+        if log_ratios is None:
+            log_ratios = self._sorted[op_type] = sorted(s.log_ratio for s in window)
         n = len(log_ratios)
         mid = n // 2
         median = log_ratios[mid] if n % 2 else 0.5 * (log_ratios[mid - 1] + log_ratios[mid])
@@ -351,8 +451,8 @@ class ResidualModel:
             "clip": self.clip,
             "total_samples": self.total_samples,
             "samples": {
-                op: [s.to_dict() for s in window]
-                for op, window in sorted(self._samples.items())
+                op: [{**s.to_dict(), "iteration": it} for s, it in self._stamped(op)]
+                for op in sorted(self._samples)
             },
         }
 
@@ -369,6 +469,11 @@ class ResidualModel:
             )
             for op, samples in state.get("samples", {}).items()
         }
+        self._iterations = {
+            op: deque((s.iteration for s in window), maxlen=self.window)
+            for op, window in self._samples.items()
+        }
+        self._sorted = {}
         self._gbdt = {}
         self._gbdt_stale = set(self._samples)
         self._corrections = {}
@@ -475,17 +580,17 @@ class DriftDetector:
             raise ValueError("window must be >= 1")
 
     def observe_iteration(
-        self, iteration: int, samples: list[CalibrationSample]
+        self, iteration: int, samples: list[CalibrationSample] | SampleBatch
     ) -> DriftEvent | None:
-        """Feed one iteration's samples; maybe raise the drift event."""
-        if not samples:
+        """Feed one iteration's samples, or one batch's precomputed means;
+        maybe raise the drift event. An iteration without samples is a
+        no-op."""
+        per_op, mean_residual = (
+            samples.drift if isinstance(samples, SampleBatch) else _drift_summary(samples)
+        )
+        if not per_op:
             return None
-        per_op: dict[str, list[float]] = {}
-        for s in samples:
-            per_op.setdefault(s.op_type, []).append(s.abs_relative_error)
-        self._per_op_last = {
-            op: sum(errs) / len(errs) for op, errs in per_op.items()
-        }
+        self._per_op_last = dict(per_op)
         signal = max(self._per_op_last.values())
         self._history.append(signal)
         while len(self._history) > self.window:
@@ -503,7 +608,6 @@ class DriftDetector:
             return None
         self._armed = False
         worst_op, worst = max(self._per_op_last.items(), key=lambda kv: kv[1])
-        mean_residual = sum(s.abs_relative_error for s in samples) / len(samples)
         return DriftEvent(
             iteration=iteration,
             mean_residual=mean_residual,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -151,6 +152,21 @@ class Histogram:
                 self._counts[i] += 1
                 return
         self._counts[-1] += 1
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """:meth:`observe` each value in order: the same sum, bucket counts
+        and count. A value lands in the first bucket whose bound it does not
+        exceed; NaN exceeds none, so it goes to +Inf as in :meth:`observe`."""
+        buckets = self.buckets
+        counts = self._counts
+        inf_slot = len(buckets)
+        total = self._sum
+        for value in values:
+            value = float(value)
+            total += value
+            counts[bisect_left(buckets, value) if value == value else inf_slot] += 1
+        self._sum = total
+        self._count += len(values)
 
     @property
     def sum(self) -> float:

@@ -24,6 +24,7 @@ from .calibration import (
     DriftDetector,
     DriftEvent,
     ResidualModel,
+    SampleBatch,
 )
 from .exposition import JsonlMetricsSink, to_prometheus_text, write_prometheus
 from .registry import DEFAULT_LATENCY_BUCKETS_US, Counter, Histogram, MetricsRegistry
@@ -53,7 +54,9 @@ class TelemetrySession:
             drift_detector if drift_detector is not None else DriftDetector()
         )
         self.drift_events: list[DriftEvent] = []
-        self._iteration_samples: list[CalibrationSample] = []
+        # What the next drift check judges: the batches and sample lists
+        # recorded since the last one, in order.
+        self._pending: list[SampleBatch | list[CalibrationSample]] = []
         # Per-op sample instruments, bound once: op -> (histogram, counter).
         self._kernel_children: dict[str, tuple[Histogram, Counter]] = {}
         self._jsonl: JsonlMetricsSink | None = (
@@ -95,31 +98,50 @@ class TelemetrySession:
         calibrated predictor sees every earlier sample of the batch.
         """
         record = self.residual.record
-        append = self._iteration_samples.append
-        children = self._kernel_children
+        recorded: list[CalibrationSample] = []
+        append = recorded.append
         for sample in samples:
             record(sample)
             append(sample)
-            bound = children.get(sample.op_type)
-            if bound is None:
-                bound = children[sample.op_type] = self._bind_kernel_children(sample.op_type)
-            bound[0].observe(sample.observed_us)
-            bound[1].inc()
+            histogram, counter = self._kernel_instruments(sample.op_type)
+            histogram.observe(sample.observed_us)
+            counter.inc()
+        if recorded:
+            self._pending.append(recorded)
 
-    def _bind_kernel_children(self, op_type: str) -> tuple[Histogram, Counter]:
+    def record_batch(self, batch: SampleBatch, iteration: int) -> None:
+        """Record every sample of ``batch`` at ``iteration``.
+
+        The residual windows, metrics and next drift check end up exactly
+        as if the samples had been recorded one at a time, in order. An
+        empty batch records nothing.
+        """
+        if not len(batch):
+            return
+        self.residual.record(batch, iteration)
+        for op_type, _, observed in batch.ops:
+            histogram, counter = self._kernel_instruments(op_type)
+            histogram.observe_many(observed)
+            counter.inc(len(observed))
+        self._pending.append(batch)
+
+    def _kernel_instruments(self, op_type: str) -> tuple[Histogram, Counter]:
         """The per-op sample instruments, registered on the op's first sample."""
-        return (
-            self.registry.histogram(
-                "rap_kernel_observed_us",
-                help="Observed standalone kernel latency by op type",
-                labels={"op": op_type},
-            ),
-            self.registry.counter(
-                "rap_calibration_samples_total",
-                help="Calibration samples recorded by op type",
-                labels={"op": op_type},
-            ),
-        )
+        bound = self._kernel_children.get(op_type)
+        if bound is None:
+            bound = self._kernel_children[op_type] = (
+                self.registry.histogram(
+                    "rap_kernel_observed_us",
+                    help="Observed standalone kernel latency by op type",
+                    labels={"op": op_type},
+                ),
+                self.registry.counter(
+                    "rap_calibration_samples_total",
+                    help="Calibration samples recorded by op type",
+                    labels={"op": op_type},
+                ),
+            )
+        return bound
 
     def record_iteration(
         self,
@@ -142,8 +164,13 @@ class TelemetrySession:
         )
 
     def check_drift(self, iteration: int) -> DriftEvent | None:
-        """Run the drift detector over this iteration's samples and reset."""
-        samples, self._iteration_samples = self._iteration_samples, []
+        """Run the drift detector over this iteration's samples and reset.
+
+        A lone batch (every uncalibrated iteration) hands the detector its
+        precomputed means; anything else is judged sample by sample.
+        """
+        pending, self._pending = self._pending, []
+        samples = pending[0] if len(pending) == 1 else [s for part in pending for s in part]
         event = self.drift_detector.observe_iteration(iteration, samples)
         if event is not None:
             self.drift_events.append(event)
@@ -309,4 +336,4 @@ class TelemetrySession:
             DriftEvent(**e) for e in state.get("drift_events", ())
         ]
         self.tracer.load_state(state.get("tracer", {}))
-        self._iteration_samples = []
+        self._pending = []

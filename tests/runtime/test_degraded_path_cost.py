@@ -1,8 +1,9 @@
 """What a degraded iteration builds, and the per-scale placement cache.
 
 A faulted iteration with telemetry off builds no utilization trace and no
-calibration sample; with telemetry on, one degraded scale prices its
-sample rows once. The installed plan keeps one drifted placement per
+calibration sample or batch; with telemetry on, one degraded scale prices
+its sample rows and builds its sample batch once, and every iteration at
+that scale records the same batch. The installed plan keeps one drifted placement per
 scale, so recovery must get fresh containers to rewrite, and the cached
 placement must be dropped whenever its inputs change.
 """
@@ -24,7 +25,7 @@ from repro.runtime import (
 from repro.runtime import executor
 from repro.runtime.faults import KERNEL_FAILURE, LATENCY_OVERRUN, PLAN_DRIFT
 from repro.runtime.ladder import SHARD_RETRY
-from repro.telemetry import CalibrationSample, TelemetrySession
+from repro.telemetry import CalibrationSample, SampleBatch, TelemetrySession
 
 BATCH = 1024
 FAULT_MIX = (
@@ -90,9 +91,10 @@ def test_faulted_run_without_telemetry_builds_no_trace_or_samples(plan1, monkeyp
     segments = count_inits(monkeypatch, TraceSegment, "__post_init__")
     traces = count_inits(monkeypatch, UtilizationTrace, "__init__")
     samples = count_inits(monkeypatch, CalibrationSample, "__init__")
+    batches = count_inits(monkeypatch, SampleBatch, "__init__")
     report = runtime.run(80)
     assert report.num_faults > 10 and report.degraded_iterations > 10
-    assert segments == [] and traces == [] and samples == []
+    assert segments == [] and traces == [] and samples == [] and batches == []
 
 
 def test_one_degraded_scale_builds_its_rows_once(plan1, monkeypatch):
@@ -106,11 +108,18 @@ def test_one_degraded_scale_builds_its_rows_once(plan1, monkeypatch):
     placements = count_calls(monkeypatch, executor, "scale_plan_kernels")
     rows = count_calls(monkeypatch, executor._InstalledPlan, "_sample_rows")
     samples = count_inits(monkeypatch, CalibrationSample, "__init__")
+    batches = count_inits(monkeypatch, SampleBatch, "__init__")
+    recorded = count_calls(monkeypatch, runtime.telemetry, "record_batch")
     plan = runtime.plan
     report = runtime.run(6)
     assert runtime.plan is plan and report.replans == 0
     assert len(placements) == 1 and len(rows) == 1
-    assert len(samples) == 6 * sum(plan.num_kernels_per_gpu())
+    # One sample per placed kernel for the one row set, not per iteration.
+    assert len(samples) == sum(plan.num_kernels_per_gpu())
+    assert len(batches) == 1
+    assert [iteration for _, iteration in recorded] == list(range(6))
+    assert len({id(batch) for batch, _ in recorded}) == 1
+    assert runtime.telemetry.residual.total_samples == 6 * sum(plan.num_kernels_per_gpu())
 
 
 def test_recovery_does_not_rewrite_the_cached_placement(plan1):
@@ -185,3 +194,28 @@ def test_cached_placement_is_dropped_when_its_inputs_change(plan1, monkeypatch):
     runtime.planner.set_predictor(DoubledPredictor())
     expect(1.3, {"Logit": 2.0}, 5)  # a new predictor prices the rows
 
+
+
+def test_evicted_tenant_records_nothing(plan1, monkeypatch):
+    """An evicted runtime places no kernel, so each iteration records an
+    empty batch: no sample, and the drift check leaves the detector alone."""
+    runtime = make_runtime(
+        plan1,
+        injector=ScriptedInjector({}),
+        watchdog=quiet_watchdog(),
+        telemetry=TelemetrySession(),
+        drift_schedule=[executor.LatencyDrift("Logit", 3.0, start_iteration=0)],
+    )
+    telemetry = runtime.telemetry
+    runtime.run(2)
+    history = telemetry.drift_detector.state_dict()
+    assert history["history"]  # the drifting iterations were judged
+    runtime.evict_to_cpu(iteration=1)
+    total = telemetry.residual.total_samples
+    recorded = count_calls(monkeypatch, telemetry, "record_batch")
+    checks = count_calls(monkeypatch, telemetry.drift_detector, "observe_iteration")
+    runtime.run(3, start_iteration=2)
+    assert [len(batch) for batch, _ in recorded] == [0, 0, 0]
+    assert len(checks) == 3
+    assert telemetry.residual.total_samples == total
+    assert telemetry.drift_detector.state_dict() == history

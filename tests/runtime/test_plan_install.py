@@ -31,6 +31,7 @@ from repro.telemetry import (
     DriftDetector,
     LatencyDrift,
     ResidualModel,
+    SampleBatch,
     TelemetrySession,
     drift_factors_at,
 )
@@ -105,7 +106,9 @@ class SampleOracle:
 
     Each sample is recomputed when it reaches the residual model, before
     it is recorded, so a calibrated price sees exactly the samples the
-    runtime's price saw. Between iterations, the derived data must belong
+    runtime's price saw. A recorded batch is expanded to its samples at
+    the iteration it is recorded at, so uncalibrated iterations are checked
+    sample by sample too. Between iterations, the derived data must belong
     to the live plan and planner: a swap that bypassed the install seam
     would leave it behind.
     """
@@ -140,10 +143,14 @@ class SampleOracle:
         runtime.run_iteration = observed_iteration
         record = ResidualModel.record
 
-        def checked_record(model, sample):
+        def checked_record(model, sample, iteration=None):
             if model is self.runtime.telemetry.residual:
-                self._check(sample)
-            record(model, sample)
+                if isinstance(sample, SampleBatch):
+                    for s in sample.samples(iteration):
+                        self._check(s)
+                else:
+                    self._check(sample)
+            record(model, sample, iteration)
 
         monkeypatch.setattr(ResidualModel, "record", checked_record)
 

@@ -321,6 +321,23 @@ class TestServeCli:
         assert main(["serve", "--tenants", "a,a", "--service-root", str(tmp_path)]) != 0
         assert "unique" in capsys.readouterr().err
 
+    def test_serve_rejects_negative_checkpoint_every(self, tmp_path, capsys):
+        """It used to exit 0 and write no tenant checkpoints."""
+        root = tmp_path / "root"
+        code = main([
+            "serve",
+            "--tenants", "a:plan=0:batch=512:iters=3",
+            "--gpus", "2",
+            "--checkpoint-every", "-2",
+            "--service-root", str(root),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "rap-repro: error: checkpoint_every must be >= 0, got -2\n"
+        assert not root.exists()
+        with pytest.raises(ValueError, match="checkpoint_every must be >= 0, got -2"):
+            PreprocessingService(root, checkpoint_every=-2)
+
     def test_serve_rejects_gpu_lost_tenant(self, tmp_path, capsys):
         """The service owns the fleet; a tenant's runtime may not shrink it
         under the carve (it used to crash with an IndexError)."""

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.telemetry import (
     DriftDetector,
     LatencyDrift,
     ResidualModel,
+    SampleBatch,
     TelemetrySession,
     drift_factors_at,
 )
@@ -471,8 +473,9 @@ class ReferenceResidual:
 
 
 class TestIncrementalEquivalence:
-    """Memoized corrections and cached log-ratios are bit-identical to the
-    from-scratch formulas under any interleaving of writes and reads."""
+    """Memoized corrections, cached log-ratios, the incrementally sorted
+    window and batch records are bit-identical to the from-scratch formulas
+    over per-sample windows, under any interleaving of writes and reads."""
 
     OPS = ("Clamp", "Logit", "SigridHash")
 
@@ -489,7 +492,7 @@ class TestIncrementalEquivalence:
         )
 
     def read(self, rng: random.Random, model: ResidualModel, ref: ReferenceResidual):
-        query = rng.randrange(6)
+        query = rng.randrange(8)
         op = rng.choice(self.OPS + ("Unseen",))
         if query == 0:
             assert model.correction(op) == ref.correction(op)
@@ -501,6 +504,12 @@ class TestIncrementalEquivalence:
             assert model.mean_absolute_percentage_error() == ref.mape(False)
         elif query == 4:
             assert model.mean_absolute_percentage_error(corrected=True) == ref.mape(True)
+        elif query == 5:
+            assert model.samples_for(op) == ref.windows.get(op, [])
+        elif query == 6:
+            assert model.state_dict()["samples"] == {
+                op: [s.to_dict() for s in window] for op, window in sorted(ref.windows.items())
+            }
         else:
             s = self.random_sample(rng)
             assert model.correct(op, s.predicted_us, s.features) == ref.correct(
@@ -508,18 +517,30 @@ class TestIncrementalEquivalence:
             )
 
     @pytest.mark.parametrize("mode", ["quantile", "gbdt"])
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", range(6))
     def test_random_interleavings_match_reference(self, mode, seed):
         rng = random.Random(seed)
         model = ResidualModel(window=8, min_samples=3, mode=mode, min_fit_samples=4)
         ref = ReferenceResidual(model)
         snapshots = []
-        for _ in range(300):
+        batches = []
+        for iteration in range(300):
             action = rng.random()
-            if action < 0.6:
-                sample = self.random_sample(rng)
+            if action < 0.35:
+                sample = replace(self.random_sample(rng), iteration=iteration)
                 model.record(sample)
                 ref.record(sample)
+            elif action < 0.6:
+                # A batch (sometimes empty, sometimes larger than the
+                # window), new or one recorded before at another iteration.
+                if batches and rng.random() < 0.5:
+                    batch = rng.choice(batches)
+                else:
+                    batch = SampleBatch(self.random_sample(rng) for _ in range(rng.randrange(12)))
+                    batches.append(batch)
+                model.record(batch, iteration)
+                for t in batch:
+                    ref.record(replace(t, iteration=iteration))
             elif action < 0.7:
                 windows = {op: list(w) for op, w in ref.windows.items()}
                 snapshots.append((model.state_dict(), windows))
@@ -538,6 +559,9 @@ class TestIncrementalEquivalence:
             else:
                 self.read(rng, model, ref)
         assert {op: model.samples_for(op) for op in model.op_types()} == ref.windows
+        assert model.state_dict()["samples"] == {
+            op: [s.to_dict() for s in window] for op, window in sorted(ref.windows.items())
+        }
         assert model.corrections() == ref.corrections()
         assert model.fingerprint() == ref.fingerprint()
         assert model.mean_absolute_percentage_error() == ref.mape(False)
@@ -547,3 +571,28 @@ class TestIncrementalEquivalence:
                 assert model.correct(op, s.predicted_us, s.features) == ref.correct(
                     op, s.predicted_us, s.features
                 )
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_sorted_window_tracks_ties_and_evictions(self, batched):
+        """Once read, the sorted log-ratio window is updated per sample; ties
+        and evictions (a batch longer than the window included) must leave
+        it equal to a fresh sort of the window."""
+        model = ResidualModel(window=5, min_samples=1)
+        ref = ReferenceResidual(model)
+        factors = [2.0, 0.5, 2.0, 2.0, 1.0, 0.5, 3.0, 2.0, 2.0, 0.25, 1.0, 1.0, 2.0]
+        first = CalibrationSample("Clamp", 10.0, 20.0)
+        model.record(first)
+        ref.record(first)
+        assert model.correction("Clamp") == ref.correction("Clamp") == 2.0
+        samples = [CalibrationSample("Clamp", 10.0, 10.0 * f) for f in factors]
+        size = 7 if batched else 1
+        for i in range(0, len(samples), size):
+            chunk = samples[i : i + size]
+            if batched:
+                model.record(SampleBatch(chunk), i)
+            else:
+                model.record(replace(chunk[0], iteration=i))
+            for s in chunk:
+                ref.record(replace(s, iteration=i))
+            assert model.correction("Clamp") == ref.correction("Clamp")
+            assert model.samples_for("Clamp") == ref.windows["Clamp"]

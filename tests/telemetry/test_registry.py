@@ -42,6 +42,32 @@ class TestInstruments:
         assert cumulative[-1][0] == float("inf")
         assert [c for _, c in cumulative] == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (10.0, 100.0, 1000.0),  # exactly on each bound
+            (9.999, 10.0, 10.001, 1000.0, 1000.5),
+            (float("-inf"), float("inf"), -5.0, 0.0),
+            (float("nan"), 3.0, float("nan")),
+            (1, 250, 10**6),  # ints are observed as floats
+            (),
+        ],
+    )
+    def test_histogram_observe_many_equals_observe(self, values):
+        one = Histogram("lat_us", buckets=(10.0, 100.0, 1000.0))
+        many = Histogram("lat_us", buckets=(10.0, 100.0, 1000.0))
+        for v in values:
+            one.observe(v)
+        many.observe_many(values)
+        assert many.cumulative_counts() == one.cumulative_counts()
+        assert many.count == one.count == len(values)
+        assert repr(many.sum) == repr(one.sum)  # bit-equal, NaN included
+
+    def test_histogram_nan_goes_to_inf_bucket(self):
+        h = Histogram("lat_us", buckets=(10.0, 100.0))
+        h.observe_many([float("nan")])
+        assert h.cumulative_counts() == [(10.0, 0), (100.0, 0), (float("inf"), 1)]
+
     def test_histogram_rejects_bad_buckets(self):
         with pytest.raises(ValueError):
             Histogram("h", buckets=(10.0, 10.0))

@@ -8,6 +8,7 @@ from repro.telemetry import (
     CalibratedPredictor,
     CalibrationSample,
     JsonlMetricsSink,
+    SampleBatch,
     TelemetrySession,
     parse_prometheus_text,
     validate_chrome_trace,
@@ -79,6 +80,91 @@ class TestSessionRecording:
         feed(session, factor=2.0, n=16)
         assert session.predictor_mape == pytest.approx(0.5)
         assert session.calibrated_mape == pytest.approx(0.0)
+
+
+def mixed_templates():
+    """Interleaved op types, one observation on a histogram bucket bound,
+    and errors whose overall mean depends on the order they are summed in
+    (grouped per op type, it differs in the last bit)."""
+    rows = [
+        ("Clamp", 80.0, 100.0),
+        ("Clamp", 134.7, 143.0),
+        ("Logit", 75.5, 766.1),
+        ("SigridHash", 94.9, 500.5),
+        ("SigridHash", 71.0, 385.8),
+        ("Logit", 133.6, 38.1),
+        ("Logit", 126.7, 611.4),
+        ("SigridHash", 122.2, 450.9),
+    ]
+    return [
+        CalibrationSample(op, predicted, observed, stage=i, features=(float(i), 1.0))
+        for i, (op, predicted, observed) in enumerate(rows)
+    ]
+
+
+class TestBatchRecording:
+    """Recording a batch is recording its samples one at a time."""
+
+    def replay(self, directory, record):
+        session = TelemetrySession(metrics_dir=directory)
+        events = []
+        for i in range(6):
+            record(session, i)
+            events.append(session.check_drift(i))
+            session.flush(step=i)
+        return session, events
+
+    def assert_same(self, tmp_path, record_a, record_b):
+        a, events_a = self.replay(tmp_path / "a", record_a)
+        b, events_b = self.replay(tmp_path / "b", record_b)
+        assert events_a == events_b
+        assert json.dumps(a.state_dict()) == json.dumps(b.state_dict())
+        for name in ("metrics.prom", "metrics.jsonl"):
+            assert (tmp_path / "a" / name).read_text() == (tmp_path / "b" / name).read_text()
+        return events_a
+
+    def test_batch_equals_its_samples(self, tmp_path):
+        batch = SampleBatch(mixed_templates())
+
+        def one_at_a_time(session, i):
+            for sample in batch.samples(i):
+                session.record_kernel_sample(sample)
+
+        events = self.assert_same(
+            tmp_path, one_at_a_time, lambda session, i: session.record_batch(batch, i)
+        )
+        assert sum(e is not None for e in events) == 1
+
+    def test_batches_mixed_with_samples_in_one_iteration(self, tmp_path):
+        """Several records before one drift check are judged as one stream."""
+        first = SampleBatch(mixed_templates()[:3])
+        second = SampleBatch(mixed_templates()[3:])
+
+        def one_at_a_time(session, i):
+            session.record_kernel_samples(first.samples(i) + second.samples(i))
+
+        def mixed(session, i):
+            if i % 3 == 0:
+                session.record_batch(first, i)
+                session.record_batch(second, i)
+            elif i % 3 == 1:
+                session.record_batch(first, i)
+                session.record_kernel_samples(second.samples(i))
+            else:
+                session.record_kernel_samples(first.samples(i))
+                session.record_batch(second, i)
+
+        self.assert_same(tmp_path, one_at_a_time, mixed)
+
+    def test_empty_batch_records_nothing(self):
+        session = TelemetrySession()
+        feed(session, n=4)
+        session.check_drift(0)
+        state, text = session.state_dict(), session.prometheus_text()
+        session.record_batch(SampleBatch([]), 1)
+        assert session.check_drift(1) is None
+        assert session.state_dict() == state
+        assert session.prometheus_text() == text
 
 
 class TestCalibratedPredictorHandle:
