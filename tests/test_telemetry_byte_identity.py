@@ -1,4 +1,4 @@
-"""Byte-identity pin for a faulted, telemetry-on CLI run.
+"""Byte-identity pins for faulted, telemetry-on CLI runs.
 
 ``fixtures/telemetry_run_digests.json`` holds SHA-256 digests of the
 stdout, the journal and the three telemetry artifacts (``metrics.prom``,
@@ -8,6 +8,13 @@ cached per-plan telemetry inputs. Caching what a plan install fixes must
 leave every sample, metric, trace event and journal record unchanged. The
 two metrics digests were re-pinned when the MILP solve cache was removed:
 its ``rap_cache_*{cache="milp"}`` families are the only bytes that left.
+
+``fixtures/telemetry_all_faults_run_digests.json`` pins the same five
+digests for a 300-iteration run under all five non-terminal fault kinds
+(adding fused-kernel OOMs and sticky plan drift), captured before the
+span tracer kept compact per-iteration entries and encoded ``trace.json``
+at write time: degraded, drifted and replanned iterations all reach the
+trace through that path.
 """
 
 import hashlib
@@ -16,15 +23,15 @@ from pathlib import Path
 
 from repro.cli import main
 
-FIXTURE = Path(__file__).parent / "fixtures" / "telemetry_run_digests.json"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_faulted_telemetry_run_is_byte_identical(tmp_path, capsys):
-    pinned = json.loads(FIXTURE.read_text())
+def assert_pinned_run(fixture: Path, tmp_path: Path, capsys) -> None:
+    pinned = json.loads(fixture.read_text())
     checkpoint_dir = tmp_path / "ck"
     metrics_dir = tmp_path / "metrics"
     argv = [
@@ -44,3 +51,11 @@ def test_faulted_telemetry_run_is_byte_identical(tmp_path, capsys):
         name: sha256((metrics_dir / name).read_bytes()) for name in pinned["metrics_sha256"]
     }
     assert artifacts == pinned["metrics_sha256"]
+
+
+def test_faulted_telemetry_run_is_byte_identical(tmp_path, capsys):
+    assert_pinned_run(FIXTURES / "telemetry_run_digests.json", tmp_path, capsys)
+
+
+def test_all_fault_kinds_telemetry_run_is_byte_identical(tmp_path, capsys):
+    assert_pinned_run(FIXTURES / "telemetry_all_faults_run_digests.json", tmp_path, capsys)
