@@ -21,7 +21,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 try:  # POSIX only; advisory locking degrades to "never acquired" elsewhere.
     import fcntl
@@ -45,13 +45,18 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def atomic_write_text(path: str | Path, text: str, encoding: str = "utf-8") -> None:
+def atomic_write_text(
+    path: str | Path, text: str | Iterable[str], encoding: str = "utf-8"
+) -> None:
     """Write ``text`` to ``path`` atomically (temp file + fsync + rename).
 
-    The temporary file lives in the destination directory so the final
-    ``os.replace`` is a same-filesystem atomic rename. On any failure the
-    temporary file is removed and the destination is left untouched --
-    either its previous content or its previous absence.
+    ``text`` is one string or an iterable of string chunks, written in
+    order as they are drawn, so a large artifact never has to exist as one
+    string. The temporary file lives in the destination directory so the
+    final ``os.replace`` is a same-filesystem atomic rename. On any failure
+    -- a chunk iterator that raises included -- the temporary file is
+    removed and the destination is left untouched: either its previous
+    content or its previous absence.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -61,7 +66,7 @@ def atomic_write_text(path: str | Path, text: str, encoding: str = "utf-8") -> N
     tmp = Path(tmp_name)
     try:
         with os.fdopen(fd, "w", encoding=encoding) as handle:
-            handle.write(text)
+            handle.writelines((text,) if isinstance(text, str) else text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, target)

@@ -10,13 +10,16 @@ category and an explicit ``tid``, complete ``X`` events, a top-level
 ``traceEvents`` array) are enforced in exactly one place.
 
 :func:`validate_chrome_trace` is the strict schema check used by CI and
-the round-trip tests.
+the round-trip tests. :func:`trace_json_chunks` writes the same bytes as
+``trace_json(events, indent=2)`` in chunks, from per-event texts that a
+caller may encode once and reuse with a new ``ts``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+import math
+from typing import Any, Iterable, Iterator, Mapping
 
 __all__ = [
     "duration_event",
@@ -26,6 +29,10 @@ __all__ = [
     "process_metadata_events",
     "trace_document",
     "trace_json",
+    "trace_json_chunks",
+    "event_json",
+    "split_at_ts",
+    "float_json",
     "validate_chrome_trace",
     "ChromeTraceError",
 ]
@@ -148,6 +155,60 @@ def trace_document(events: list[dict]) -> dict:
 
 def trace_json(events: list[dict], indent: int | None = None) -> str:
     return json.dumps(trace_document(events), indent=indent)
+
+
+# ----------------------------------------------------------------------
+# Streaming encoder
+#
+# ``json.dumps(..., indent=2)`` runs the pure-Python encoder and builds one
+# string for the whole document. The writer below produces the same bytes
+# in chunks, and lets a caller encode a repeated event once and splice in
+# only its timestamp.
+
+#: Indentation of one event inside the ``traceEvents`` array at indent 2.
+_EVENT_INDENT = "    "
+#: The event's own ``ts`` key in ``event_json`` text. Strings carry no raw
+#: newline and nested keys sit deeper, so this occurs exactly once.
+_TS_KEY = '\n      "ts": '
+
+
+def event_json(event: Mapping[str, Any]) -> str:
+    """``event`` exactly as ``trace_json(..., indent=2)`` writes it."""
+    return _EVENT_INDENT + json.dumps(event, indent=2).replace("\n", "\n" + _EVENT_INDENT)
+
+
+def split_at_ts(text: str) -> tuple[str, str]:
+    """``event_json`` text before and after its ``ts`` value.
+
+    Every event constructor here places a key after ``ts``, so the value
+    ends at the next comma (a float's text has none).
+    """
+    start = text.index(_TS_KEY) + len(_TS_KEY)
+    return text[:start], text[text.index(",", start):]
+
+
+def float_json(value: float) -> str:
+    """``value`` as ``json.dumps`` writes a float."""
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+def trace_json_chunks(blocks: Iterable[str]) -> Iterator[str]:
+    """``trace_json(events, indent=2)`` in chunks.
+
+    ``blocks`` are the events' ``event_json`` texts in order; a block may
+    hold several consecutive events joined by ``",\\n"``, but none is empty.
+    """
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if first is None:
+        yield '{\n  "traceEvents": [],\n  "displayTimeUnit": "ms"\n}'
+        return
+    yield '{\n  "traceEvents": [\n'
+    yield first
+    for block in blocks:
+        yield ",\n"
+        yield block
+    yield '\n  ],\n  "displayTimeUnit": "ms"\n}'
 
 
 # ----------------------------------------------------------------------

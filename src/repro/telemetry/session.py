@@ -283,7 +283,7 @@ class TelemetrySession:
         trace_path = self.metrics_dir / "trace.json"
         from ..ioutil import atomic_write_text
 
-        atomic_write_text(trace_path, self.tracer.to_chrome_trace(indent=2))
+        atomic_write_text(trace_path, self.tracer.chrome_trace_chunks())
         return {
             "prometheus": self.metrics_dir / "metrics.prom",
             "jsonl": self.metrics_dir / "metrics.jsonl",

@@ -16,14 +16,18 @@ module only decides *what* to emit and *when*.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from .chrome import (
     counter_event,
     duration_event,
+    event_json,
+    float_json,
     instant_event,
     process_metadata_events,
+    split_at_ts,
     trace_json,
+    trace_json_chunks,
 )
 
 __all__ = ["Tracer", "iteration_span_events", "RUNTIME_PID", "RUNTIME_TID"]
@@ -70,35 +74,105 @@ def iteration_span_events(result, pid: int, t_offset: float = 0.0) -> list[dict]
     return events
 
 
+def _span_template(result, pid: int) -> list[tuple[float, dict]]:
+    """``result``'s span events at offset 0, each with its span's start."""
+    starts = [span.t_start for span in result.stage_spans]
+    starts.extend(span.t_start for span in result.kernel_spans)
+    return list(zip(starts, iteration_span_events(result, pid)))
+
+
 class Tracer:
-    """Collects trace events on a monotonically advancing simulated clock."""
+    """Collects trace events on a monotonically advancing simulated clock.
+
+    Control-plane spans, instants, counters and process metadata blocks are
+    built when recorded. An iteration is kept as one compact entry, and its
+    events are built only when :attr:`events` is read or the trace written.
+    """
 
     def __init__(self) -> None:
-        # Recorded events in order. A GPU's repeat of its previous simulated
-        # result is kept as a ``(template, t0)`` pair and expanded on read.
-        self._events: list[dict | tuple[list[tuple[float, dict]], float]] = []
+        # In recording order: events built when recorded, and one entry per
+        # iteration, ``(iteration, t0, iteration_us, args, per-GPU results,
+        # metadata blocks of the GPUs first seen there, or None)``.
+        self._items: list[dict | tuple] = []
         self._known_pids: set[int] = set()
-        # Per GPU: the last simulated result and its events as
-        # ``(span start, event)`` pairs.
-        self._templates: dict[int, tuple[object, list[tuple[float, dict]]]] = {}
         self.clock_us = 0.0
 
     def __len__(self) -> int:
-        return sum(len(e[0]) if type(e) is tuple else 1 for e in self._events)
+        count = 0
+        for item in self._items:
+            if type(item) is dict:
+                count += 1
+                continue
+            _, _, _, _, results, blocks = item
+            count += 1 + sum(len(r.stage_spans) + len(r.kernel_spans) for r in results)
+            if blocks:
+                count += sum(map(len, blocks.values()))
+        return count
 
     @property
     def events(self) -> list[dict]:
-        """Every recorded event; a repeated iteration's copies differ from
-        their template only in ``ts`` (same float sum, same key position).
-        Recorded events are never mutated, so the copies share ``args``."""
+        """Every recorded event. A GPU's repeat of a simulated result is a
+        copy of the same span events with only ``ts`` moved (same float sum,
+        same key position); the copies share ``args``."""
         out: list[dict] = []
-        for item in self._events:
-            if type(item) is tuple:
-                template, t0 = item
-                out.extend({**event, "ts": float(start + t0)} for start, event in template)
-            else:
+        for item in self._walk(_span_template):
+            if type(item) is dict:
                 out.append(item)
+                continue
+            template, t0 = item
+            out.extend({**event, "ts": float(start + t0)} for start, event in template)
         return out
+
+    def chrome_trace_chunks(self) -> Iterator[str]:
+        """``to_chrome_trace(indent=2)`` in chunks, for streaming to disk.
+
+        Each distinct ``(GPU, result)``'s span events are encoded once;
+        a repeat splices its own ``ts`` into the encoded text.
+        """
+        return trace_json_chunks(self._event_texts())
+
+    def _event_texts(self) -> Iterator[str]:
+        def encoded(result, gpu: int) -> list[tuple[float, str, str]]:
+            return [
+                (start, *split_at_ts(event_json(event)))
+                for start, event in _span_template(result, gpu)
+            ]
+
+        for item in self._walk(encoded):
+            if type(item) is dict:
+                yield event_json(item)
+                continue
+            template, t0 = item
+            if template:
+                yield ",\n".join(
+                    [
+                        f"{head}{float_json(float(start + t0))}{tail}"
+                        for start, head, tail in template
+                    ]
+                )
+
+    def _walk(self, template_of: Callable[[Any, int], list]) -> Iterator[dict | tuple[list, float]]:
+        """The recording in trace order: every event but the GPU spans as a
+        dict, and each GPU's spans of an iteration as ``(template, t0)``,
+        where ``template_of(result, gpu)`` runs once per distinct
+        ``(GPU, result)``."""
+        templates: dict[tuple[int, int], list] = {}
+        for item in self._items:
+            if type(item) is dict:
+                yield item
+                continue
+            iteration, t0, iteration_us, args, results, blocks = item
+            yield duration_event(
+                f"iteration {iteration}", "runtime", t0, iteration_us,
+                RUNTIME_PID, RUNTIME_TID, args,
+            )
+            for gpu, result in enumerate(results):
+                if blocks and gpu in blocks:
+                    yield from blocks[gpu]
+                template = templates.get((gpu, id(result)))
+                if template is None:
+                    template = templates[gpu, id(result)] = template_of(result, gpu)
+                yield template, t0
 
     # ------------------------------------------------------------------
 
@@ -109,7 +183,7 @@ class Tracer:
         if pid in self._known_pids:
             return
         self._known_pids.add(pid)
-        self._events.extend(process_metadata_events(pid, name, threads))
+        self._items.extend(process_metadata_events(pid, name, threads))
 
     def span(
         self,
@@ -121,7 +195,7 @@ class Tracer:
         tid: int = RUNTIME_TID,
         **args: Any,
     ) -> None:
-        self._events.append(duration_event(name, cat, ts, dur, pid, tid, args or None))
+        self._items.append(duration_event(name, cat, ts, dur, pid, tid, args or None))
 
     def instant(
         self,
@@ -132,12 +206,12 @@ class Tracer:
         tid: int = RUNTIME_TID,
         **args: Any,
     ) -> None:
-        self._events.append(
+        self._items.append(
             instant_event(name, cat, self.clock_us if ts is None else ts, pid, tid, args or None)
         )
 
     def counter(self, name: str, ts: float, pid: int, values: Mapping[str, float]) -> None:
-        self._events.append(counter_event(name, ts, pid, values))
+        self._items.append(counter_event(name, ts, pid, values))
 
     # ------------------------------------------------------------------
 
@@ -150,42 +224,31 @@ class Tracer:
     ) -> float:
         """Record one runtime iteration and advance the trace clock.
 
-        Emits the enclosing ``iteration N`` span on the runtime row, then
-        nests each GPU's stage/kernel spans (when simulated results are
-        available) at the iteration's start offset. Returns the span's
+        The iteration's ``iteration N`` span on the runtime row encloses
+        each GPU's stage/kernel spans (when simulated results are
+        available) at the iteration's start offset. The results are kept
+        by reference: a device's results are immutable. Returns the span's
         start timestamp.
         """
+        if iteration_us < 0:
+            name = f"iteration {iteration}"
+            raise ValueError(f"duration event {name!r} has negative dur {iteration_us}")
         t0 = self.clock_us
         self.ensure_process(RUNTIME_PID, "runtime", {RUNTIME_TID: "iterations"})
-        self._events.append(
-            duration_event(
-                f"iteration {iteration}", "runtime", t0, iteration_us,
-                RUNTIME_PID, RUNTIME_TID, dict(args) or None,
-            )
-        )
-        for gpu, result in enumerate(per_gpu_results):
-            self.ensure_process(gpu, f"GPU {gpu}", {0: "training", 1: "preprocessing"})
-            self._record_gpu(gpu, result, t0)
+        results = tuple(per_gpu_results)
+        blocks = None
+        for gpu in range(len(results)):
+            if gpu not in self._known_pids:
+                # The block goes right before the GPU's first spans.
+                self._known_pids.add(gpu)
+                if blocks is None:
+                    blocks = {}
+                blocks[gpu] = process_metadata_events(
+                    gpu, f"GPU {gpu}", {0: "training", 1: "preprocessing"}
+                )
+        self._items.append((iteration, t0, iteration_us, args or None, results, blocks))
         self.clock_us = t0 + iteration_us
         return t0
-
-    def _record_gpu(self, gpu: int, result, t0: float) -> None:
-        """One GPU's stage and kernel events for ``result`` at offset ``t0``.
-
-        The runtime hands back the same result object for every clean
-        iteration of a plan, and the device's memo does for a repeated
-        degraded one, so its events are built once; a repeat only records
-        the offset.
-        """
-        template = self._templates.get(gpu)
-        if template is not None and template[0] is result:
-            self._events.append((template[1], t0))
-            return
-        events = iteration_span_events(result, gpu, t_offset=t0)
-        starts = [span.t_start for span in result.stage_spans]
-        starts.extend(span.t_start for span in result.kernel_spans)
-        self._templates[gpu] = (result, list(zip(starts, events)))
-        self._events.extend(events)
 
     # ------------------------------------------------------------------
 

@@ -48,6 +48,25 @@ class TestAtomicWrite:
         assert target.read_text() == "original"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    def test_writes_chunks_in_order(self, tmp_path):
+        target = tmp_path / "out.txt"
+        atomic_write_text(target, (part for part in ("a", "", "bc", "d")))
+        assert target.read_text() == "abcd"
+
+    def test_raising_chunk_iterator_preserves_original(self, tmp_path):
+        target = tmp_path / "out.txt"
+        atomic_write_text(target, "original")
+
+        def chunks():
+            yield "partial "
+            yield "content"
+            raise RuntimeError("encoder failed")
+
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            atomic_write_text(target, chunks())
+        assert target.read_text() == "original"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
     def test_json_helper_is_canonical(self, tmp_path):
         target = tmp_path / "out.json"
         atomic_write_json(target, {"b": 1, "a": 2})

@@ -8,6 +8,9 @@ scale, so recovery must get fresh containers to rewrite, and the cached
 placement must be dropped whenever its inputs change.
 """
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core import RapPlanner
@@ -25,7 +28,8 @@ from repro.runtime import (
 from repro.runtime import executor
 from repro.runtime.faults import KERNEL_FAILURE, LATENCY_OVERRUN, PLAN_DRIFT
 from repro.runtime.ladder import SHARD_RETRY
-from repro.telemetry import CalibrationSample, SampleBatch, TelemetrySession
+from repro.telemetry import CalibrationSample, SampleBatch, TelemetrySession, Tracer
+from repro.telemetry import spans
 
 BATCH = 1024
 FAULT_MIX = (
@@ -95,6 +99,64 @@ def test_faulted_run_without_telemetry_builds_no_trace_or_samples(plan1, monkeyp
     report = runtime.run(80)
     assert report.num_faults > 10 and report.degraded_iterations > 10
     assert segments == [] and traces == [] and samples == [] and batches == []
+
+
+def test_faulted_run_builds_no_trace_events_until_read(plan1, monkeypatch):
+    specs = [FaultSpec(kind, rate) for kind, rate in FAULT_MIX]
+    runtime = make_runtime(
+        plan1, injector=FaultInjector(specs, seed=3), telemetry=TelemetrySession()
+    )
+    durations = count_calls(monkeypatch, spans, "duration_event")
+    span_events = count_calls(monkeypatch, spans, "iteration_span_events")
+    report = runtime.run(200)
+    assert report.num_faults > 10 and report.degraded_iterations > 10
+    tracer = runtime.telemetry.tracer
+    count = len(tracer)
+    assert durations == [] and span_events == []
+    # Reading the events builds them, through the patched constructors.
+    assert count == len(tracer.events) > 200
+    assert len(durations) >= 200 and span_events
+
+
+@pytest.mark.parametrize(
+    "mix, keep_results",
+    [(FAULT_MIX[:2], False), (FAULT_MIX, True)],
+    ids=["two-kinds", "five-kinds-beside-results"],
+)
+def test_tracer_retains_at_most_1kb_per_faulted_iteration(plan1, mix, keep_results):
+    """Bytes freed by dropping the tracer after 2,000 faulted iterations.
+
+    Under kernel failures and latency overruns alone the degraded results
+    repeat, so the bound holds for everything the tracer keeps alive. Sticky
+    plan drift under all five kinds makes most degraded results distinct;
+    the tracer keeps each by reference, and the bound then holds for what
+    it keeps beside them.
+    """
+    specs = [FaultSpec(kind, rate) for kind, rate in mix]
+    session = TelemetrySession()
+    runtime = make_runtime(plan1, injector=FaultInjector(specs, seed=3), telemetry=session)
+    kept = []
+    if keep_results:
+        record = session.record_iteration
+
+        def keeping(*args, per_gpu_results=(), **kwargs):
+            kept.append(tuple(per_gpu_results))
+            record(*args, per_gpu_results=per_gpu_results, **kwargs)
+
+        session.record_iteration = keeping
+    iterations = 2000
+    tracemalloc.start()
+    try:
+        report = runtime.run(iterations)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        session.tracer = Tracer()
+        gc.collect()
+        retained = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert report.degraded_iterations > 300
+    assert retained / iterations <= 1024
 
 
 def test_one_degraded_scale_builds_its_rows_once(plan1, monkeypatch):

@@ -1,10 +1,14 @@
 """Chrome trace-event construction, validation, and span generation."""
 
 import json
+import math
 
 import pytest
 
+from repro.gpusim import IterationResult
 from repro.telemetry import (
+    RUNTIME_PID,
+    RUNTIME_TID,
     ChromeTraceError,
     Tracer,
     duration_event,
@@ -15,6 +19,7 @@ from repro.telemetry import (
     trace_json,
     validate_chrome_trace,
 )
+from repro.telemetry.chrome import event_json, float_json, split_at_ts, trace_json_chunks
 
 
 class TestEventConstructors:
@@ -99,3 +104,115 @@ class TestTracer:
         b = Tracer()
         b.load_state(state)
         assert b.state_dict() == state
+
+    def test_negative_iteration_is_refused_when_recorded(self):
+        tracer = Tracer()
+        with pytest.raises(ValueError, match="'iteration 3' has negative dur -1.0"):
+            tracer.record_iteration(3, -1.0)
+        assert len(tracer) == 0 and tracer.clock_us == 0.0
+
+
+class EagerTracer:
+    """The reference: builds every event when it is recorded."""
+
+    def __init__(self):
+        self.events = []
+        self.known = set()
+        self.clock_us = 0.0
+
+    def ensure_process(self, pid, name, threads=None):
+        if pid not in self.known:
+            self.known.add(pid)
+            self.events.extend(process_metadata_events(pid, name, threads))
+
+    def instant(self, name, cat, **args):
+        self.events.append(
+            instant_event(name, cat, self.clock_us, RUNTIME_PID, RUNTIME_TID, args or None)
+        )
+
+    def record_iteration(self, iteration, iteration_us, per_gpu_results=(), **args):
+        t0 = self.clock_us
+        self.ensure_process(RUNTIME_PID, "runtime", {RUNTIME_TID: "iterations"})
+        self.events.append(
+            duration_event(
+                f"iteration {iteration}", "runtime", t0, iteration_us,
+                RUNTIME_PID, RUNTIME_TID, args or None,
+            )
+        )
+        for gpu, result in enumerate(per_gpu_results):
+            self.ensure_process(gpu, f"GPU {gpu}", {0: "training", 1: "preprocessing"})
+            self.events.extend(iteration_span_events(result, gpu, t_offset=t0))
+        self.clock_us = t0 + iteration_us
+
+
+class TestCompactRecording:
+    """The tracer keeps one entry per iteration and builds its events on
+    read; events, count and trace.json text equal an eager recording's."""
+
+    @pytest.fixture
+    def recorded(self, device, mlp_stage, emb_stage, small_kernel, big_kernel):
+        a = device.simulate_iteration([mlp_stage, emb_stage], {0: [small_kernel]})
+        b = device.simulate_iteration([emb_stage, mlp_stage], {1: [big_kernel, small_kernel]})
+        empty = IterationResult(0.0, 0.0, 0.0)
+        tracer, reference = Tracer(), EagerTracer()
+        for sink in (tracer, reference):
+            # GPU 1 is named before any iteration, so no iteration names it.
+            sink.ensure_process(1, "GPU 1", {0: "training"})
+            sink.record_iteration(0, 1234.567, [a], plan_epoch=0)
+            sink.instant("replan (drift)", "runtime", plan_epoch=1)
+            # GPU 2 is new here: its block goes right before its spans.
+            sink.record_iteration(1, 0.1, [a, b, a], plan_epoch=1, num_faults=2)
+            sink.record_iteration(2, 1e-3, [b, b, empty], plan_epoch=1)
+            sink.record_iteration(3, 250.0, regime="cpu-only")
+            sink.record_iteration(4, 3.3, (r for r in (a, a, a, b)))
+            sink.record_iteration(5, 0.0, [a])
+        return tracer, reference
+
+    def test_events_equal_the_eager_recording(self, recorded):
+        tracer, reference = recorded
+        assert tracer.events == reference.events
+        assert len(tracer) == len(reference.events)
+        assert tracer.clock_us == reference.clock_us
+
+    def test_metadata_block_comes_right_before_the_gpus_first_spans(self, recorded):
+        tracer, _ = recorded
+        rows = [(e["name"], e["pid"]) for e in tracer.events]
+        assert [pid for name, pid in rows if name == "process_name"] == [1, RUNTIME_PID, 0, 2, 3]
+        for gpu in (0, 2, 3):
+            start = rows.index(("process_name", gpu))
+            assert all(pid != gpu for _, pid in rows[:start])
+            # After the iteration span or the previous GPU's spans; its own
+            # spans follow the four-event block.
+            assert rows[start - 1][1] == (RUNTIME_PID if gpu == 0 else gpu - 1)
+            assert rows[start + 4] == (rows[start + 4][0], gpu)
+            assert rows[start + 4][0] != "thread_name"
+
+    def test_streamed_trace_is_byte_identical(self, recorded):
+        tracer, reference = recorded
+        expected = json.dumps(trace_document(reference.events), indent=2)
+        assert "".join(tracer.chrome_trace_chunks()) == expected
+        assert tracer.to_chrome_trace(indent=2) == expected
+        validate_chrome_trace(expected)
+
+    def test_empty_and_control_plane_only_traces_stream_identically(self):
+        tracer = Tracer()
+        assert "".join(tracer.chrome_trace_chunks()) == trace_json([], indent=2)
+        tracer.instant("replan (drift)", "runtime", plan_epoch=1)
+        tracer.counter("util", 5.0, 0, {"sm": 0.5})
+        assert "".join(tracer.chrome_trace_chunks()) == trace_json(tracer.events, indent=2)
+
+
+class TestStreamingEncoder:
+    @pytest.mark.parametrize(
+        "ts", [0.0, -0.0, 1.5, 0.1 + 0.2, 1e16, 1e-7, math.inf, -math.inf, math.nan]
+    )
+    def test_spliced_ts_matches_json_dumps(self, ts):
+        # A name that mimics the ts key and an args key named ts stay
+        # inside their string and their deeper indentation.
+        event = duration_event(
+            'odd\n      "ts": 1,"ü', "training", 7.25, 3.0, 0, 1,
+            args={"ts": 2.0, "nested": {"ts": [1, 2]}},
+        )
+        head, tail = split_at_ts(event_json(event))
+        expected = json.dumps(trace_document([{**event, "ts": ts}]), indent=2)
+        assert "".join(trace_json_chunks([head + float_json(ts) + tail])) == expected
