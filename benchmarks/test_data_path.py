@@ -26,11 +26,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.ingest import PipelinedFeeder, SyntheticSource
 from repro.ioutil import atomic_write_json
 from repro.preprocessing import (
     ParallelEngine,
-    PipelinedFeeder,
-    SyntheticBatchSource,
     SyntheticCriteoDataset,
     build_plan,
     compile_graph_set,
@@ -211,15 +210,18 @@ def test_bench_pipelined_feeder():
     Per-batch prep is synthesis (~9 ms of host CPU at 4096 rows) plus a
     simulated storage-fetch latency (sleep, which releases the GIL exactly
     like real file/network I/O). The sequential baseline pays
-    prep + execute per batch; the pipelined feeder overlaps them. Two
+    prep + execute per batch; the pipelined feeder overlaps them and
+    delivers through its default backpressure queue (block, capacity 4). Two
     workers are needed so the storage-fetch sleeps of consecutive batches
     overlap each other -- with one worker the per-batch floor is a single
     worker's full prep wall time.
     """
     graphs, schema = build_plan(1, rows=4096)
     program = compile_graph_set(graphs)
-    source = SyntheticBatchSource(schema, batch_size=4096, seed=3, io_delay_s=0.012)
     num_batches = 12
+    source = SyntheticSource(
+        schema, batch_size=4096, num_batches=num_batches, seed=3, io_delay_s=0.012
+    )
     program.execute(source(0))  # warmup engine + arena
 
     t0 = time.perf_counter()
@@ -227,7 +229,7 @@ def test_bench_pipelined_feeder():
         program.execute(source(i))
     sequential_s = time.perf_counter() - t0
 
-    with PipelinedFeeder(source, num_batches, depth=4, workers=2) as feeder:
+    with PipelinedFeeder(source, depth=4, workers=2) as feeder:
         t0 = time.perf_counter()
         for batch in feeder:
             program.execute(batch)

@@ -2,10 +2,10 @@
 
 Two pinned properties land in ``BENCH_ingest.json`` at the repo root:
 
-1. The rewritten queue-mode :class:`PipelinedFeeder` still delivers the
-   §6.3 inter-batch interleaving win -- producing batch ``i+1`` (storage
-   fetch + synthesis) overlaps executing batch ``i``, same bar as the
-   futures-mode bench in ``test_data_path.py``.
+1. The :class:`PipelinedFeeder` delivers the §6.3 inter-batch
+   interleaving win -- producing batch ``i+1`` (storage fetch +
+   synthesis) overlaps executing batch ``i``, same bar as the
+   pipelined-feeder bench in ``test_data_path.py``.
 2. Under a bursty arrival curve that outruns the consumer, the
    :class:`BackpressureQueue` keeps resident depth bounded under EVERY
    overload policy -- ``block`` by stalling the producer, ``drop_oldest``
@@ -34,8 +34,8 @@ from repro.preprocessing import build_plan, compile_graph_set
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_ingest.json"
 
-#: Queue-mode feeder end-to-end overlap bar (same rationale as the
-#: futures-mode bar in test_data_path.py: 12 ms of GIL-releasing fetch
+#: Feeder end-to-end overlap bar (same rationale as the pipelined-feeder
+#: bar in test_data_path.py: 12 ms of GIL-releasing fetch
 #: per batch must hide under ~9 ms of synthesis + engine execute).
 MIN_QUEUE_PIPELINE_SPEEDUP = 1.3
 #: Memory bound under burst: resident depth may never exceed the queue
@@ -64,7 +64,7 @@ def write_bench_json():
 
 
 def test_bench_queue_mode_feeder_overlap():
-    """Queue-mode feeder hides producer latency under consumer work."""
+    """The feeder's queue hides producer latency under consumer work."""
     graphs, _ = build_plan(1, rows=4096)
     program = compile_graph_set(graphs)
     src = source("synthetic://kaggle?batch=4096&batches=12&seed=3&io_delay_ms=12")
@@ -99,7 +99,7 @@ def test_bench_queue_mode_feeder_overlap():
         "speedup": round(speedup, 3),
     }
     assert speedup >= MIN_QUEUE_PIPELINE_SPEEDUP, (
-        f"queue-mode feeder only {speedup:.2f}x over sequential "
+        f"feeder only {speedup:.2f}x over sequential "
         f"(bar {MIN_QUEUE_PIPELINE_SPEEDUP}x)"
     )
 

@@ -461,9 +461,7 @@ def _print_ingest_summary(runtime, metrics: IngestMetrics | None) -> None:
     print(
         format_kv(
             {
-                "source": runtime.feeder.produce.describe()
-                if hasattr(runtime.feeder.produce, "describe")
-                else "custom",
+                "source": runtime.feeder.produce.describe(),
                 "batches ingested": runtime.batches_ingested,
                 "source epochs": runtime.ingest_epochs,
                 "queue peak depth": int(metrics.queue_peak_depth.value),

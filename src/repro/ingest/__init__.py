@@ -2,12 +2,13 @@
 
 The ingest tier turns one URL-style spec string (``csv:///path?shard=3/8``,
 ``synthetic://kaggle?batch=4096``, ``replay:///log.jsonl?speed=2``, ...)
-into a sharded, seekable batch generator, feeds it through a multi-use
-:class:`PipelinedFeeder` (paper §6.3 inter-batch interleaving), and keeps
-producer/consumer rates honest with a :class:`BackpressureQueue` whose
-overload policies (``block`` / ``drop_oldest`` / ``spill_to_disk``) bound
-in-flight memory. :class:`IngestMetrics` exposes the whole tier's health
-in the telemetry registry. See DESIGN.md §14.
+into a sharded, seekable batch generator and feeds it through a multi-use
+:class:`PipelinedFeeder` (paper §6.3 inter-batch interleaving): a thread
+pool whose coordinator feeds a :class:`BackpressureQueue`. The queue's
+overload policies (``block`` / ``drop_oldest`` / ``spill_to_disk``) keep
+producer/consumer rates honest, so at most ``depth`` batches are in
+flight plus ``capacity`` buffered. :class:`IngestMetrics` exposes the
+whole tier's health in the telemetry registry. See DESIGN.md §14.
 """
 
 from .feeder import PipelinedFeeder, QueueConfig
@@ -20,7 +21,6 @@ from .sources import (
     MixedSource,
     PacedSource,
     ReplaySource,
-    SyntheticBatchSource,
     SyntheticSource,
     build_source,
     source,
@@ -46,7 +46,6 @@ __all__ = [
     "QueueStats",
     "ReplaySource",
     "SourceSpec",
-    "SyntheticBatchSource",
     "SyntheticSource",
     "build_source",
     "parse_spec",

@@ -1,28 +1,26 @@
-"""Inter-batch pipelined feeding (§6.3) on top of leased worker pools.
+"""Inter-batch pipelined feeding (§6.3): a thread pool feeding a backpressure queue.
 
 :class:`PipelinedFeeder` prepares batch *i+1* in the background while the
 consumer works on batch *i* — the paper's inter-batch interleaving on real
-data. This rewrite fixes the original's silent single-use lifecycle: the
-old ``__iter__`` called ``close()`` in its ``finally``, so ``list(f);
-list(f)`` raised a bare ``RuntimeError: feeder is closed``. Now every
-``__iter__`` leases a *fresh* pool (and, in queue mode, a fresh
-:class:`~repro.ingest.queue.BackpressureQueue`); exhausting or abandoning
-the iterator releases the lease but leaves the feeder reusable. Only the
-explicit ``close()`` / ``with``-exit ends the lifecycle, after which
-iteration raises ``RuntimeError`` as before.
+data. Every ``__iter__`` leases fresh resources: a thread pool, a
+:class:`~repro.ingest.queue.BackpressureQueue`, and a coordinator thread
+that keeps the pool busy and enqueues results in order. Exhausting or
+abandoning the iterator releases the lease but leaves the feeder
+reusable; only the explicit ``close()`` / ``with``-exit ends the
+lifecycle, after which iteration raises ``RuntimeError``.
 
-Guarantees (unchanged from the original, plus re-iterability):
+Guarantees:
 
-- **In-order delivery** — batch ``i`` always precedes ``i+1``.
-- **Bounded lookahead** — at most ``depth`` batches in flight; with a
-  queue, in-memory buffering is additionally bounded by the queue's
-  overload policy.
+- **In-order delivery** — batch ``i`` always precedes ``i+1``
+  (``drop_oldest`` may skip batches, never reorder them).
+- **Bounded lookahead** — at most ``depth`` batches in flight plus the
+  queue's ``capacity`` buffered (``spill_to_disk`` pages the excess to
+  disk instead of holding it).
 - **Clean, bounded shutdown** — exhaustion, consumer ``break``, producer
-  failure, or ``close()`` always releases the lease's workers, waiting
+  failure, or ``close()`` always releases the lease's threads, waiting
   only for batches already started.
 - **Exception propagation** — a producer failure re-raises at the failed
-  batch's position: thread mode with the original traceback, process mode
-  with the remote traceback chained via ``__cause__``.
+  batch's position as the original exception with its original traceback.
 
 ``produce`` is any ``index -> Batch`` callable — typically a
 :class:`repro.ingest.sources.BatchSource`, whose ``__len__`` also supplies
@@ -35,7 +33,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -69,10 +67,9 @@ class QueueConfig:
 class _Failure:
     """Queue-borne wrapper for a producer exception (re-raised in order)."""
 
-    __slots__ = ("index", "exc")
+    __slots__ = ("exc",)
 
-    def __init__(self, index: int, exc: BaseException) -> None:
-        self.index = index
+    def __init__(self, exc: BaseException) -> None:
         self.exc = exc
 
 
@@ -103,44 +100,36 @@ class _Lease:
 
     def __init__(self, feeder: "PipelinedFeeder") -> None:
         self.feeder = feeder
-        if feeder.mode == "thread":
-            self.pool: Executor = ThreadPoolExecutor(
-                max_workers=feeder.workers, thread_name_prefix="rap-feeder"
-            )
-        else:
-            self.pool = ProcessPoolExecutor(max_workers=feeder.workers)
-        self.queue: BackpressureQueue | None = (
-            feeder.queue_config.build() if feeder.queue_config is not None else None
+        self.pool = ThreadPoolExecutor(
+            max_workers=feeder.workers, thread_name_prefix="rap-feeder"
         )
-        self.stop = threading.Event()
-        self.coordinator: threading.Thread | None = None
+        self.queue = feeder.queue_config.build()
         self.started_at = time.perf_counter()
         self._released = False
-
-    def start_coordinator(self) -> None:
-        assert self.queue is not None
         self.coordinator = threading.Thread(
             target=self._coordinate, name="rap-feeder-coordinator", daemon=True
         )
         self.coordinator.start()
 
     def _coordinate(self) -> None:
-        """Keep ≤ depth producer futures in flight; enqueue results in order."""
+        """Keep ≤ depth producer futures in flight; enqueue results in order.
+
+        A released lease closes the queue, so the next ``put`` raises
+        :class:`QueueClosed` and ends this thread.
+        """
         feeder, queue = self.feeder, self.queue
-        assert queue is not None
         produce = feeder._producer()
         pending: deque = deque()
         next_index = 0
         try:
-            while (pending or next_index < feeder.num_batches) and not self.stop.is_set():
+            while pending or next_index < feeder.num_batches:
                 while next_index < feeder.num_batches and len(pending) < feeder.depth:
-                    pending.append((next_index, self.pool.submit(produce, next_index)))
+                    pending.append(self.pool.submit(produce, next_index))
                     next_index += 1
-                index, fut = pending.popleft()
                 try:
-                    item = fut.result()
+                    item = pending.popleft().result()
                 except BaseException as exc:  # noqa: BLE001 - forwarded to consumer
-                    queue.put(_Failure(index, exc))
+                    queue.put(_Failure(exc))
                     return
                 queue.put(item)
             queue.put(_SENTINEL)
@@ -148,11 +137,11 @@ class _Lease:
             pass  # consumer went away; nothing left to deliver to
         except BaseException as exc:  # noqa: BLE001 - never strand the consumer
             try:
-                queue.put(_Failure(next_index, exc))
+                queue.put(_Failure(exc))
             except QueueClosed:
                 pass
         finally:
-            for _, fut in pending:
+            for fut in pending:
                 fut.cancel()
 
     def release(self) -> None:
@@ -160,15 +149,12 @@ class _Lease:
         if self._released:
             return
         self._released = True
-        self.stop.set()
-        if self.queue is not None:
-            # Wakes a coordinator blocked in put() and drops buffered items.
-            self.queue.drain_and_discard()
+        # Wakes a coordinator blocked in put() and drops buffered items.
+        self.queue.drain_and_discard()
         self.pool.shutdown(wait=True, cancel_futures=True)
-        if self.coordinator is not None:
-            self.coordinator.join(timeout=30.0)
+        self.coordinator.join(timeout=30.0)
         metrics = self.feeder.metrics
-        if metrics is not None and self.queue is not None:
+        if metrics is not None:
             wall = time.perf_counter() - self.started_at
             metrics.absorb_queue_stats(self.queue.stats(), wall_s=wall)
 
@@ -180,23 +166,19 @@ class PipelinedFeeder:
     ----------
     produce:
         ``index -> batch`` callable (a :class:`BatchSource` qualifies).
-        Must be picklable in ``process`` mode.
     num_batches:
         Batches per iteration; defaults to ``len(produce)`` when the
         producer is sized (every ingest source is).
     depth:
         Maximum batches in flight (2 = classic double buffering).
-    mode:
-        ``"thread"`` or ``"process"``.
     workers:
-        Worker count of each leased pool.
+        Thread count of each leased pool.
     queue:
-        Optional :class:`QueueConfig`. Without it, delivery is the direct
-        futures window (producers can never run more than ``depth`` ahead);
-        with it, results flow through a fresh
-        :class:`~repro.ingest.queue.BackpressureQueue` per iteration, so
-        overload policies (``block`` / ``drop_oldest`` / ``spill_to_disk``)
-        and stall accounting apply.
+        :class:`QueueConfig` of the fresh
+        :class:`~repro.ingest.queue.BackpressureQueue` each iteration
+        delivers through, so overload policies (``block`` /
+        ``drop_oldest`` / ``spill_to_disk``) and stall accounting apply.
+        An invalid configuration raises ``ValueError`` here.
     metrics:
         Optional :class:`~repro.ingest.metrics.IngestMetrics`; pass one
         bound to the run's telemetry registry to expose ingest health.
@@ -207,9 +189,8 @@ class PipelinedFeeder:
         produce: Callable[[int], Any],
         num_batches: int | None = None,
         depth: int = 2,
-        mode: str = "thread",
         workers: int = 1,
-        queue: QueueConfig | None = None,
+        queue: QueueConfig = QueueConfig(),
         metrics: IngestMetrics | None = None,
     ) -> None:
         if num_batches is None:
@@ -226,12 +207,10 @@ class PipelinedFeeder:
             raise ValueError("depth must be at least 1 (2 = double buffering)")
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if mode not in ("thread", "process"):
-            raise ValueError(f"mode must be 'thread' or 'process', got {mode!r}")
+        queue.build()  # the queue's own checks, before any lease exists
         self.produce = produce
         self.num_batches = num_batches
         self.depth = depth
-        self.mode = mode
         self.workers = workers
         self.queue_config = queue
         self.metrics = metrics
@@ -251,7 +230,7 @@ class PipelinedFeeder:
 
     def close(self) -> None:
         """End the feeder's lifecycle: release every live lease and refuse
-        further iteration. Idempotent; never leaks workers."""
+        further iteration. Idempotent; never leaks threads."""
         self._closed = True
         with self._lease_lock:
             leases, self._leases = list(self._leases), set()
@@ -263,14 +242,10 @@ class PipelinedFeeder:
         return self._closed
 
     def _producer(self) -> Callable[[int], Any]:
-        """The callable actually submitted to the pool.
-
-        Thread mode wraps ``produce`` with wall-time accounting; process
-        mode submits it raw (the wrapper's metrics objects aren't
-        picklable, and remote timing would be lost anyway).
-        """
+        """The callable submitted to the pool: ``produce``, wrapped with
+        wall-time accounting when metrics are bound."""
         metrics = self.metrics
-        if self.mode != "thread" or metrics is None:
+        if metrics is None:
             return self.produce
 
         def produce_timed(index: int):
@@ -303,43 +278,8 @@ class PipelinedFeeder:
     # ------------------------------------------------------------------
 
     def __iter__(self) -> Iterator[Any]:
-        if self.queue_config is None:
-            return self._iter_futures()
-        return self._iter_queue()
-
-    def _iter_futures(self) -> Iterator[Any]:
-        """Direct futures window: the original delivery path, now per-lease."""
+        """Deliver one epoch from a fresh lease's queue, in order."""
         lease = self._lease()
-        pending: deque = deque()
-        next_index = 0
-        produce = self._producer()
-        try:
-            while pending or next_index < self.num_batches:
-                while next_index < self.num_batches and len(pending) < self.depth:
-                    pending.append(lease.pool.submit(produce, next_index))
-                    next_index += 1
-                # .result() re-raises a producer exception: thread mode with
-                # the original traceback, process mode with the remote
-                # traceback as __cause__.
-                batch = pending.popleft().result()
-                if self.metrics is not None:
-                    self.metrics.record_delivery()
-                yield batch
-            if self.metrics is not None:
-                self.metrics.record_epoch()
-        finally:
-            # Reached on exhaustion, consumer break, or producer failure:
-            # release THIS lease only — the feeder itself stays open.
-            for fut in pending:
-                fut.cancel()
-            self._retire(lease)
-
-    def _iter_queue(self) -> Iterator[Any]:
-        """Queue delivery: a coordinator keeps the window full and the
-        backpressure queue applies the overload policy between it and us."""
-        lease = self._lease()
-        assert lease.queue is not None
-        lease.start_coordinator()
         try:
             while True:
                 try:
@@ -351,12 +291,11 @@ class PipelinedFeeder:
                         self.metrics.record_epoch()
                     break
                 if isinstance(item, _Failure):
-                    # Thread mode: the original exception object, original
-                    # traceback. Process mode: already carries the remote
-                    # traceback via __cause__ (ProcessPoolExecutor semantics).
-                    raise item.exc
+                    raise item.exc  # the original object and traceback
                 if self.metrics is not None:
                     self.metrics.record_delivery()
                 yield item
         finally:
+            # Reached on exhaustion, consumer break, or producer failure:
+            # release THIS lease only — the feeder itself stays open.
             self._retire(lease)

@@ -50,7 +50,6 @@ from .spec import IngestError, SourceSpec, parse_spec, split_specs
 __all__ = [
     "BatchSource",
     "SyntheticSource",
-    "SyntheticBatchSource",
     "CsvSource",
     "JsonlSource",
     "ReplaySource",
@@ -178,33 +177,6 @@ class SyntheticSource(BatchSource):
         )
 
 
-class SyntheticBatchSource(SyntheticSource):
-    """Back-compat alias with the old ``repro.preprocessing.pipeline``
-    constructor signature (``io_delay_s`` in seconds, no batch count)."""
-
-    def __init__(
-        self,
-        schema: CriteoSchema,
-        batch_size: int = 4096,
-        seed: int = 2024,
-        start: int = 0,
-        io_delay_s: float = 0.0,
-    ) -> None:
-        super().__init__(
-            schema,
-            batch_size=batch_size,
-            num_batches=0,
-            seed=seed,
-            start=start,
-            io_delay_s=io_delay_s,
-        )
-
-    def __call__(self, index: int) -> Batch:  # old signature: produce(index)
-        if self.io_delay_s > 0:
-            time.sleep(self.io_delay_s)
-        return self.batch(index)
-
-
 # ----------------------------------------------------------------------
 # shared row-table core for file-backed sources
 # ----------------------------------------------------------------------
@@ -217,9 +189,7 @@ class _RowTableSource(BatchSource):
     ``dense`` maps name -> float32 array over *all* rows and ``sparse``
     maps name -> (offsets, values) CSR over all rows. Sharding (strided
     ``rows[k::n]``), batching, and hash-size inference are shared. The
-    load is locked so concurrent pool workers parse the file once, and
-    ``__getstate__`` drops the cache so process-mode pickling ships the
-    path, not the data.
+    load is locked so concurrent pool workers parse the file once.
     """
 
     def __init__(self, path: str, *, batch_size: int, shard: tuple[int, int] = (0, 1)) -> None:
@@ -228,7 +198,7 @@ class _RowTableSource(BatchSource):
         self.path = path
         self.batch_size = batch_size
         self.shard = shard
-        self._lock: threading.Lock | None = threading.Lock()
+        self._lock = threading.Lock()
         self._table: tuple[dict, dict] | None = None
         self._num_batches: int | None = None
 
@@ -242,8 +212,6 @@ class _RowTableSource(BatchSource):
     def _ensure_table(self) -> tuple[dict, dict]:
         if self._table is not None:
             return self._table
-        if self._lock is None:
-            self._lock = threading.Lock()
         with self._lock:
             if self._table is None:
                 dense, sparse = self._load()
@@ -320,18 +288,6 @@ class _RowTableSource(BatchSource):
         index, count = self.shard
         shard = f"&shard={index}/{count}" if count > 1 else ""
         return f"{scheme}://{self.path}?batch={self.batch_size}{shard}"
-
-    # -- pickling (process-mode feeders) ---------------------------------
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_lock"] = None
-        state["_table"] = None
-        state["_num_batches"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
 
 def _split_names(names: Iterable[str], sparse_override: str | None) -> tuple[list, list]:
@@ -501,7 +457,7 @@ class ReplaySource(BatchSource):
         self.path = path
         self.speed = speed
         self.pace = pace
-        self._lock: threading.Lock | None = threading.Lock()
+        self._lock = threading.Lock()
         self._records: list[dict] | None = None
         self._delays: np.ndarray | None = None
         self._hash_sizes: dict[str, int] | None = None
@@ -509,8 +465,6 @@ class ReplaySource(BatchSource):
     def _ensure_loaded(self) -> list[dict]:
         if self._records is not None:
             return self._records
-        if self._lock is None:
-            self._lock = threading.Lock()
         with self._lock:
             if self._records is None:
                 self._load()
@@ -599,17 +553,6 @@ class ReplaySource(BatchSource):
 
     def describe(self) -> str:
         return f"replay://{self.path}?speed={self.speed}&pace={int(self.pace)}"
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_lock"] = None
-        state["_records"] = None
-        state["_delays"] = None
-        state["_hash_sizes"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     @classmethod
     def from_spec(cls, spec: SourceSpec) -> "ReplaySource":

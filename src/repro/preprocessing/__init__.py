@@ -65,19 +65,6 @@ from .executor import (
 )
 from .random_plans import RandomPlanConfig, generate_random_plan
 
-# The feeder moved to repro.ingest (which imports this package for the
-# column types); resolve the legacy names lazily to avoid the cycle.
-_INGEST_NAMES = ("PipelinedFeeder", "SyntheticBatchSource")
-
-
-def __getattr__(name: str):
-    if name in _INGEST_NAMES:
-        from repro import ingest
-
-        return getattr(ingest, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "Batch",
     "CriteoSchema",
@@ -101,8 +88,6 @@ __all__ = [
     "compile_op_groups",
     "partition_ops",
     "plan_slots",
-    "PipelinedFeeder",
-    "SyntheticBatchSource",
     "OP_REGISTRY",
     "PreprocessingOp",
     "BoxCox",

@@ -161,15 +161,3 @@ def test_paced_source_overrides_delays():
     assert paced.batch(2).size == 16
     with pytest.raises(IngestError, match="non-negative"):
         PacedSource(inner, [-0.1])
-
-
-def test_sources_pickle_without_cached_tables(tmp_path, batches):
-    import pickle
-
-    path = tmp_path / "p.csv"
-    write_csv(str(path), batches)
-    src = source(f"csv://{path}?batch=96")
-    src.batch(0)  # force the load
-    clone = pickle.loads(pickle.dumps(src))
-    assert clone._table is None  # cache dropped, reloads lazily
-    _assert_batches_equal(clone.batch(1), batches[1])

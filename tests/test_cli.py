@@ -487,6 +487,17 @@ class TestIngestCli:
         assert main([*self.BASE, flag, value]) == 2
         assert f"{flag} requires --source" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--queue-capacity", "queue capacity must be >= 1"),
+        ("--ingest-depth", "depth must be at least 1"),
+    ], ids=["queue-capacity", "ingest-depth"])
+    def test_invalid_feeder_config_fails_before_the_run(self, capsys, flag, message):
+        assert main([*self.BASE, "--source", "synthetic://kaggle?batch=128&batches=4",
+                     flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Fault-tolerant run" not in captured.out
+
     def test_source_batch_must_match_run_batch_when_verifying(self, capsys):
         assert main([*self.BASE, "--source", "synthetic://kaggle?batch=64&batches=3",
                      "--verify-data", "1"]) == 2

@@ -1,8 +1,9 @@
 """Import graph of the CLI: removed lanes and heavy optional deps stay out.
 
 The data path has one kernel implementation (``preprocessing/ops.py``),
-one process-mode ingest handoff (pickling) and no graph library, so
-importing the CLI must not load any module of those removed lanes. scipy
+one ingest handoff (a thread pool feeding the backpressure queue) and no
+graph library, so importing the CLI must not load any module of those
+removed lanes. scipy
 is imported by the MILP solver and the Fig. 5 experiment only when they
 run, so importing the CLI or the planner package must not load it either.
 The CLI loads the service, the forge and the figure harnesses only inside
