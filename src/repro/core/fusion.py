@@ -134,7 +134,8 @@ class HorizontalFusionPass:
 
         if not self.enabled:
             instance, origin = build_fusion_instance(graphs)
-            order = sorted(range(len(origin)), key=lambda i: (instance.asap_levels()[i], i))
+            levels = instance.asap_levels()
+            order = sorted(range(len(origin)), key=lambda i: (levels[i], i))
             kernels = [per_graph_kernels[origin[i][0]][origin[i][1]] for i in order]
             return FusionPlan(kernels=kernels, fused=False)
 

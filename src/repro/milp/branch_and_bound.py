@@ -1,5 +1,12 @@
 """MILP solver: a root-LP warm-start gate, then one HiGHS branch and cut.
 
+For the fusion MILP there is a step 0 before this solver:
+:func:`~repro.milp.fusion_problem.solve_fusion` counts the same-type op
+pairs with no dependency path between them, which bounds the optimum, and
+returns a greedy start that fuses all of them without calling the solver.
+That settles the Table-3 plan 0/1 instance, so ``rap-repro plan/run --plan
+0|1`` never imports scipy (~0.5 s) or builds its 252-variable MILP.
+
 Solving runs scipy's HiGHS over the sparse matrix form of the problem, in
 at most two calls:
 

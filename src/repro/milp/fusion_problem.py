@@ -11,11 +11,15 @@ number of co-scheduled same-type pairs".
 
 Two solution paths:
 
-- **Exact**: the MILP via :class:`~repro.milp.branch_and_bound.BranchAndBoundSolver`,
-  warm-started from the greedy assignment: when the root LP bound proves
-  the greedy assignment optimal it is kept, otherwise HiGHS branch and cut
-  searches for a strictly better one. Used for instances of up to
-  ``exact_op_limit`` ops and in tests, where optimality can be asserted.
+- **Exact**: proves the greedy assignment optimal or improves on it. When
+  it already fuses every same-type pair with no dependency path between
+  them, that pair count bounds the optimum and nothing else runs;
+  otherwise the MILP goes to
+  :class:`~repro.milp.branch_and_bound.BranchAndBoundSolver`, warm-started
+  from the greedy assignment: when the root LP bound proves it optimal it
+  is kept, otherwise HiGHS branch and cut searches for a strictly better
+  one. Used for instances of up to ``exact_op_limit`` ops and in tests,
+  where optimality can be asserted.
 - **Heuristic**: ASAP level assignment plus a pair-improving local search.
   Used for plan-scale instances (Plan 3 has 1548 ops), the same way the
   paper would bound Gurobi's solve time.
@@ -23,6 +27,7 @@ Two solution paths:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,20 +264,30 @@ def build_fusion_milp(
         problem.add_constraint(coeffs, ">=", 1.0, name=f"dep_{i}_{j}")
 
     # Eq. 3-4 linearized: maximize co-scheduled same-type pairs.
-    unreachable = instance.reachable_pairs()
+    for a, b in _fusable_pairs(instance):
+        for t in range(t_max):
+            y = add_binary_product(problem, x[a][t], x[b][t], f"y_{a}_{b}_{t}")
+            problem.add_objective_term(y, 1.0)
+    return problem, x
+
+
+def _fusable_pairs(instance: FusionInstance) -> Iterator[tuple[int, int]]:
+    """Same-type op pairs ``(a, b)``, ``a < b``, with no dependency path
+    between them, by type (in first-seen order), then member position.
+
+    These are exactly the pairs that get product variables in
+    :func:`build_fusion_milp` (a dependent pair can never share a step), so
+    their count is an upper bound on the MILP optimum.
+    """
+    dependent = instance.reachable_pairs()
     by_type: dict[str, list[int]] = {}
     for idx, op_type in enumerate(instance.op_types):
         by_type.setdefault(op_type, []).append(idx)
-    for op_type, members in by_type.items():
-        for a_pos in range(len(members)):
-            for b_pos in range(a_pos + 1, len(members)):
-                a, b = members[a_pos], members[b_pos]
-                if (a, b) in unreachable or (b, a) in unreachable:
-                    continue  # dependent pair can never share a step
-                for t in range(t_max):
-                    y = add_binary_product(problem, x[a][t], x[b][t], f"y_{a}_{b}_{t}")
-                    problem.add_objective_term(y, 1.0)
-    return problem, x
+    for members in by_type.values():
+        for a_pos, a in enumerate(members):
+            for b in members[a_pos + 1 :]:
+                if (a, b) not in dependent and (b, a) not in dependent:
+                    yield a, b
 
 
 def _assignment_from_milp(
@@ -315,8 +330,18 @@ def solve_fusion(
     """Solve a fusion instance, choosing the exact or heuristic path.
 
     ``exact=None`` auto-selects: instances up to ``exact_op_limit`` ops run
-    the MILP (warm-started from the heuristic, so the result is never worse
-    than greedy); larger instances use ASAP + local search directly.
+    the exact path; larger instances use ASAP + local search directly.
+
+    The exact path starts from the heuristic assignment, so its result is
+    never worse than greedy. Step 0 counts the fusable pairs (same type, no
+    dependency path between them): each adds at most 1 to the objective,
+    so if the greedy start already fuses all of them it is returned as
+    ``"optimal"`` without building the MILP or importing scipy. Table-3
+    plans 0/1 always end here, which is what keeps scipy's ~0.5 s import
+    and the 252-variable MILP off ``rap-repro plan/run --plan 0|1``.
+    Otherwise the MILP goes to ``solver``, whose root-LP gate or branch and
+    cut proves or improves the start. ``method="milp"`` names the exact
+    path, whichever of the three proved the optimum.
     """
     if instance.num_ops == 0:
         return FusionAssignment(instance, [], method="empty")
@@ -324,6 +349,12 @@ def solve_fusion(
     use_exact = exact if exact is not None else instance.num_ops <= exact_op_limit
     if not use_exact:
         return FusionAssignment(instance, greedy, method="heuristic")
+
+    greedy_pairs = FusionAssignment(instance, greedy).fused_pair_count()
+    if greedy_pairs == sum(1 for _ in _fusable_pairs(instance)):
+        # Every fusable pair is already fused: the pair-count bound proves
+        # the warm start optimal without building or solving the MILP.
+        return FusionAssignment(instance, greedy, method="milp", milp_status="optimal")
 
     problem, x = build_fusion_milp(instance)
     warm = _warm_start_vector(instance, problem, x, greedy)
@@ -334,6 +365,6 @@ def solve_fusion(
     steps = _assignment_from_milp(instance, x, solution)
     assignment = FusionAssignment(instance, steps, method="milp", milp_status=solution.status)
     # The MILP can only match or beat the warm start, but guard anyway.
-    if assignment.fused_pair_count() < FusionAssignment(instance, greedy).fused_pair_count():
+    if assignment.fused_pair_count() < greedy_pairs:
         return FusionAssignment(instance, greedy, method="heuristic_fallback")
     return assignment

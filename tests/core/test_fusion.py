@@ -10,6 +10,7 @@ from repro.core.fusion import (
 )
 from repro.gpusim.kernel import KernelDesc
 from repro.gpusim.resources import A100_SPEC, ResourceVector
+from repro.milp.fusion_problem import FusionInstance
 from repro.preprocessing.graph import FeatureGraph
 from repro.preprocessing.ops import Clamp, FillNull, FirstX, Logit, SigridHash
 
@@ -87,6 +88,22 @@ class TestHorizontalFusionPass:
         graphs = [sparse_chain(0)]
         plan = HorizontalFusionPass(enabled=False).run(graphs, rows=64)
         assert [k.tag for k in plan.kernels] == ["SigridHash", "FirstX", "Clamp"]
+
+    def test_disabled_pass_computes_levels_once(self, monkeypatch):
+        # The unfused order sorts by dependency level; computing the levels
+        # inside the sort key made the pass quadratic in the op count.
+        calls = []
+        asap_levels = FusionInstance.asap_levels
+
+        def counting_asap_levels(self):
+            calls.append(self.num_ops)
+            return asap_levels(self)
+
+        monkeypatch.setattr(FusionInstance, "asap_levels", counting_asap_levels)
+        graphs = [sparse_chain(j) for j in range(8)]
+        plan = HorizontalFusionPass(enabled=False).run(graphs, rows=64)
+        assert plan.num_kernels == 24
+        assert calls == [24]
 
     def test_mixed_type_groups_never_fused(self):
         graphs = [dense_chain(0), sparse_chain(0)]

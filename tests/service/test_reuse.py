@@ -141,8 +141,8 @@ class TestSharedPlanIndex:
     def test_invariant_hit_skips_milp_a_cold_search_needs(
         self, tenant_a, tenant_b, tmp_path, solve_calls
     ):
-        # Exact fusion makes the cold search reach the MILP, so the zero
-        # count on the invariant hit is a real probe, not a vacuous one.
+        # The cold search solves fusion, so the zero count on the invariant
+        # hit is a real probe, not a vacuous one.
         graphs, _, workload = tenant_a
         graphs_b, _, workload_b = tenant_b
         cache = PlanCache(tmp_path)

@@ -193,7 +193,7 @@ class TestWarmReAdmission:
         second.submit(_light("alice", num_iterations=2))
         warm = second.run()
         assert warm.job("alice")["plan_source"] == "warm-exact"
-        assert len(solve_calls) == 0  # no MILP at all
+        assert len(solve_calls) == 0  # no fusion solve at all
         assert plan_to_json(second.jobs[0].runtime.plan) == plan_to_json(
             first.jobs[0].runtime.plan
         )

@@ -5,7 +5,9 @@ one ingest handoff (a thread pool feeding the backpressure queue) and no
 graph library, so importing the CLI must not load any module of those
 removed lanes. scipy
 is imported by the MILP solver and the Fig. 5 experiment only when they
-run, so importing the CLI or the planner package must not load it either.
+run, so importing the CLI or the planner package must not load it either,
+and neither must planning or running a Table-3 plan whose fusion optimum
+the pair-count bound proves.
 The CLI loads the service, the forge and the figure harnesses only inside
 the subcommands that use them.
 """
@@ -25,7 +27,21 @@ FORBIDDEN = ("networkx", "repro.ingest.shmio", "repro.preprocessing.backends")
 
 def _loaded_after_import(module: str) -> list[str]:
     """Every module a fresh interpreter holds after ``import <module>``."""
-    code = f"import json, sys\nimport {module}\nprint(json.dumps(sorted(sys.modules)))\n"
+    return _loaded_after(f"import {module}")
+
+
+def _loaded_after_cli(*argv: str) -> list[str]:
+    """Every module a fresh interpreter holds after one CLI call exits."""
+    return _loaded_after(
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({list(argv)!r}) == 0\n"
+    )
+
+
+def _loaded_after(setup: str) -> list[str]:
+    code = f"import json, sys\n{setup}\nprint(json.dumps(sorted(sys.modules)))\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")) if p
@@ -56,7 +72,28 @@ def test_cli_import_loads_no_removed_lane():
 def test_import_loads_no_scipy(module):
     loaded = _loaded_after_import(module)
     assert module in loaded
-    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+    assert _scipy(loaded) == []
+
+
+def _scipy(loaded: list[str]) -> list[str]:
+    return [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("plan", "--plan", "1"), ("run", "--plan", "1", "--iterations", "5")],
+    ids=["plan", "run"],
+)
+def test_table3_plan_cli_loads_no_scipy(argv):
+    """The pair-count bound proves the plan 0/1 fusion optimum, so HiGHS
+    (and with it scipy) is never needed."""
+    assert _scipy(_loaded_after_cli(*argv)) == []
+
+
+def test_random_plan_that_needs_highs_loads_scipy():
+    """Seed 5's greedy fusion start is not provably optimal by the bound,
+    so the lazy scipy import on the MILP path still runs."""
+    assert "scipy.optimize" in _loaded_after_cli("plan", "--random-plan", "--seed", "5")
 
 
 def test_pyproject_does_not_depend_on_networkx():
