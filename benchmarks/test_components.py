@@ -32,10 +32,10 @@ def plan3():
 def test_bench_fusion_heuristic_plan3(benchmark, plan3):
     """Heuristic fusion planning over the 1548-op Plan 3."""
     graphs, _ = plan3
-    fusion = HorizontalFusionPass()
 
     def run():
-        return fusion.run(list(graphs), rows=4096)
+        # A fresh pass per round: a reused one would return its run memo.
+        return HorizontalFusionPass().run(list(graphs), rows=4096)
 
     plan = benchmark(run)
     assert plan.max_fusion_degree >= 32

@@ -26,7 +26,7 @@ from ..gpusim.kernel import KernelDesc, fuse_kernels, shard_kernel
 from ..gpusim.resources import GpuSpec, ResourceVector, A100_SPEC
 from ..milp.branch_and_bound import BranchAndBoundSolver
 from ..milp.fusion_problem import FusionAssignment, FusionInstance, solve_fusion
-from ..preprocessing.graph import FeatureGraph
+from ..preprocessing.graph import FeatureGraph, GraphSet
 
 __all__ = [
     "FusionPlan",
@@ -57,9 +57,13 @@ def build_fusion_instance(graphs: Sequence[FeatureGraph]) -> tuple[FusionInstanc
     return FusionInstance(op_types=op_types, deps=deps), origin
 
 
-@dataclass
+@dataclass(frozen=True)
 class FusionPlan:
-    """The fused kernel queue for one GPU, in execution (time-step) order."""
+    """The fused kernel queue for one GPU, in execution (time-step) order.
+
+    A plan may be returned by many :meth:`HorizontalFusionPass.run` calls
+    (its run memo), so callers read ``kernels`` and never mutate it.
+    """
 
     kernels: list[KernelDesc]
     assignment: FusionAssignment | None = None
@@ -81,12 +85,27 @@ class FusionPlan:
 class HorizontalFusionPass:
     """Turns a GPU's feature graphs into an ordered fused-kernel queue.
 
-    Solved fusion assignments are memoized on the *structure* of the
-    lowered instance (operator types plus dependency edges). The mapping
-    hill-climb re-fuses the same GPU groupings dozens of times per search,
-    and a drifted replan changes kernel latencies but not the dependency
-    structure, so both re-use earlier solves instead of re-running the
-    MILP -- the assignment depends only on structure, never on latencies.
+    A kernel is priced from its configuration alone (§5), so the pass, which
+    each planner owns, memoizes three things:
+
+    - **Lowering memo.** Each graph's kernels at a row count
+      (:meth:`lower`), keyed on the graph's identity and the rows. An entry
+      keeps the graph, its op tuple and its ``avg_list_length`` beside the
+      kernels and is used only while all three still match -- an operator
+      is a value, never mutated in place (``plan_cache._content``).
+    - **Run memo.** Each :meth:`run`'s :class:`FusionPlan`, keyed on the
+      identities of the lowered kernel tuples it read. The replicated dense
+      group is fused once per search, not once per GPU, and a replan on an
+      already searched graph set re-runs only scheduling.
+    - **Structure memo.** Solved fusion assignments, keyed on the lowered
+      instance's operator types and dependency edges. The assignment
+      depends only on structure, never on latencies, so a drifted graph
+      set replays its earlier solves instead of re-running the MILP.
+
+    The lowering and run memos hold one graph set's entries:
+    :meth:`scope` drops them when a search starts on a different set. A
+    drift builds new graph objects for every cumulative scale, so an
+    unbounded memo would grow with every replan (DESIGN §9).
     """
 
     def __init__(
@@ -104,6 +123,31 @@ class HorizontalFusionPass:
         self.solver = solver
         self._memo: dict[tuple, tuple[list[int], str, str | None]] = {}
         self.memo_hits = 0
+        self._scope: GraphSet | None = None
+        self._lowered: dict[tuple[int, int], tuple] = {}
+        self._runs: dict[tuple[int, ...], tuple[list, FusionPlan]] = {}
+
+    def scope(self, graph_set: GraphSet) -> None:
+        """Keep lowering and run memo entries for ``graph_set`` only."""
+        if graph_set is not self._scope:
+            self._scope = graph_set
+            self._lowered.clear()
+            self._runs.clear()
+
+    def lower(self, graph: FeatureGraph, rows: int) -> tuple[KernelDesc, ...]:
+        """``graph.kernels(rows, self.spec)``, lowered once per graph and rows.
+
+        The entry holds the graph, so no other graph can take its ``id``
+        while the entry lives.
+        """
+        key = (id(graph), rows)
+        ops = tuple(graph.ops)
+        hit = self._lowered.get(key)
+        if hit is not None and hit[1] == ops and hit[2] == graph.avg_list_length:
+            return hit[3]
+        kernels = tuple(graph.kernels(rows, self.spec))
+        self._lowered[key] = (graph, ops, graph.avg_list_length, kernels)
+        return kernels
 
     def _solve_memoized(self, instance: FusionInstance) -> FusionAssignment:
         key = (tuple(instance.op_types), tuple(instance.deps))
@@ -130,16 +174,26 @@ class HorizontalFusionPass:
         graphs = list(graphs)
         if not graphs:
             return FusionPlan(kernels=[], fused=self.enabled)
-        per_graph_kernels = [g.kernels(rows, self.spec) for g in graphs]
+        per_graph_kernels = [self.lower(g, rows) for g in graphs]
+        # A lowered tuple is taken of one graph at one row count, so its
+        # identity fixes both; the entry holds the tuples, so no other
+        # tuple can take their ids while it lives.
+        key = tuple(map(id, per_graph_kernels))
+        hit = self._runs.get(key)
+        if hit is not None:
+            return hit[1]
+        plan = self._fuse(graphs, per_graph_kernels)
+        self._runs[key] = (per_graph_kernels, plan)
+        return plan
 
+    def _fuse(self, graphs: list[FeatureGraph], per_graph_kernels: list) -> FusionPlan:
+        instance, origin = build_fusion_instance(graphs)
         if not self.enabled:
-            instance, origin = build_fusion_instance(graphs)
             levels = instance.asap_levels()
             order = sorted(range(len(origin)), key=lambda i: (levels[i], i))
             kernels = [per_graph_kernels[origin[i][0]][origin[i][1]] for i in order]
             return FusionPlan(kernels=kernels, fused=False)
 
-        instance, origin = build_fusion_instance(graphs)
         assignment = self._solve_memoized(instance)
         kernels: list[KernelDesc] = []
         for op_type, step, members in assignment.ordered_groups():

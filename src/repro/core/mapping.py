@@ -322,7 +322,7 @@ class RapMapper:
             if len(placed) == 1 and placed[0][0] == src:
                 movable.append(graph)
         movable.sort(
-            key=lambda g: g.standalone_latency_us(global_batch, self.workload.spec),
+            key=lambda g: sum(k.duration_us for k in self.fusion.lower(g, global_batch)),
             reverse=True,
         )
         for chosen in movable[:max_candidates]:

@@ -250,10 +250,11 @@ class RapPlanner:
     def set_predictor(self, predictor) -> None:
         """Swap the latency predictor pricing the search.
 
-        The mapper, scheduler, and fusion pass all read latencies through
-        the one shared :class:`CoRunningCostModel`, so replacing its
-        predictor re-prices every future evaluation in one move. The online
-        calibration loop uses this to inject a
+        The mapper and scheduler read latencies through the one shared
+        :class:`CoRunningCostModel`, so replacing its predictor re-prices
+        every future evaluation in one move. The fusion pass lowers and
+        fuses from kernel configuration alone, so its memos stay valid.
+        The online calibration loop uses this to inject a
         :class:`repro.telemetry.CalibratedPredictor` when the drift
         detector fires; the cache key tracks the predictor's fingerprint,
         so calibrated plans never collide with stale ones. The replan memo
@@ -311,6 +312,7 @@ class RapPlanner:
         self, graph_set: GraphSet, initial_mapping: GraphMapping | None = None,
         move_budget: int | None = None,
     ) -> RapPlan:
+        self.fusion.scope(graph_set)
         if self.mapping_strategy == "rap":
             evaluation = self.mapper.optimize(
                 graph_set, initial_mapping=initial_mapping, budget=move_budget

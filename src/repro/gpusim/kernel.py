@@ -18,7 +18,7 @@ high-capacity stages falls out of this cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .resources import GpuSpec, ResourceVector
@@ -92,8 +92,14 @@ class KernelDesc:
         """Body time of a single fully-resident wave: the sharding floor."""
         return self.body_us / self.waves
 
+    # The derivations below call the constructor directly, not
+    # ``dataclasses.replace``: ``__post_init__`` still validates the result,
+    # without replace's per-field lookups on the scheduler's sharding path.
     def with_duration(self, duration_us: float) -> "KernelDesc":
-        return replace(self, duration_us=duration_us)
+        return KernelDesc(
+            self.name, duration_us, self.demand, self.num_warps, self.tag,
+            self.launch_us, self.warp_slots, self.meta,
+        )
 
     def drifted(self, factor: float) -> "KernelDesc":
         """This kernel with its duration multiplied by ``factor`` (input drift).
@@ -105,7 +111,10 @@ class KernelDesc:
         if factor == 1.0:
             return self
         duration_us = self.duration_us * factor
-        return replace(self, duration_us=duration_us, launch_us=min(self.launch_us, duration_us))
+        return KernelDesc(
+            self.name, duration_us, self.demand, self.num_warps, self.tag,
+            min(self.launch_us, duration_us), self.warp_slots, self.meta,
+        )
 
     def scaled(self, fraction: float, suffix: str = "") -> "KernelDesc":
         """Return a shard covering ``fraction`` of this kernel's work.
@@ -135,13 +144,9 @@ class KernelDesc:
             new_body = self.body_us * fraction
             sm = self.demand.sm * fraction
             dram = self.demand.dram * fraction
-        return replace(
-            self,
-            name=self.name + suffix,
-            duration_us=self.launch_us + new_body,
-            demand=ResourceVector(sm=sm, dram=dram),
-            num_warps=new_warps,
-            meta=meta,
+        return KernelDesc(
+            self.name + suffix, self.launch_us + new_body, ResourceVector(sm=sm, dram=dram),
+            new_warps, self.tag, self.launch_us, self.warp_slots, meta,
         )
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Sequence
 
@@ -80,9 +81,11 @@ def _config_noise(key: tuple) -> float:
     so that the latency predictor's +/-10% accuracy target (Table 5) is a
     real bar rather than a tautology.
 
-    Planning loops lower the same (op, rows, list-length, params) tuple to a
-    kernel thousands of times per search, so the digest is memoized behind a
-    bounded LRU cache; the key space of one planning session is tiny.
+    A planner lowers each (graph, rows) once per graph set
+    (:class:`repro.core.fusion.HorizontalFusionPass`), but fresh planners,
+    baselines and drifted graph sets lower the same (op, rows, list-length,
+    params) configurations again, so the digest is memoized behind a bounded
+    LRU cache; the key space of one process is small.
     """
     digest = hashlib.md5(repr(key).encode()).digest()
     unit = int.from_bytes(digest[:4], "little") / 0xFFFFFFFF
@@ -471,7 +474,7 @@ class PreprocessingOp:
 
     def num_warps(self, rows: int, avg_list_length: float = 2.0) -> int:
         work = self.work_elements(rows, avg_list_length)
-        return max(1, int(np.ceil(work / _ELEMS_PER_WARP)))
+        return max(1, math.ceil(work / _ELEMS_PER_WARP))
 
     def gpu_kernel(
         self,
