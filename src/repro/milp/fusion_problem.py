@@ -27,6 +27,7 @@ Two solution paths:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -179,42 +180,53 @@ def _local_improve(instance: FusionInstance, steps: list[int], max_rounds: int =
     predecessors, strictly before all successors. This captures the paper's
     conflict cases (e.g. ``FirstX -> SigridHash`` vs ``SigridHash ->
     FirstX`` chains) where ASAP is suboptimal.
+
+    Each sweep visits the ops in index order and moves an op to the first
+    step of its window with the largest positive gain. A step with no op of
+    the same type never gains (the move would only lose pairs), so only the
+    occupied steps of the op's type are scanned, in ascending order, from
+    per-type step counts.
     """
     steps = list(steps)
     pred = instance.predecessors()
     succ = instance.successors()
-    n = instance.num_ops
+    op_types = instance.op_types
     max_step = max(steps) + 1 if steps else 0
 
     for _ in range(max_rounds):
         improved = False
-        groups: dict[tuple[str, int], list[int]] = {}
-        for idx, step in enumerate(steps):
-            groups.setdefault((instance.op_types[idx], step), []).append(idx)
-        for op in range(n):
-            op_type = instance.op_types[op]
-            lo = max((steps[p] + 1 for p in pred[op]), default=0)
-            hi = min((steps[s] - 1 for s in succ[op]), default=max_step)
+        counts: dict[str, dict[int, int]] = {}
+        for op_type, step in zip(op_types, steps):
+            per_step = counts.setdefault(op_type, {})
+            per_step[step] = per_step.get(step, 0) + 1
+        occupied = {op_type: sorted(per_step) for op_type, per_step in counts.items()}
+        for op, op_type in enumerate(op_types):
+            type_steps = occupied[op_type]
+            current = steps[op]
+            if len(type_steps) == 1:
+                continue  # every op of this type shares the op's step
+            before, after = pred[op], succ[op]
+            lo = max([steps[p] for p in before]) + 1 if before else 0
+            hi = min([steps[s] for s in after]) - 1 if after else max_step
             if lo > hi:
                 continue
-            current = steps[op]
-            current_size = len(groups[(op_type, current)])
+            per_step = counts[op_type]
+            # Pairs gained at destination minus pairs lost at source.
+            lost = per_step[current] - 1
             best_step = current
             best_gain = 0
-            for cand in range(lo, hi + 1):
-                if cand == current:
-                    continue
-                cand_size = len(groups.get((op_type, cand), []))
-                # Pairs gained at destination minus pairs lost at source.
-                gain = cand_size - (current_size - 1)
-                if gain > best_gain:
+            for cand in type_steps[bisect_left(type_steps, lo):bisect_right(type_steps, hi)]:
+                gain = per_step[cand] - lost
+                if gain > best_gain and cand != current:
                     best_gain = gain
                     best_step = cand
             if best_step != current:
-                groups[(op_type, current)].remove(op)
-                if not groups[(op_type, current)]:
-                    del groups[(op_type, current)]
-                groups.setdefault((op_type, best_step), []).append(op)
+                if lost:
+                    per_step[current] = lost
+                else:
+                    del per_step[current]
+                    type_steps.remove(current)
+                per_step[best_step] += 1
                 steps[op] = best_step
                 improved = True
         if not improved:
