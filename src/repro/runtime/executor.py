@@ -323,9 +323,9 @@ class _InstalledPlan:
     Between plan changes the placed kernels are frozen, so the transparent
     path's report, the plan's predicted exposure and every placed kernel's
     sample inputs are fixed, and so are the drifted placement and its
-    sample inputs at one scale. Under an uncalibrated predictor the sample
-    inputs are whole samples, so each row set becomes one
-    :class:`SampleBatch`. An instance lives from one
+    sample inputs at one scale. Each row set becomes one
+    :class:`SampleBatch`; a calibrated predictor's active prices are read
+    when the batch is recorded. An instance lives from one
     :meth:`FaultTolerantRuntime._install_plan` to the next, or until the
     planner's predictor object changes, since the base prices come from it.
     """
@@ -341,7 +341,7 @@ class _InstalledPlan:
         # (once telemetry asks) its samples.
         self._scaled_key: tuple | None = None
         self._scaled_placement: tuple | None = None
-        self._scaled_samples: SampleBatch | list[tuple] | None = None
+        self._scaled_samples: SampleBatch | None = None
 
     @cached_property
     def report(self) -> RapRunReport:
@@ -376,39 +376,35 @@ class _InstalledPlan:
         return staged, trailing
 
     @cached_property
-    def samples(self) -> SampleBatch | list[tuple]:
-        """The transparent path's samples (see :meth:`_samples_of`): every
-        GPU's staged kernels, then every GPU's trailing kernels."""
+    def samples(self) -> SampleBatch:
+        """The transparent path's samples: every GPU's staged kernels, then
+        every GPU's trailing kernels."""
         staged, trailing = self._gpu_rows
         return self._samples_of([r for rows in staged + trailing for r in rows])
 
-    def _samples_of(self, rows: list[tuple]) -> SampleBatch | list[tuple]:
-        """One row set's samples: uncalibrated, the batch of its samples;
-        calibrated, the rows themselves, since each active price must be
-        read when its sample is recorded (after every earlier one)."""
-        if self.calibrated:
-            return rows
+    @staticmethod
+    def _samples_of(rows: list[tuple]) -> SampleBatch:
+        """One row set's batch of samples, in row order."""
         return SampleBatch(
             CalibrationSample(tag, base, observed_us, -1, stage, features)
-            for tag, base, observed_us, stage, features, _ in rows
+            for tag, base, observed_us, stage, features, *_ in rows
         )
 
     def scaled(
         self, scale: float, drift_factors: dict[str, float], with_samples: bool
-    ) -> tuple[tuple, SampleBatch | list[tuple] | None]:
+    ) -> tuple[tuple, SampleBatch | None]:
         """The placement at uniform ``scale`` and per-op ``drift_factors``
-        (:func:`scale_plan_kernels`), and with ``with_samples`` its samples
-        (see :meth:`_samples_of`).
+        (:func:`scale_plan_kernels`), and with ``with_samples`` its samples.
 
         Both are kept for the last scale seen, so the containers are shared:
         callers copy the placement before rewriting it. Rows are
-        ``(tag, base price, observed duration, stage, features, kernel)``:
-        the observation is the drifted duration the simulator runs; the
-        priced kernel is the drifted one, or for an op type with a factor
-        the kernel at the uniform scale (what the cost model knew of the
-        live distribution). Drifted copies differ from the planned kernel
-        only in durations, which are not features, so they share its
-        features. Row order is per GPU, staged then trailing.
+        ``(tag, base price, observed duration, stage, features)``: the
+        observation is the drifted duration the simulator runs; the price
+        is the drifted kernel's, or for an op type with a factor the
+        kernel's at the uniform scale (what the cost model knew of the live
+        distribution). Drifted copies differ from the planned kernel only
+        in durations, which are not features, so they share its features.
+        Row order is per GPU, staged then trailing.
         """
         key = (scale, tuple(sorted(drift_factors.items())))
         if key != self._scaled_key:
@@ -433,7 +429,7 @@ class _InstalledPlan:
         ):
             for (tag, _, _, stage, features, kernel), ran in zip(planned, ran_kernels, strict=True):
                 priced = ran if tag not in drift_factors else kernel.drifted(scale)
-                rows.append((tag, price(priced), ran.duration_us, stage, features, priced))
+                rows.append((tag, price(priced), ran.duration_us, stage, features))
         return rows
 
 
@@ -1113,7 +1109,7 @@ class FaultTolerantRuntime:
     # ------------------------------------------------------------------
 
     def _record_samples(
-        self, installed: _InstalledPlan, samples: SampleBatch | list[tuple], iteration: int
+        self, installed: _InstalledPlan, samples: SampleBatch, iteration: int
     ) -> None:
         """Record one sample per placed kernel (:attr:`_InstalledPlan.samples`
         on the transparent path, :meth:`_InstalledPlan.scaled` otherwise).
@@ -1123,24 +1119,13 @@ class FaultTolerantRuntime:
         prediction feeds the residual model -- it must stay a stable
         reference or the correction chases its own output. The active
         prediction is what the drift detector judges: uncalibrated it is the
-        base price, so the plan's batch is recorded whole; calibrated it
-        moves with every recorded sample, so each kernel is priced only when
-        the session draws its sample, after every earlier one was recorded.
+        base price; calibrated it moves with every recorded sample, so the
+        session's residual model -- the one the plan's predictor corrects
+        with -- prices each sample as it records it.
         """
-        if not installed.calibrated:
-            self.telemetry.record_batch(samples, iteration)
-            return
-        price = self.planner.cost_model.kernel_latency
-
-        def priced():
-            for tag, base, observed_us, stage, features, kernel in samples:
-                active = price(kernel)
-                yield CalibrationSample(
-                    tag, base, observed_us, iteration, stage, features,
-                    active if active != base else None,
-                )
-
-        self.telemetry.record_kernel_samples(priced())
+        if installed.calibrated:
+            assert installed.predictor.residual is self.telemetry.residual
+        self.telemetry.record_batch(samples, iteration, calibrated=installed.calibrated)
 
     def _recalibrate_and_replan(self, iteration: int, event: DriftEvent) -> None:
         """Answer a drift detection: inject the calibrated predictor, replan.

@@ -18,6 +18,7 @@ from .calibration import (
     CalibratedPredictor,
     CalibrationSample,
     DriftDetector,
+    DriftErrors,
     DriftEvent,
     LatencyDrift,
     ResidualModel,
@@ -60,6 +61,7 @@ __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS_US",
     "DriftDetector",
+    "DriftErrors",
     "DriftEvent",
     "Gauge",
     "Histogram",

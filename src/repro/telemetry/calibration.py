@@ -9,8 +9,9 @@ the loop:
 
 - the runtime records one :class:`CalibrationSample` per executed kernel:
   the cost model's prediction next to the simulator's observed latency.
-  An uncalibrated plan's samples repeat every iteration at one scale, so
-  they are recorded as one precomputed :class:`SampleBatch`;
+  A plan's samples repeat every iteration at one scale, so they are
+  recorded as one precomputed :class:`SampleBatch`, whose calibrated
+  prices the residual model reads as it records them;
 - :class:`ResidualModel` maintains a per-op-type multiplicative correction
   from a sliding window of log-ratio residuals (running median by default;
   a :class:`repro.ml.gbdt.GradientBoostingRegressor` over kernel features
@@ -42,9 +43,11 @@ from itertools import repeat
 import numpy as np
 
 from ..ml.gbdt import GradientBoostingRegressor
+from .registry import bucket_counts
 
 __all__ = [
     "CalibrationSample",
+    "DriftErrors",
     "SampleBatch",
     "LatencyDrift",
     "drift_factors_at",
@@ -126,49 +129,100 @@ class CalibrationSample:
         )
 
 
-def _drift_summary(samples) -> tuple[dict[str, float], float]:
-    """What :class:`DriftDetector` reads of one iteration's samples: each op
-    type's mean absolute relative error, in first-appearance order, and the
-    mean over all samples (0.0 when there are none)."""
-    per_op: dict[str, list[float]] = {}
-    errors: list[float] = []
-    for s in samples:
-        error = s.abs_relative_error
-        errors.append(error)
-        per_op.setdefault(s.op_type, []).append(error)
-    means = {op: sum(errs) / len(errs) for op, errs in per_op.items()}
-    return means, (sum(errors) / len(errors) if errors else 0.0)
+class DriftErrors:
+    """What :class:`DriftDetector` reads of one iteration's samples: each
+    sample's absolute relative error against the active model, per op type
+    in first-appearance order (``per_op``) and all of them in recording
+    order (``errors``). The means are summed in those orders, so they equal
+    the ones a sample-by-sample pass computes."""
+
+    __slots__ = ("per_op", "errors", "_drift")
+
+    def __init__(self, per_op: dict[str, list[float]], errors: list[float]) -> None:
+        self.per_op = per_op
+        self.errors = errors
+        self._drift: tuple[dict[str, float], float] | None = None
+
+    @classmethod
+    def of(cls, samples) -> "DriftErrors":
+        per_op: dict[str, list[float]] = {}
+        errors: list[float] = []
+        for s in samples:
+            error = s.abs_relative_error
+            errors.append(error)
+            per_op.setdefault(s.op_type, []).append(error)
+        return cls(per_op, errors)
+
+    @classmethod
+    def concat(cls, parts) -> "DriftErrors":
+        """Several recordings of one iteration, judged as one stream."""
+        per_op: dict[str, list[float]] = {}
+        errors: list[float] = []
+        for part in parts:
+            for op, errs in part.per_op.items():
+                per_op.setdefault(op, []).extend(errs)
+            errors.extend(part.errors)
+        return cls(per_op, errors)
+
+    @property
+    def drift(self) -> tuple[dict[str, float], float]:
+        """Each op type's mean error and the mean over all samples (0.0 when
+        there are none), computed once."""
+        if self._drift is None:
+            errors = self.errors
+            self._drift = (
+                {op: sum(errs) / len(errs) for op, errs in self.per_op.items()},
+                sum(errors) / len(errors) if errors else 0.0,
+            )
+        return self._drift
 
 
 class SampleBatch:
     """One iteration's samples, built once and recorded at many iterations.
 
-    Between plan changes an uncalibrated plan records the same samples every
-    iteration at one scale, and only the iteration number differs. A batch
-    holds them as iteration-free templates (a template's own ``iteration``
-    is ignored; the recorder supplies it), in recording order, plus what
-    every recording reads:
+    Between plan changes the runtime records the same placed kernels every
+    iteration at one scale, and only the iteration number differs -- and,
+    under a calibrated predictor, the active prices, which
+    :meth:`ResidualModel.record` reads as it records. A batch holds the
+    samples as iteration-free templates (a template's own ``iteration`` is
+    ignored; the recorder supplies it), in recording order, plus what every
+    recording reads:
 
     - ``ops``: per op type in first-appearance order, its templates and
-      their observed latencies;
-    - ``drift``: the drift detector's per-op mean errors and overall mean.
+      their observed latencies and own active prices;
+    - ``order``: for each recorded sample, its index in the ``ops``
+      templates laid end to end;
+    - ``errors``: the :class:`DriftErrors` of the templates as they are
+      (what an uncalibrated recording is judged by).
 
     The templates are shared by every iteration that records the batch, so
     each one's ``log_ratio`` is computed at most once. Treat a batch as
     immutable.
     """
 
-    __slots__ = ("templates", "ops", "drift")
+    __slots__ = ("templates", "ops", "order", "errors", "_bucket_counts")
 
     def __init__(self, templates) -> None:
         self.templates: tuple[CalibrationSample, ...] = tuple(templates)
-        grouped: dict[str, list[CalibrationSample]] = {}
-        for t in self.templates:
-            grouped.setdefault(t.op_type, []).append(t)
-        self.ops: tuple[tuple[str, tuple, tuple[float, ...]], ...] = tuple(
-            (op, tuple(ts), tuple(t.observed_us for t in ts)) for op, ts in grouped.items()
+        grouped: dict[str, list[int]] = {}
+        for i, t in enumerate(self.templates):
+            grouped.setdefault(t.op_type, []).append(i)
+        self.ops: tuple[tuple[str, tuple, tuple[float, ...], tuple], ...] = tuple(
+            (
+                op,
+                tuple(self.templates[i] for i in indices),
+                tuple(self.templates[i].observed_us for i in indices),
+                tuple(self.templates[i].active_predicted_us for i in indices),
+            )
+            for op, indices in grouped.items()
         )
-        self.drift = _drift_summary(self.templates)
+        grouped_order = [i for indices in grouped.values() for i in indices]
+        order = [0] * len(grouped_order)
+        for position, i in enumerate(grouped_order):
+            order[i] = position
+        self.order: tuple[int, ...] = tuple(order)
+        self.errors = DriftErrors.of(self.templates)
+        self._bucket_counts: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.templates)
@@ -179,6 +233,17 @@ class SampleBatch:
     def samples(self, iteration: int) -> list[CalibrationSample]:
         """The batch as recorded at ``iteration``, in recording order."""
         return [replace(t, iteration=iteration) for t in self.templates]
+
+    def bucket_counts(self, buckets: tuple[float, ...]) -> tuple:
+        """Per op type, :func:`repro.telemetry.registry.bucket_counts` of its
+        observed latencies under ``buckets``, computed once per bounds."""
+        memo = self._bucket_counts
+        if memo is None or memo[0] != buckets:
+            memo = self._bucket_counts = (
+                buckets,
+                tuple(bucket_counts(buckets, observed) for _, _, observed, _ in self.ops),
+            )
+        return memo[1]
 
 
 @dataclass(frozen=True)
@@ -267,9 +332,9 @@ class ResidualModel:
     later read takes the median without sorting.
 
     A window holds the recorded samples; a batch's entries are its shared
-    templates, and each window keeps the iteration numbers beside it, so
-    :meth:`samples_for` and :meth:`state_dict` return every sample with
-    the iteration it was recorded at.
+    templates, and each window keeps the iteration numbers and active
+    prices beside it, so :meth:`samples_for` and :meth:`state_dict` return
+    every sample with the iteration and active price it was recorded at.
     """
 
     def __init__(
@@ -293,6 +358,7 @@ class ResidualModel:
         self.clip = clip
         self._samples: dict[str, deque[CalibrationSample]] = {}
         self._iterations: dict[str, deque[int]] = {}
+        self._actives: dict[str, deque[float | None]] = {}
         self._sorted: dict[str, list[float]] = {}
         self._gbdt: dict[str, GradientBoostingRegressor] = {}
         self._gbdt_stale: set[str] = set()
@@ -302,23 +368,45 @@ class ResidualModel:
     # ------------------------------------------------------------------
 
     def record(
-        self, sample: CalibrationSample | SampleBatch, iteration: int | None = None
-    ) -> None:
+        self,
+        sample: CalibrationSample | SampleBatch,
+        iteration: int | None = None,
+        calibrated: bool = False,
+    ) -> DriftErrors | None:
         """Record one sample, or every sample of a :class:`SampleBatch` as
-        recorded at ``iteration``."""
-        if isinstance(sample, CalibrationSample):
-            self._extend(sample.op_type, (sample,), (sample.iteration,))
-            self.total_samples += 1
-            return
-        for op_type, templates, _ in sample.ops:
-            self._extend(op_type, templates, repeat(iteration, len(templates)))
-        self.total_samples += len(sample)
+        recorded at ``iteration`` and return what the drift detector reads
+        of them.
 
-    def _extend(self, op_type: str, samples, iterations) -> None:
+        A batch is recorded at its templates' own active prices, unless
+        ``calibrated``: then each sample's active price is this model's
+        correction of its base price (what :class:`CalibratedPredictor`
+        prices it at) after every earlier sample was recorded. Only an op
+        type's own window sets its correction, so this takes one pass per
+        op type (:meth:`_record_calibrated`).
+        """
+        if isinstance(sample, CalibrationSample):
+            self._extend(
+                sample.op_type, (sample,), (sample.iteration,), (sample.active_predicted_us,)
+            )
+            self.total_samples += 1
+            return None
+        self.total_samples += len(sample)
+        if calibrated:
+            return self._record_calibrated(sample, iteration)
+        for op_type, templates, _, actives in sample.ops:
+            self._extend(op_type, templates, repeat(iteration, len(templates)), actives)
+        return sample.errors
+
+    def _window(self, op_type: str) -> deque:
         window = self._samples.get(op_type)
         if window is None:
             window = self._samples[op_type] = deque(maxlen=self.window)
             self._iterations[op_type] = deque(maxlen=self.window)
+            self._actives[op_type] = deque(maxlen=self.window)
+        return window
+
+    def _extend(self, op_type: str, samples, iterations, actives) -> None:
+        window = self._window(op_type)
         ordered = self._sorted.get(op_type)
         if ordered is None:
             window.extend(samples)
@@ -329,20 +417,94 @@ class ResidualModel:
                 window.append(s)
                 insort(ordered, s.log_ratio)
         self._iterations[op_type].extend(iterations)
+        self._actives[op_type].extend(actives)
         self._corrections.pop(op_type, None)
         self._gbdt_stale.add(op_type)
+
+    def _record_calibrated(self, batch: SampleBatch, iteration: int) -> DriftErrors:
+        """Record ``batch`` at ``iteration``, pricing each sample as it goes.
+
+        Per op type, each template is priced from the window as it stands
+        -- quantile mode with :meth:`correction`'s own expression over the
+        running median of the sorted window, gbdt mode through
+        :meth:`correct` -- and then appended with its iteration and active
+        price. The errors come back per op and, reordered, in recording
+        order, so their sums match a sample-by-sample pass.
+        """
+        per_op: dict[str, list[float]] = {}
+        for op_type, templates, observed, _ in batch.ops:
+            if self.mode == "gbdt":
+                errors = self._record_gbdt(op_type, templates, iteration)
+            else:
+                errors = self._record_quantile(op_type, templates, observed, iteration)
+            per_op[op_type] = errors
+        if len(per_op) == 1:
+            return DriftErrors(per_op, errors)
+        grouped = [e for errors in per_op.values() for e in errors]
+        return DriftErrors(per_op, list(map(grouped.__getitem__, batch.order)))
+
+    def _record_quantile(self, op_type: str, templates, observed, iteration: int) -> list[float]:
+        window = self._window(op_type)
+        ordered = self._sorted.get(op_type)
+        if ordered is None:
+            ordered = self._sorted[op_type] = sorted(s.log_ratio for s in window)
+        maxlen = window.maxlen
+        min_samples = self.min_samples
+        clip = self.clip
+        floor = 1.0 / clip
+        errors: list[float] = []
+        actives: list[float | None] = []
+        median = factor = None  # the factor is recomputed only when the median moves
+        for t, observed_us in zip(templates, observed):
+            base = t.predicted_us
+            n = len(ordered)
+            if n < min_samples:
+                active = base
+            else:
+                mid = n // 2
+                m = ordered[mid] if n % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
+                if m != median:
+                    median = m
+                    factor = float(min(clip, max(floor, math.exp(m))))
+                active = base * factor
+            errors.append(abs(observed_us - active) / max(active, 1e-9))
+            actives.append(active if active != base else None)
+            if n == maxlen:
+                del ordered[bisect_left(ordered, window[0].log_ratio)]
+            window.append(t)
+            insort(ordered, t.log_ratio)
+        self._iterations[op_type].extend(repeat(iteration, len(templates)))
+        self._actives[op_type].extend(actives)
+        self._corrections.pop(op_type, None)
+        self._gbdt_stale.add(op_type)
+        return errors
+
+    def _record_gbdt(self, op_type: str, templates, iteration: int) -> list[float]:
+        errors: list[float] = []
+        for t in templates:
+            base = t.predicted_us
+            active = self.correct(op_type, base, t.features)
+            errors.append(abs(t.observed_us - active) / max(active, 1e-9))
+            self._extend(op_type, (t,), (iteration,), (active if active != base else None,))
+        return errors
 
     def op_types(self) -> list[str]:
         return sorted(self._samples)
 
     def _stamped(self, op_type: str):
-        """``(sample, iteration recorded at)`` pairs of one window."""
-        return zip(self._samples.get(op_type, ()), self._iterations.get(op_type, ()))
+        """``(sample, iteration recorded at, active price)`` of one window."""
+        return zip(
+            self._samples.get(op_type, ()),
+            self._iterations.get(op_type, ()),
+            self._actives.get(op_type, ()),
+        )
 
     def samples_for(self, op_type: str) -> list[CalibrationSample]:
         return [
-            s if s.iteration == it else replace(s, iteration=it)
-            for s, it in self._stamped(op_type)
+            s
+            if s.iteration == it and s.active_predicted_us == active
+            else replace(s, iteration=it, active_predicted_us=active)
+            for s, it, active in self._stamped(op_type)
         ]
 
     # ------------------------------------------------------------------
@@ -451,7 +613,10 @@ class ResidualModel:
             "clip": self.clip,
             "total_samples": self.total_samples,
             "samples": {
-                op: [{**s.to_dict(), "iteration": it} for s, it in self._stamped(op)]
+                op: [
+                    {**s.to_dict(), "iteration": it, "active_predicted_us": active}
+                    for s, it, active in self._stamped(op)
+                ]
                 for op in sorted(self._samples)
             },
         }
@@ -471,6 +636,10 @@ class ResidualModel:
         }
         self._iterations = {
             op: deque((s.iteration for s in window), maxlen=self.window)
+            for op, window in self._samples.items()
+        }
+        self._actives = {
+            op: deque((s.active_predicted_us for s in window), maxlen=self.window)
             for op, window in self._samples.items()
         }
         self._sorted = {}
@@ -580,14 +749,14 @@ class DriftDetector:
             raise ValueError("window must be >= 1")
 
     def observe_iteration(
-        self, iteration: int, samples: list[CalibrationSample] | SampleBatch
+        self, iteration: int, samples: list[CalibrationSample] | DriftErrors
     ) -> DriftEvent | None:
-        """Feed one iteration's samples, or one batch's precomputed means;
+        """Feed one iteration's samples, or what recording them returned;
         maybe raise the drift event. An iteration without samples is a
         no-op."""
-        per_op, mean_residual = (
-            samples.drift if isinstance(samples, SampleBatch) else _drift_summary(samples)
-        )
+        if not isinstance(samples, DriftErrors):
+            samples = DriftErrors.of(samples)
+        per_op, mean_residual = samples.drift
         if not per_op:
             return None
         self._per_op_last = dict(per_op)

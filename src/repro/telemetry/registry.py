@@ -21,6 +21,8 @@ import math
 import re
 import threading
 from bisect import bisect_left
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS_US",
+    "bucket_counts",
     "metric_key",
 ]
 
@@ -112,6 +115,22 @@ class Gauge:
         self._value -= amount
 
 
+def bucket_counts(
+    buckets: Sequence[float], values: Sequence[float]
+) -> tuple[tuple[int, int], ...]:
+    """``(slot, count)`` of every bucket slot that ``values`` land in, in slot
+    order, the last slot (``len(buckets)``) being +Inf. A value lands in the
+    first bucket whose bound it does not exceed; NaN exceeds none, so it
+    goes to +Inf as in :meth:`Histogram.observe`."""
+    inf_slot = len(buckets)
+    counts: dict[int, int] = {}
+    for value in values:
+        value = float(value)
+        slot = bisect_left(buckets, value) if value == value else inf_slot
+        counts[slot] = counts.get(slot, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
 class Histogram:
     """Fixed-bucket histogram with cumulative exposition semantics.
 
@@ -153,19 +172,20 @@ class Histogram:
                 return
         self._counts[-1] += 1
 
-    def observe_many(self, values: Sequence[float]) -> None:
+    def observe_many(
+        self, values: Sequence[float], counts: Sequence[tuple[int, int]] | None = None
+    ) -> None:
         """:meth:`observe` each value in order: the same sum, bucket counts
-        and count. A value lands in the first bucket whose bound it does not
-        exceed; NaN exceeds none, so it goes to +Inf as in :meth:`observe`."""
-        buckets = self.buckets
-        counts = self._counts
-        inf_slot = len(buckets)
-        total = self._sum
-        for value in values:
-            value = float(value)
-            total += value
-            counts[bisect_left(buckets, value) if value == value else inf_slot] += 1
-        self._sum = total
+        and count. ``counts``, when given, must be
+        ``bucket_counts(self.buckets, values)``, so values observed many times
+        are bucketed once; the sum still adds one value at a time, since a
+        precomputed sum rounds differently."""
+        if counts is None:
+            counts = bucket_counts(self.buckets, values)
+        self._sum = reduce(add, map(float, values), self._sum)
+        slots = self._counts
+        for slot, n in counts:
+            slots[slot] += n
         self._count += len(values)
 
     @property

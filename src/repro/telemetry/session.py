@@ -22,6 +22,7 @@ from .calibration import (
     CalibratedPredictor,
     CalibrationSample,
     DriftDetector,
+    DriftErrors,
     DriftEvent,
     ResidualModel,
     SampleBatch,
@@ -54,9 +55,9 @@ class TelemetrySession:
             drift_detector if drift_detector is not None else DriftDetector()
         )
         self.drift_events: list[DriftEvent] = []
-        # What the next drift check judges: the batches and sample lists
-        # recorded since the last one, in order.
-        self._pending: list[SampleBatch | list[CalibrationSample]] = []
+        # What the next drift check judges: the errors of every recording
+        # since the last one, in order.
+        self._pending: list[DriftErrors] = []
         # Per-op sample instruments, bound once: op -> (histogram, counter).
         self._kernel_children: dict[str, tuple[Histogram, Counter]] = {}
         self._jsonl: JsonlMetricsSink | None = (
@@ -94,8 +95,9 @@ class TelemetrySession:
         """Record one iteration's samples, in order.
 
         Each sample reaches the residual model before the next one is
-        drawn, so a lazy ``samples`` that prices kernels through the
-        calibrated predictor sees every earlier sample of the batch.
+        drawn, so a lazy ``samples`` that prices through the residual model
+        sees every earlier sample (the per-sample reference that
+        ``record_batch(..., calibrated=True)`` is tested against).
         """
         record = self.residual.record
         recorded: list[CalibrationSample] = []
@@ -107,10 +109,12 @@ class TelemetrySession:
             histogram.observe(sample.observed_us)
             counter.inc()
         if recorded:
-            self._pending.append(recorded)
+            self._pending.append(DriftErrors.of(recorded))
 
-    def record_batch(self, batch: SampleBatch, iteration: int) -> None:
-        """Record every sample of ``batch`` at ``iteration``.
+    def record_batch(self, batch: SampleBatch, iteration: int, calibrated: bool = False) -> None:
+        """Record every sample of ``batch`` at ``iteration``; ``calibrated``
+        prices each one through the residual model as it is recorded (see
+        :meth:`ResidualModel.record`).
 
         The residual windows, metrics and next drift check end up exactly
         as if the samples had been recorded one at a time, in order. An
@@ -118,12 +122,14 @@ class TelemetrySession:
         """
         if not len(batch):
             return
-        self.residual.record(batch, iteration)
-        for op_type, _, observed in batch.ops:
+        self._pending.append(self.residual.record(batch, iteration, calibrated))
+        # Every op's histogram is a child of one family, with one set of bounds.
+        histogram, _ = self._kernel_instruments(batch.ops[0][0])
+        counts = batch.bucket_counts(histogram.buckets)
+        for (op_type, _, observed, _), op_counts in zip(batch.ops, counts):
             histogram, counter = self._kernel_instruments(op_type)
-            histogram.observe_many(observed)
+            histogram.observe_many(observed, op_counts)
             counter.inc(len(observed))
-        self._pending.append(batch)
 
     def _kernel_instruments(self, op_type: str) -> tuple[Histogram, Counter]:
         """The per-op sample instruments, registered on the op's first sample."""
@@ -166,12 +172,13 @@ class TelemetrySession:
     def check_drift(self, iteration: int) -> DriftEvent | None:
         """Run the drift detector over this iteration's samples and reset.
 
-        A lone batch (every uncalibrated iteration) hands the detector its
-        precomputed means; anything else is judged sample by sample.
+        A lone recording (every runtime iteration) hands the detector its
+        own errors, whose means an uncalibrated batch computes once;
+        several are judged as one stream.
         """
         pending, self._pending = self._pending, []
-        samples = pending[0] if len(pending) == 1 else [s for part in pending for s in part]
-        event = self.drift_detector.observe_iteration(iteration, samples)
+        errors = pending[0] if len(pending) == 1 else DriftErrors.concat(pending)
+        event = self.drift_detector.observe_iteration(iteration, errors)
         if event is not None:
             self.drift_events.append(event)
             self._drift_counter.inc()

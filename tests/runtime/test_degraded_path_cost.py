@@ -3,7 +3,8 @@
 A faulted iteration with telemetry off builds no utilization trace and no
 calibration sample or batch; with telemetry on, one degraded scale prices
 its sample rows and builds its sample batch once, and every iteration at
-that scale records the same batch. The installed plan keeps one drifted placement per
+that scale records the same batch, priced inside the residual model once
+the plan is calibrated. The installed plan keeps one drifted placement per
 scale, so recovery must get fresh containers to rewrite, and the cached
 placement must be dropped whenever its inputs change.
 """
@@ -14,6 +15,7 @@ import tracemalloc
 import pytest
 
 from repro.core import RapPlanner
+from repro.core.cost_model import CoRunningCostModel
 from repro.core.planner import scale_plan_kernels
 from repro.dlrm import TrainingWorkload, model_for_plan
 from repro.gpusim import TraceSegment, UtilizationTrace
@@ -281,3 +283,46 @@ def test_evicted_tenant_records_nothing(plan1, monkeypatch):
     assert len(checks) == 3
     assert telemetry.residual.total_samples == total
     assert telemetry.drift_detector.state_dict() == history
+
+
+def test_steady_calibrated_iteration_prices_inside_the_residual_model(plan1, monkeypatch):
+    """Once the calibrated plan is installed, an iteration records the
+    plan's one batch: it builds no sample, and the residual model prices
+    every sample itself, with no call into the cost model."""
+    runtime = make_runtime(
+        plan1,
+        telemetry=TelemetrySession(),
+        drift_schedule=[executor.LatencyDrift("SigridHash", 1.6, start_iteration=2)],
+    )
+    report = runtime.run(30)
+    assert runtime._calibrated and report.replans >= 1
+    recording = []
+    record_batch = runtime.telemetry.record_batch
+
+    def flagged(*args, **kwargs):
+        recording.append(True)
+        try:
+            return record_batch(*args, **kwargs)
+        finally:
+            recording.pop()
+
+    monkeypatch.setattr(runtime.telemetry, "record_batch", flagged)
+    latency = CoRunningCostModel.kernel_latency
+    prices = []
+
+    def counted_latency(self, kernel):
+        if recording:
+            prices.append(kernel)
+        return latency(self, kernel)
+
+    monkeypatch.setattr(CoRunningCostModel, "kernel_latency", counted_latency)
+    samples = count_inits(monkeypatch, CalibrationSample, "__init__")
+    batches = count_inits(monkeypatch, SampleBatch, "__init__")
+    recorded = count_calls(monkeypatch, runtime.telemetry.residual, "record")
+    total = runtime.telemetry.residual.total_samples
+    steady = runtime.run(5, start_iteration=30)
+    assert steady.replans == 0
+    assert samples == [] and batches == [] and prices == []
+    assert len(recorded) == 5
+    kernels = sum(runtime.plan.num_kernels_per_gpu())
+    assert runtime.telemetry.residual.total_samples == total + 5 * kernels

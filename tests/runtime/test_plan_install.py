@@ -9,6 +9,8 @@ placed, and the observation the simulator executes. Each clean iteration's
 latency must equal a fresh evaluation of the live plan.
 """
 
+import copy
+
 import pytest
 
 from repro.core import RapPlanner
@@ -29,6 +31,7 @@ from repro.telemetry import (
     CalibratedPredictor,
     CalibrationSample,
     DriftDetector,
+    DriftErrors,
     LatencyDrift,
     ResidualModel,
     SampleBatch,
@@ -104,18 +107,23 @@ def reference_sites(runtime, iteration, transparent):
 class SampleOracle:
     """Checks every recorded sample against :func:`reference_sample`.
 
-    Each sample is recomputed when it reaches the residual model, before
-    it is recorded, so a calibrated price sees exactly the samples the
-    runtime's price saw. A recorded batch is expanded to its samples at
-    the iteration it is recorded at, so uncalibrated iterations are checked
-    sample by sample too. Between iterations, the derived data must belong
-    to the live plan and planner: a swap that bypassed the install seam
-    would leave it behind.
+    The runtime records each iteration as one batch, pricing a calibrated
+    batch's samples inside the residual model as it records them. The
+    oracle first records the iteration's reference samples one at a time,
+    each recomputed by the live cost model after every earlier one reached
+    the residual model, as the per-sample path did; it then rewinds the
+    model and lets the batch record. The two must leave the same model
+    state and drift errors, and each recorded sample -- read back from its
+    window at the iteration it was recorded at -- must equal its reference
+    sample. Between iterations, the derived data must belong to the live
+    plan and planner: a swap that bypassed the install seam would leave it
+    behind.
     """
 
     def __init__(self, runtime, monkeypatch):
         self.runtime = runtime
         self.checked: list[int] = []  # the iteration of every checked sample
+        self.calibrated = 0  # how many of them a calibrated predictor priced
         self._sites = None
         self._iteration = None
         self._transparent = None
@@ -143,26 +151,50 @@ class SampleOracle:
         runtime.run_iteration = observed_iteration
         record = ResidualModel.record
 
-        def checked_record(model, sample, iteration=None):
-            if model is self.runtime.telemetry.residual:
-                if isinstance(sample, SampleBatch):
-                    for s in sample.samples(iteration):
-                        self._check(s)
-                else:
-                    self._check(sample)
-            record(model, sample, iteration)
+        def checked_record(model, sample, iteration=None, calibrated=False):
+            if model is not self.runtime.telemetry.residual or not isinstance(
+                sample, SampleBatch
+            ):
+                return record(model, sample, iteration, calibrated)
+            rewind = copy.deepcopy(model.__dict__)
+            expected = []
+            for _ in sample:
+                expected.append(self._expected())
+                record(model, expected[-1])
+            reference = model.state_dict()
+            model.__dict__.update(rewind)
+            errors = record(model, sample, iteration, calibrated)
+            assert model.state_dict() == reference
+            assert (errors.per_op, errors.errors) == (
+                DriftErrors.of(expected).per_op,
+                DriftErrors.of(expected).errors,
+            )
+            for recorded, want in zip(self._recorded(model, sample), expected, strict=True):
+                assert recorded.to_dict() == want.to_dict()
+                self.checked.append(recorded.iteration)
+            self.calibrated += len(sample) if calibrated else 0
+            return errors
 
         monkeypatch.setattr(ResidualModel, "record", checked_record)
 
-    def _check(self, sample):
+    def _expected(self):
         if self._sites is None:
             self._sites = iter(
                 reference_sites(self.runtime, self._iteration, self._transparent)
             )
         kernel, stage, observed_us = next(self._sites)
-        expected = reference_sample(self.runtime, kernel, stage, observed_us, self._iteration)
-        assert sample.to_dict() == expected.to_dict()
-        self.checked.append(sample.iteration)
+        return reference_sample(self.runtime, kernel, stage, observed_us, self._iteration)
+
+    @staticmethod
+    def _recorded(model, batch):
+        """The batch's samples as the model recorded them, in recording
+        order: the tail of each op type's window."""
+        tails = {}
+        for op_type, templates, _, _ in batch.ops:
+            window = model.samples_for(op_type)
+            assert len(window) >= len(templates), "the window dropped part of the batch"
+            tails[op_type] = iter(window[len(window) - len(templates) :])
+        return [next(tails[t.op_type]) for t in batch]
 
     def _finish_iteration(self):
         if self._sites is not None:
@@ -215,6 +247,7 @@ def test_drift_recalibration(plan2, monkeypatch):
     assert runtime.plan.assignments_per_gpu != original.assignments_per_gpu
     assert isinstance(runtime._installed_plan.predictor, CalibratedPredictor)
     assert oracle.checked_after(8) > 0
+    assert oracle.calibrated > 0
 
 
 class DoubledPredictor:
@@ -322,3 +355,4 @@ def test_checkpoint_resume(plan1, tmp_path, monkeypatch):
     assert oracle.checked_after(next_iteration - 1) == (12 - next_iteration) * sum(
         restored.plan.num_kernels_per_gpu()
     )
+    assert oracle.calibrated == len(oracle.checked)

@@ -15,6 +15,12 @@ digests for a 300-iteration run under all five non-terminal fault kinds
 span tracer kept compact per-iteration entries and encoded ``trace.json``
 at write time: degraded, drifted and replanned iterations all reach the
 trace through that path.
+
+``fixtures/calibration_metrics_run_digests.json`` pins a drifted,
+calibrated run's stdout, journal, telemetry artifacts and every checkpoint
+member, captured while the runtime still built, priced and recorded a
+calibrated iteration's samples one at a time: the batched recorder must
+reproduce the same windows, active prices, drift events and histograms.
 """
 
 import hashlib
@@ -52,6 +58,13 @@ def assert_pinned_run(fixture: Path, tmp_path: Path, capsys) -> None:
     }
     assert artifacts == pinned["metrics_sha256"]
 
+    if "checkpoint_sha256" in pinned:
+        members = {
+            str(p.relative_to(checkpoint_dir)): sha256(p.read_bytes())
+            for p in sorted(checkpoint_dir.glob("ckpt-*/*"))
+        }
+        assert members == pinned["checkpoint_sha256"]
+
 
 def test_faulted_telemetry_run_is_byte_identical(tmp_path, capsys):
     assert_pinned_run(FIXTURES / "telemetry_run_digests.json", tmp_path, capsys)
@@ -59,3 +72,7 @@ def test_faulted_telemetry_run_is_byte_identical(tmp_path, capsys):
 
 def test_all_fault_kinds_telemetry_run_is_byte_identical(tmp_path, capsys):
     assert_pinned_run(FIXTURES / "telemetry_all_faults_run_digests.json", tmp_path, capsys)
+
+
+def test_calibrated_telemetry_run_is_byte_identical(tmp_path, capsys):
+    assert_pinned_run(FIXTURES / "calibration_metrics_run_digests.json", tmp_path, capsys)
