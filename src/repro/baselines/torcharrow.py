@@ -5,49 +5,19 @@ preprocessing pipeline executing on host cores, 8 workers per GPU,
 feeding the GPU trainers. The pipeline is throughput-bound: when the CPU
 cannot produce batches as fast as the GPUs consume them, training stalls
 on input -- which is why the paper's TorchArrow curves barely improve as
-GPUs are added (Fig. 9) while RAP scales nearly linearly.
+GPUs are added (Fig. 9) while RAP scales nearly linearly. The host pool's
+cost model, :class:`repro.core.hybrid.CpuWorkerPool`, lives in the core
+because RAP's hybrid split and the runtime's CPU fallback price with it too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..core.hybrid import CpuWorkerPool
 from ..dlrm.training import TrainingWorkload
 from ..preprocessing.graph import GraphSet
 from .common import BaselineReport
 
 __all__ = ["CpuWorkerPool", "run_torcharrow_baseline"]
-
-
-@dataclass(frozen=True)
-class CpuWorkerPool:
-    """A pool of preprocessing workers on the host CPUs.
-
-    ``workers_per_gpu`` follows the paper's setup (8). Parallel efficiency
-    accounts for batch-granularity scheduling, and ``max_effective_workers``
-    models the node-level ceiling -- host memory bandwidth and core budget
-    are shared by all workers, so beyond a point extra workers add nothing.
-    This ceiling is why the paper's TorchArrow curves barely move from 4 to
-    8 GPUs (Fig. 9): the host is already saturated while the GPUs idle.
-    """
-
-    workers_per_gpu: int = 8
-    parallel_efficiency: float = 0.85
-    max_effective_workers: int = 24
-
-    def effective_workers(self, num_gpus: int) -> float:
-        workers = max(1, self.workers_per_gpu * num_gpus)
-        return min(workers, self.max_effective_workers) * self.parallel_efficiency
-
-    def batch_production_us(self, graph_set: GraphSet, num_gpus: int) -> float:
-        """Steady-state time to produce one *global* batch of input.
-
-        Each GPU consumes one local batch per iteration; the pool must
-        produce ``num_gpus`` local batches per iteration. Work divides
-        across the effective workers.
-        """
-        total_work_us = graph_set.cpu_latency_us() * num_gpus
-        return total_work_us / self.effective_workers(num_gpus)
 
 
 def run_torcharrow_baseline(

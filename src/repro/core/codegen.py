@@ -50,6 +50,30 @@ def _ops_for_kernel(kernel: KernelDesc, op_by_output: dict[str, PreprocessingOp]
     return ops
 
 
+def _plan_walk(plan: RapPlan, gpu: int, op_by_output: dict[str, PreprocessingOp]):
+    """One GPU's scheduled kernel queue, as both lowerings read it.
+
+    Yields ``(stage, kernel, ops)``: the co-run stages' kernels in stage
+    order, then the trailing kernels (``stage`` None). ``ops`` are the
+    kernel's member ops not yielded before -- shard siblings of a
+    distributed kernel repeat the same member ops, so only the first
+    occurrence is kept -- and a kernel with none left is skipped.
+    """
+    seen: set[str] = set()
+    assignments = plan.assignments_per_gpu[gpu]
+    queue = [(stage, assignments[stage]) for stage in sorted(assignments)]
+    queue.append((None, plan.trailing_per_gpu[gpu]))
+    for stage, kernels in queue:
+        for kernel in kernels:
+            ops = []
+            for op in _ops_for_kernel(kernel, op_by_output):
+                if op.output not in seen:
+                    seen.add(op.output)
+                    ops.append(op)
+            if ops:
+                yield stage, kernel, ops
+
+
 def compile_plan(
     plan: RapPlan,
     arena: BufferArena | None = None,
@@ -58,42 +82,24 @@ def compile_plan(
     """Lower a searched plan's per-GPU kernel schedules into compiled programs.
 
     This is the in-process counterpart of :func:`generate_plan_module`: the
-    same scheduled kernel queue (stage-ordered co-run slots, then trailing
-    kernels), but lowered through the batch-execution engine so the fusion
-    decisions baked into each kernel's ``meta["fused"]`` list execute as
-    single vectorized calls. Shard siblings of a distributed kernel repeat
-    the same member ops; only the first occurrence is lowered. Returns one
-    :class:`repro.preprocessing.engine.CompiledProgram` per GPU id, each
-    sized for the workload's local batch (override with ``rows``, e.g. to
-    match a differently-sized graph set). When ``arena`` is given all
-    programs share it (safe because a plan's programs run sequentially in
-    this process).
+    same scheduled kernel queue (:func:`_plan_walk`), but lowered through
+    the batch-execution engine so the fusion decisions baked into each
+    kernel's ``meta["fused"]`` list execute as single vectorized calls.
+    Returns one :class:`repro.preprocessing.engine.CompiledProgram` per GPU
+    id, each sized for the workload's local batch (override with ``rows``,
+    e.g. to match a differently-sized graph set). When ``arena`` is given
+    all programs share it (safe because a plan's programs run sequentially
+    in this process).
     """
     if rows is None:
         rows = plan.workload.local_batch
     op_by_output = {op.output: op for graph in plan.graph_set for op in graph.ops}
-    programs: dict[int, CompiledProgram] = {}
-    for gpu in range(plan.workload.num_gpus):
-        groups: list[list[PreprocessingOp]] = []
-        seen: set[str] = set()
-
-        def add_kernels(kernels: list[KernelDesc]) -> None:
-            for kernel in kernels:
-                members = [
-                    op
-                    for op in _ops_for_kernel(kernel, op_by_output)
-                    if op.output not in seen
-                ]
-                if members:
-                    seen.update(op.output for op in members)
-                    groups.append(members)
-
-        assignments = plan.assignments_per_gpu[gpu]
-        for stage_idx in sorted(assignments):
-            add_kernels(assignments[stage_idx])
-        add_kernels(plan.trailing_per_gpu[gpu])
-        programs[gpu] = compile_op_groups(groups, rows=rows, arena=arena)
-    return programs
+    return {
+        gpu: compile_op_groups(
+            [ops for _, _, ops in _plan_walk(plan, gpu, op_by_output)], rows=rows, arena=arena
+        )
+        for gpu in range(plan.workload.num_gpus)
+    }
 
 
 def generate_plan_module(plan: RapPlan) -> str:
@@ -104,7 +110,6 @@ def generate_plan_module(plan: RapPlan) -> str:
     ``run_gpu(gpu_id, batch)`` and ``run_all(batches)``.
     """
     op_by_output = {op.output: op for graph in plan.graph_set for op in graph.ops}
-    emitted: list[str] = []
     out = io.StringIO()
     out.write('"""Auto-generated by repro.core.codegen: RAP co-running plan.\n\n')
     out.write(f"Workload: {plan.workload.config.name}, {plan.workload.num_gpus} GPUs, ")
@@ -118,31 +123,13 @@ def generate_plan_module(plan: RapPlan) -> str:
     out.write("SCHEDULE = {\n")
     for gpu in range(plan.workload.num_gpus):
         out.write(f"    {gpu}: [\n")
-        seen: set[str] = set()
-
-        def emit_kernels(kernels, slot_label: str) -> None:
-            for kernel in kernels:
-                ops = _ops_for_kernel(kernel, op_by_output)
-                if not ops:
-                    continue
-                wrote_header = False
-                for op in ops:
-                    if op.output in seen:
-                        continue  # shard siblings repeat the same member ops
-                    if not wrote_header:
-                        out.write(f"        # {slot_label}: {kernel.name}\n")
-                        wrote_header = True
-                    seen.add(op.output)
-                    name, inputs, output, params = _op_entry(op)
-                    out.write(
-                        f"        ({name!r}, {inputs!r}, {output!r}, {params!r}),\n"
-                    )
-
-        assignments = plan.assignments_per_gpu[gpu]
         stages = plan.workload.stages_for_gpu(gpu)
-        for stage_idx in sorted(assignments):
-            emit_kernels(assignments[stage_idx], f"co-run with {stages[stage_idx].name}")
-        emit_kernels(plan.trailing_per_gpu[gpu], "trailing (exposed)")
+        for stage, kernel, ops in _plan_walk(plan, gpu, op_by_output):
+            slot = "trailing (exposed)" if stage is None else f"co-run with {stages[stage].name}"
+            out.write(f"        # {slot}: {kernel.name}\n")
+            for op in ops:
+                name, inputs, output, params = _op_entry(op)
+                out.write(f"        ({name!r}, {inputs!r}, {output!r}, {params!r}),\n")
         out.write("    ],\n")
     out.write("}\n\n\n")
     out.write(

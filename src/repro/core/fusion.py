@@ -119,14 +119,10 @@ class HorizontalFusionPass:
         self,
         spec: GpuSpec = A100_SPEC,
         enabled: bool = True,
-        exact: bool | None = None,
-        exact_op_limit: int = 20,
         solver: BranchAndBoundSolver | None = None,
     ) -> None:
         self.spec = spec
         self.enabled = enabled
-        self.exact = exact
-        self.exact_op_limit = exact_op_limit
         self.solver = solver
         self._memo: dict[tuple, tuple[list[int], str, str | None]] = {}
         self.memo_hits = 0
@@ -193,12 +189,7 @@ class HorizontalFusionPass:
             self.memo_hits += 1
             steps, method, milp_status = hit
             return FusionAssignment(instance, list(steps), method=method, milp_status=milp_status)
-        assignment = solve_fusion(
-            instance,
-            exact=self.exact,
-            exact_op_limit=self.exact_op_limit,
-            solver=self.solver,
-        )
+        assignment = solve_fusion(instance, solver=self.solver)
         self._memo[key] = (list(assignment.steps), assignment.method, assignment.milp_status)
         return assignment
 

@@ -196,13 +196,11 @@ class RapMapper:
         cost_model: CoRunningCostModel,
         fusion: HorizontalFusionPass,
         scheduler: ResourceAwareScheduler,
-        max_moves: int | None = None,
     ) -> None:
         self.workload = workload
         self.cost_model = cost_model
         self.fusion = fusion
         self.scheduler = scheduler
-        self.max_moves = max_moves
 
     # ------------------------------------------------------------------
 
@@ -271,7 +269,7 @@ class RapMapper:
             best.mapping.strategy = "rap"
             return best
         if budget is None:
-            budget = self.max_moves if self.max_moves is not None else 4 * len(graph_set.graphs)
+            budget = 4 * len(graph_set.graphs)
         global_batch = self.workload.global_batch
         stale = 0
         for _ in range(budget):

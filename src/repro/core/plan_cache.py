@@ -202,8 +202,6 @@ def plan_cache_key(
     mapping_strategy: str,
     fusion_enabled: bool,
     interleaving_enabled: bool,
-    exact_fusion: bool | None,
-    max_mapping_moves: int | None,
     solver: "BranchAndBoundSolver",
     code_version: str | None = None,
     predictor_fingerprint: str | None = None,
@@ -222,8 +220,6 @@ def plan_cache_key(
         mapping_strategy,
         fusion_enabled,
         interleaving_enabled,
-        exact_fusion,
-        max_mapping_moves,
         (solver.node_limit, solver.time_limit_s, solver.integrality_tol, solver.gap_tol),
         predictor_fingerprint,
     )
@@ -358,8 +354,6 @@ def invariant_plan_key(
     mapping_strategy: str,
     fusion_enabled: bool,
     interleaving_enabled: bool,
-    exact_fusion: bool | None,
-    max_mapping_moves: int | None,
     solver: "BranchAndBoundSolver",
     code_version: str | None = None,
     predictor_fingerprint: str | None = None,
@@ -380,8 +374,6 @@ def invariant_plan_key(
         mapping_strategy,
         fusion_enabled,
         interleaving_enabled,
-        exact_fusion,
-        max_mapping_moves,
         (solver.node_limit, solver.time_limit_s, solver.integrality_tol, solver.gap_tol),
         predictor_fingerprint,
     )

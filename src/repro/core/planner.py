@@ -213,8 +213,6 @@ class RapPlanner:
         mapping_strategy: str = "rap",
         fusion_enabled: bool = True,
         interleaving_enabled: bool = True,
-        exact_fusion: bool | None = None,
-        max_mapping_moves: int | None = None,
         cache: PlanCache | None = None,
         parallel_search: bool = False,
     ) -> None:
@@ -226,24 +224,16 @@ class RapPlanner:
         self.mapping_strategy = mapping_strategy
         self.fusion_enabled = fusion_enabled
         self.interleaving_enabled = interleaving_enabled
-        self.exact_fusion = exact_fusion
-        self.max_mapping_moves = max_mapping_moves
         self.cache = cache
         self.stats = PlannerStats()
         self.solver = BranchAndBoundSolver()
         self.estimator = OverlappingCapacityEstimator(workload.spec)
         self.cost_model = CoRunningCostModel(self.estimator, predictor)
         self.fusion = HorizontalFusionPass(
-            workload.spec, enabled=fusion_enabled, exact=exact_fusion, solver=self.solver
+            workload.spec, enabled=fusion_enabled, solver=self.solver
         )
         self.scheduler = ResourceAwareScheduler(self.cost_model)
-        self.mapper = RapMapper(
-            workload,
-            self.cost_model,
-            self.fusion,
-            self.scheduler,
-            max_moves=max_mapping_moves,
-        )
+        self.mapper = RapMapper(workload, self.cost_model, self.fusion, self.scheduler)
         self.interleaver = InterbatchInterleaver(enabled=interleaving_enabled)
         self._replan_memo: OrderedDict[tuple, RapPlan] = OrderedDict()
 
@@ -282,8 +272,6 @@ class RapPlanner:
             self.mapping_strategy,
             self.fusion_enabled,
             self.interleaving_enabled,
-            self.exact_fusion,
-            self.max_mapping_moves,
             self.solver,
             predictor_fingerprint=self._predictor_fingerprint(),
         )
@@ -294,24 +282,30 @@ class RapPlanner:
         With a cache attached, a content-hash hit returns the stored plan
         without searching; a miss searches and stores the result.
         """
+        return self._cached(graph_set, lambda: self._search(graph_set))
+
+    def _cached(self, graph_set: GraphSet, search) -> RapPlan:
+        """Count one plan; return the cache's plan for ``graph_set`` on a
+        hit, else ``search()``, stored when a cache is attached."""
         self.stats.plans += 1
-        key = None
-        if self.cache is not None:
-            key = self._cache_key(graph_set)
-            hit = self.cache.get(key, self.workload, graph_set)
-            if hit is not None:
-                self.stats.cache_hits += 1
-                return hit
-            self.stats.cache_misses += 1
-        plan = self._search(graph_set)
-        if key is not None:
-            self.cache.put(key, plan)
+        if self.cache is None:
+            return search()
+        key = self._cache_key(graph_set)
+        hit = self.cache.get(key, self.workload, graph_set)
+        if hit is not None:
+            self.stats.cache_hits += 1
+            return hit
+        self.stats.cache_misses += 1
+        plan = search()
+        self.cache.put(key, plan)
         return plan
 
     def _search(
         self, graph_set: GraphSet, initial_mapping: GraphMapping | None = None,
         move_budget: int | None = None,
     ) -> RapPlan:
+        if initial_mapping is not None:
+            self.stats.incremental_replans += 1
         if self.fusion.scope(graph_set):
             self.scheduler.clear_fits()
         if self.mapping_strategy == "rap":
@@ -389,25 +383,17 @@ class RapPlanner:
             # callers must re-slice it into an explicit initial_mapping.
             return self.plan(graph_set)
 
-        self.stats.plans += 1
-        key = None
-        if self.cache is not None:
-            key = self._cache_key(graph_set)
-            hit = self.cache.get(key, self.workload, graph_set)
-            if hit is not None:
-                self.stats.cache_hits += 1
-                return hit
-            self.stats.cache_misses += 1
-
         budget = max(self.workload.num_gpus * 2, len(graph_set.graphs) // 2)
         if initial_mapping is not None:
-            self.stats.incremental_replans += 1
-            plan = self._search(graph_set, initial_mapping=initial_mapping, move_budget=budget)
-        else:
-            plan = self._memoized_replan(graph_set, previous, budget)
-        if key is not None:
-            self.cache.put(key, plan)
-        return plan
+            return self._cached(
+                graph_set,
+                lambda: self._search(
+                    graph_set, initial_mapping=initial_mapping, move_budget=budget
+                ),
+            )
+        return self._cached(
+            graph_set, lambda: self._memoized_replan(graph_set, previous, budget)
+        )
 
     def _memoized_replan(self, graph_set: GraphSet, previous: RapPlan, budget: int) -> RapPlan:
         key = (
@@ -422,7 +408,6 @@ class RapPlanner:
             self._replan_memo.move_to_end(key)
             return plan
         if self._incremental_eligible(graph_set, previous):
-            self.stats.incremental_replans += 1
             initial = self._warm_mapping(graph_set, previous)
             plan = self._search(graph_set, initial_mapping=initial, move_budget=budget)
         else:

@@ -63,17 +63,8 @@ class ResourceAwareScheduler:
     planner moves to another graph set.
     """
 
-    def __init__(
-        self,
-        cost_model: CoRunningCostModel,
-        min_shard_fraction: float = 0.05,
-        max_demand_pieces: int = 64,
-        capacity_safety: float = 1.0,
-    ) -> None:
+    def __init__(self, cost_model: CoRunningCostModel) -> None:
         self.cost_model = cost_model
-        self.min_shard_fraction = min_shard_fraction
-        self.max_demand_pieces = max_demand_pieces
-        self.capacity_safety = capacity_safety
         self._fits: dict[tuple, tuple[KernelDesc, list[KernelDesc] | None]] = {}
 
     def clear_fits(self) -> None:
@@ -92,9 +83,7 @@ class ResourceAwareScheduler:
         key = (id(kernel), leftover.sm, leftover.dram)
         hit = self._fits.get(key)
         if hit is None:
-            pieces = fit_kernel_to_leftover(
-                kernel, leftover, self.cost_model.estimator.spec, self.max_demand_pieces
-            )
+            pieces = fit_kernel_to_leftover(kernel, leftover, self.cost_model.estimator.spec)
             hit = self._fits[key] = (kernel, pieces)
         return hit[1]
 
@@ -155,7 +144,7 @@ class ResourceAwareScheduler:
         used_per_stage: dict[int, float],
     ) -> dict[int, float]:
         """One greedy packing sweep over ``eligible`` stages in pipeline order."""
-        capacities = [self.cost_model.stage_capacity(s) * self.capacity_safety for s in stages]
+        capacities = [self.cost_model.stage_capacity(s) for s in stages]
         for idx, stage in enumerate(stages):
             if idx not in eligible or not queue:
                 continue
@@ -192,7 +181,7 @@ class ResourceAwareScheduler:
                 if rest and (not committed or acc < remaining):
                     # Try latency-sharding the first leftover piece so the
                     # tail of this stage's capacity is not wasted.
-                    shards = shard_by_latency(rest[0], remaining - acc, self.min_shard_fraction)
+                    shards = shard_by_latency(rest[0], remaining - acc)
                     if shards is not None:
                         first, remainder = shards
                         if first.demand.fits_within(leftover):

@@ -18,7 +18,7 @@ Two solution paths:
   :class:`~repro.milp.branch_and_bound.BranchAndBoundSolver`, warm-started
   from the greedy assignment: when the root LP bound proves it optimal it
   is kept, otherwise HiGHS branch and cut searches for a strictly better
-  one. Used for instances of up to ``exact_op_limit`` ops and in tests,
+  one. Used for instances of up to :data:`EXACT_OP_LIMIT` ops and in tests,
   where optimality can be asserted.
 - **Heuristic**: ASAP level assignment plus a pair-improving local search.
   Used for plan-scale instances (Plan 3 has 1548 ops), the same way the
@@ -38,6 +38,9 @@ from .linearize import add_binary_product
 from .model import MilpProblem, Variable
 
 __all__ = ["FusionInstance", "FusionAssignment", "solve_fusion", "build_fusion_milp"]
+
+#: The largest instance ``solve_fusion(exact=None)`` sends down the exact path.
+EXACT_OP_LIMIT = 20
 
 
 @dataclass
@@ -336,12 +339,11 @@ def _warm_start_vector(instance: FusionInstance, problem: MilpProblem, x, steps:
 def solve_fusion(
     instance: FusionInstance,
     exact: bool | None = None,
-    exact_op_limit: int = 20,
     solver: BranchAndBoundSolver | None = None,
 ) -> FusionAssignment:
     """Solve a fusion instance, choosing the exact or heuristic path.
 
-    ``exact=None`` auto-selects: instances up to ``exact_op_limit`` ops run
+    ``exact=None`` auto-selects: instances up to :data:`EXACT_OP_LIMIT` ops run
     the exact path; larger instances use ASAP + local search directly.
 
     The exact path starts from the heuristic assignment, so its result is
@@ -358,7 +360,7 @@ def solve_fusion(
     if instance.num_ops == 0:
         return FusionAssignment(instance, [], method="empty")
     greedy = _local_improve(instance, _greedy_assignment(instance))
-    use_exact = exact if exact is not None else instance.num_ops <= exact_op_limit
+    use_exact = exact if exact is not None else instance.num_ops <= EXACT_OP_LIMIT
     if not use_exact:
         return FusionAssignment(instance, greedy, method="heuristic")
 

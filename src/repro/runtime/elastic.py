@@ -151,7 +151,5 @@ def clone_planner(planner: RapPlanner, workload: TrainingWorkload) -> RapPlanner
         mapping_strategy=planner.mapping_strategy,
         fusion_enabled=planner.fusion_enabled,
         interleaving_enabled=planner.interleaving_enabled,
-        exact_fusion=planner.exact_fusion,
-        max_mapping_moves=planner.max_mapping_moves,
         cache=planner.cache,
     )

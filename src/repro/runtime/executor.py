@@ -37,11 +37,15 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from ..baselines.torcharrow import CpuWorkerPool
 from ..core.adaptation import drift_graph_set
 from ..core.codegen import compile_plan
 from ..core.fusion import fit_kernel_to_leftover, shard_by_latency
-from ..core.hybrid import GPU_TO_CPU_SLOWDOWN, cpu_fallback_production_us, degraded_pool
+from ..core.hybrid import (
+    GPU_TO_CPU_SLOWDOWN,
+    CpuWorkerPool,
+    cpu_fallback_production_us,
+    degraded_pool,
+)
 from ..core.latency_predictor import kernel_features
 from ..core.planner import RapPlan, RapPlanner, RapRunReport, scale_plan_kernels
 from ..core.serialization import kernel_from_dict, kernel_to_dict, plan_from_json, plan_to_json
@@ -129,7 +133,7 @@ class SimulatedKill(RuntimeError):
 
 
 class DataVerificationError(RuntimeError):
-    """Raised in strict mode when the compiled engine diverges from naive."""
+    """Raised when the compiled engine diverges from naive."""
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,9 @@ class DataPathVerifier:
     synthetic batch, and every produced column is compared bit-for-bit
     against the naive golden reference ``execute_graph_set`` on the same
     batch. Compiled programs are cached per plan epoch, so replans and
-    membership changes re-lower automatically.
+    membership changes re-lower automatically. A check that finds a
+    mismatch is appended to ``history`` and then raises
+    :class:`DataVerificationError`.
 
     With ``workers >= 1`` the check instead drives the multi-core engine
     (:class:`repro.preprocessing.parallel.ParallelEngine`) over the plan's
@@ -182,7 +188,6 @@ class DataPathVerifier:
         schema: CriteoSchema,
         every: int = 10,
         seed: int = 2024,
-        strict: bool = True,
         workers: int = 0,
     ) -> None:
         if every < 1:
@@ -192,7 +197,6 @@ class DataPathVerifier:
         self.schema = schema
         self.every = every
         self.seed = seed
-        self.strict = strict
         self.workers = workers
         self.history: list[DataVerification] = []
         self._programs = None
@@ -272,7 +276,7 @@ class DataPathVerifier:
             mismatched=tuple(sorted(mismatched)),
         )
         self.history.append(result)
-        if self.strict and not result.ok:
+        if not result.ok:
             raise DataVerificationError(
                 f"compiled engine diverged from execute_graph_set at iteration "
                 f"{iteration} (plan epoch {plan_epoch}) on columns: "
@@ -714,7 +718,7 @@ class FaultTolerantRuntime:
                 try:
                     self.verifier.verify(self.plan, self.plan_epoch, i, batch=batch)
                 finally:
-                    # verify() appends to history before a strict-mode raise,
+                    # verify() appends to history before it raises,
                     # so the journal records the divergence either way.
                     if self.verifier.history:
                         self._journal(

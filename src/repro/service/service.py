@@ -207,8 +207,6 @@ class PreprocessingService:
             planner.mapping_strategy,
             planner.fusion_enabled,
             planner.interleaving_enabled,
-            planner.exact_fusion,
-            planner.max_mapping_moves,
             planner.solver,
             predictor_fingerprint=planner._predictor_fingerprint(),
         )

@@ -12,10 +12,8 @@ the loop:
   A plan's samples repeat every iteration at one scale, so they are
   recorded as one precomputed :class:`SampleBatch`, whose calibrated
   prices the residual model reads as it records them;
-- :class:`ResidualModel` maintains a per-op-type multiplicative correction
-  from a sliding window of log-ratio residuals (running median by default;
-  a :class:`repro.ml.gbdt.GradientBoostingRegressor` over kernel features
-  when configured and enough samples exist);
+- :class:`ResidualModel` maintains a per-op-type multiplicative correction:
+  the running median of a sliding window of log-ratio residuals;
 - :class:`CalibratedPredictor` wraps the latency predictor (or the oracle
   fallback) and applies the correction at prediction time, so the planner,
   scheduler, and watchdog all consume recalibrated latencies;
@@ -40,9 +38,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
 
-import numpy as np
-
-from ..ml.gbdt import GradientBoostingRegressor
 from .registry import bucket_counts
 
 __all__ = [
@@ -63,9 +58,9 @@ class CalibrationSample:
     """One (predicted, observed) standalone-latency pair for one kernel.
 
     ``predicted_us`` is always the *base* model's prediction (oracle or
-    GBDT, never correction-adjusted) so the residual model learns the
-    total multiplier against a stable reference -- recording corrected
-    predictions would make the correction chase its own output.
+    latency predictor, never correction-adjusted) so the residual model
+    learns the total multiplier against a stable reference -- recording
+    corrected predictions would make the correction chase its own output.
     ``active_predicted_us`` is what the currently injected model actually
     predicted (equal to ``predicted_us`` before any calibration); the
     drift detector judges *that*, so it quiets down once the correction
@@ -309,20 +304,21 @@ def drift_factors_at(schedule, iteration: int) -> dict[str, float]:
 # ----------------------------------------------------------------------
 
 
+def _factor(median: float, clip: float) -> float:
+    """The correction a window's median log-ratio gives, clipped to
+    ``[1 / clip, clip]``."""
+    return float(min(clip, max(1.0 / clip, math.exp(median))))
+
+
 class ResidualModel:
     """Per-op-type multiplicative correction learned from residual windows.
 
-    ``mode="quantile"`` (default): the correction for an op type is
-    ``exp(median(log(observed / predicted)))`` over its sliding window --
-    robust to the occasional contended or faulted sample and exact for the
-    dominant failure mode (a constant per-op-type factor).
-
-    ``mode="gbdt"``: once an op type has at least ``min_fit_samples``
-    windowed samples with feature vectors, a gradient-boosted regressor
-    maps kernel features to the log-residual, capturing *shape-dependent*
-    drift; op types below the threshold fall back to the quantile
-    correction. Fitting is deterministic (fixed ``random_state``) and
-    refit lazily whenever the window content changes.
+    The correction for an op type is ``exp(median(log(observed /
+    predicted)))`` over its last ``window`` samples, clipped to ``[1 /
+    clip, clip]`` and trusted once ``min_samples`` were recorded -- robust
+    to the occasional contended or faulted sample and exact for the drift
+    the runtime injects (:class:`LatencyDrift`, a constant per-op-type
+    factor).
 
     Corrections are memoized per op type: :meth:`record` drops its op's
     entry and :meth:`load_state` drops them all, and nothing else writes
@@ -341,27 +337,19 @@ class ResidualModel:
         self,
         window: int = 256,
         min_samples: int = 8,
-        mode: str = "quantile",
-        min_fit_samples: int = 64,
         clip: float = 32.0,
     ) -> None:
-        if mode not in ("quantile", "gbdt"):
-            raise ValueError(f"mode must be 'quantile' or 'gbdt', got {mode!r}")
         if window < 1 or min_samples < 1:
             raise ValueError("window and min_samples must be >= 1")
         if clip <= 1.0:
             raise ValueError("clip must exceed 1.0")
         self.window = window
         self.min_samples = min_samples
-        self.mode = mode
-        self.min_fit_samples = min_fit_samples
         self.clip = clip
         self._samples: dict[str, deque[CalibrationSample]] = {}
         self._iterations: dict[str, deque[int]] = {}
         self._actives: dict[str, deque[float | None]] = {}
         self._sorted: dict[str, list[float]] = {}
-        self._gbdt: dict[str, GradientBoostingRegressor] = {}
-        self._gbdt_stale: set[str] = set()
         self._corrections: dict[str, float] = {}
         self.total_samples = 0
 
@@ -419,31 +407,25 @@ class ResidualModel:
         self._iterations[op_type].extend(iterations)
         self._actives[op_type].extend(actives)
         self._corrections.pop(op_type, None)
-        self._gbdt_stale.add(op_type)
 
     def _record_calibrated(self, batch: SampleBatch, iteration: int) -> DriftErrors:
         """Record ``batch`` at ``iteration``, pricing each sample as it goes.
 
         Per op type, each template is priced from the window as it stands
-        -- quantile mode with :meth:`correction`'s own expression over the
-        running median of the sorted window, gbdt mode through
-        :meth:`correct` -- and then appended with its iteration and active
+        -- :meth:`correction`'s own factor of the running median of the
+        sorted window -- and then appended with its iteration and active
         price. The errors come back per op and, reordered, in recording
         order, so their sums match a sample-by-sample pass.
         """
         per_op: dict[str, list[float]] = {}
         for op_type, templates, observed, _ in batch.ops:
-            if self.mode == "gbdt":
-                errors = self._record_gbdt(op_type, templates, iteration)
-            else:
-                errors = self._record_quantile(op_type, templates, observed, iteration)
-            per_op[op_type] = errors
+            errors = per_op[op_type] = self._record_op(op_type, templates, observed, iteration)
         if len(per_op) == 1:
             return DriftErrors(per_op, errors)
         grouped = [e for errors in per_op.values() for e in errors]
         return DriftErrors(per_op, list(map(grouped.__getitem__, batch.order)))
 
-    def _record_quantile(self, op_type: str, templates, observed, iteration: int) -> list[float]:
+    def _record_op(self, op_type: str, templates, observed, iteration: int) -> list[float]:
         window = self._window(op_type)
         ordered = self._sorted.get(op_type)
         if ordered is None:
@@ -451,7 +433,6 @@ class ResidualModel:
         maxlen = window.maxlen
         min_samples = self.min_samples
         clip = self.clip
-        floor = 1.0 / clip
         errors: list[float] = []
         actives: list[float | None] = []
         median = factor = None  # the factor is recomputed only when the median moves
@@ -465,7 +446,7 @@ class ResidualModel:
                 m = ordered[mid] if n % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
                 if m != median:
                     median = m
-                    factor = float(min(clip, max(floor, math.exp(m))))
+                    factor = _factor(m, clip)
                 active = base * factor
             errors.append(abs(observed_us - active) / max(active, 1e-9))
             actives.append(active if active != base else None)
@@ -476,16 +457,6 @@ class ResidualModel:
         self._iterations[op_type].extend(repeat(iteration, len(templates)))
         self._actives[op_type].extend(actives)
         self._corrections.pop(op_type, None)
-        self._gbdt_stale.add(op_type)
-        return errors
-
-    def _record_gbdt(self, op_type: str, templates, iteration: int) -> list[float]:
-        errors: list[float] = []
-        for t in templates:
-            base = t.predicted_us
-            active = self.correct(op_type, base, t.features)
-            errors.append(abs(t.observed_us - active) / max(active, 1e-9))
-            self._extend(op_type, (t,), (iteration,), (active if active != base else None,))
         return errors
 
     def op_types(self) -> list[str]:
@@ -523,77 +494,28 @@ class ResidualModel:
         n = len(log_ratios)
         mid = n // 2
         median = log_ratios[mid] if n % 2 else 0.5 * (log_ratios[mid - 1] + log_ratios[mid])
-        memo = float(min(self.clip, max(1.0 / self.clip, math.exp(median))))
+        memo = _factor(median, self.clip)
         self._corrections[op_type] = memo
         return memo
 
     def corrections(self) -> dict[str, float]:
         return {op: self.correction(op) for op in self.op_types()}
 
-    def correct(self, op_type: str, predicted_us: float, features=()) -> float:
+    def correct(self, op_type: str, predicted_us: float) -> float:
         """Apply the learned residual to one base prediction."""
-        if self.mode == "gbdt":
-            model = self._gbdt_model(op_type)
-            if model is not None and features:
-                log_corr = float(model.predict(np.asarray([features], dtype=float))[0])
-                return self._apply_log_correction(predicted_us, log_corr)
         return predicted_us * self.correction(op_type)
-
-    def _apply_log_correction(self, predicted_us: float, log_corr: float) -> float:
-        bound = math.log(self.clip)
-        return predicted_us * math.exp(min(bound, max(-bound, log_corr)))
-
-    def _gbdt_model(self, op_type: str) -> GradientBoostingRegressor | None:
-        window = self._samples.get(op_type)
-        if window is None or len(window) < self.min_fit_samples:
-            return None
-        rows = [s for s in window if s.features]
-        if len(rows) < self.min_fit_samples:
-            return None
-        if op_type in self._gbdt_stale or op_type not in self._gbdt:
-            x = np.asarray([s.features for s in rows], dtype=float)
-            y = np.asarray([s.log_ratio for s in rows], dtype=float)
-            model = GradientBoostingRegressor(
-                n_estimators=40, max_depth=3, learning_rate=0.2, random_state=0
-            )
-            model.fit(x, y)
-            self._gbdt[op_type] = model
-            self._gbdt_stale.discard(op_type)
-        return self._gbdt[op_type]
 
     # ------------------------------------------------------------------
 
     def mean_absolute_percentage_error(self, corrected: bool = False) -> float:
-        """MAPE of the base (or corrected) predictions over all windows.
-
-        Each prediction equals :meth:`correct` on that sample; the GBDT
-        model is evaluated once per op over the window's feature rows
-        (its ``predict`` is elementwise per row, so the values match).
-        """
+        """MAPE of the base (or corrected) predictions over all windows."""
         errors: list[float] = []
         for op_type, window in self._samples.items():
-            if corrected:
-                preds = self._corrected_window(op_type, window)
-            else:
-                preds = [s.predicted_us for s in window]
-            for s, pred in zip(window, preds):
+            factor = self.correction(op_type) if corrected else 1.0
+            for s in window:
+                pred = s.predicted_us * factor
                 errors.append(abs(s.observed_us - pred) / max(s.observed_us, 1e-9))
         return float(sum(errors) / len(errors)) if errors else 0.0
-
-    def _corrected_window(self, op_type: str, window) -> list[float]:
-        """``correct()`` of every sample in ``window``, batched per op."""
-        model = self._gbdt_model(op_type) if self.mode == "gbdt" else None
-        if model is None:
-            factor = self.correction(op_type)
-            return [s.predicted_us * factor for s in window]
-        featured = [s.features for s in window if s.features]
-        log_corrs = iter(model.predict(np.asarray(featured, dtype=float)).tolist())
-        return [
-            self._apply_log_correction(s.predicted_us, next(log_corrs))
-            if s.features
-            else s.predicted_us * self.correction(op_type)
-            for s in window
-        ]
 
     def fingerprint(self) -> str:
         """Content hash of the current corrections (plan-cache key input)."""
@@ -608,8 +530,11 @@ class ResidualModel:
         return {
             "window": self.window,
             "min_samples": self.min_samples,
-            "mode": self.mode,
-            "min_fit_samples": self.min_fit_samples,
+            # Settings of a residual mode that is gone; checkpoints written
+            # before it went carry these two keys, and the resume pins
+            # compare checkpoint bytes, so they are still written.
+            "mode": "quantile",
+            "min_fit_samples": 64,
             "clip": self.clip,
             "total_samples": self.total_samples,
             "samples": {
@@ -622,10 +547,11 @@ class ResidualModel:
         }
 
     def load_state(self, state: dict) -> None:
+        mode = state.get("mode", "quantile")
+        if mode != "quantile":
+            raise ValueError(f"residual mode {mode!r} is not supported; only 'quantile' is")
         self.window = int(state.get("window", self.window))
         self.min_samples = int(state.get("min_samples", self.min_samples))
-        self.mode = state.get("mode", self.mode)
-        self.min_fit_samples = int(state.get("min_fit_samples", self.min_fit_samples))
         self.clip = float(state.get("clip", self.clip))
         self.total_samples = int(state.get("total_samples", 0))
         self._samples = {
@@ -643,8 +569,6 @@ class ResidualModel:
             for op, window in self._samples.items()
         }
         self._sorted = {}
-        self._gbdt = {}
-        self._gbdt_stale = set(self._samples)
         self._corrections = {}
 
 
@@ -680,12 +604,7 @@ class CalibratedPredictor:
         return kernel.duration_us
 
     def predict_kernel(self, kernel) -> float:
-        features = ()
-        if self.residual.mode == "gbdt":
-            from ..core.latency_predictor import kernel_features
-
-            features = kernel_features(kernel)
-        return self.residual.correct(kernel.tag, self.base_prediction(kernel), features)
+        return self.residual.correct(kernel.tag, self.base_prediction(kernel))
 
     def predict_total(self, kernels) -> float:
         return sum(self.predict_kernel(k) for k in kernels)

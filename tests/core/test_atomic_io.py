@@ -155,8 +155,6 @@ def test_cache_key_stable_under_lock_file(tmp_path, plan_setting):
     cache = PlanCache(tmp_path)
     planner = RapPlanner(workload, cache=cache)
     plan = planner.plan(graphs)
-    key = plan_cache_key(
-        workload, graphs, "rap", True, True, None, None, planner.solver
-    )
+    key = plan_cache_key(workload, graphs, "rap", True, True, planner.solver)
     assert cache.get(key, workload, graphs) is not None
     assert plan is not None

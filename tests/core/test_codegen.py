@@ -1,8 +1,13 @@
 """Tests that generated plan code executes the same transforms as the planner."""
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from repro.core import codegen
 from repro.core.codegen import generate_plan_module, load_plan_module
 from repro.core.planner import RapPlanner
 from repro.dlrm import TrainingWorkload, model_for_plan
@@ -64,3 +69,65 @@ class TestCodegen:
         source = generate_plan_module(plan)
         assert "Mapping strategy: rap" in source
         assert "fusion enabled" in source
+
+
+# sha256 of generate_plan_module's text and of the op groups compile_plan
+# hands the engine (each group's member outputs, per GPU), for Table-3
+# plans on 4 GPUs at batch 1024; "2-trailing" is plan 2 with each GPU's
+# last co-run stage moved to its trailing kernels. Plans 2 and 3 hold
+# shard siblings, whose member ops are lowered once.
+PINNED_WALKS = {
+    "0": ("f366c4e483263344aaac52a0607085e3380a148674ffc531104773acafb33f2e",
+          "e66d9ec16dcf0a0a3b50729c119ae4b25a0a8c15b8b7010be83e3c52c64d52d3"),
+    "1": ("72c477026559cfc88eae9e96fb4582c77c1504a754ca60a3f457c2636ff4b5f3",
+          "e66d9ec16dcf0a0a3b50729c119ae4b25a0a8c15b8b7010be83e3c52c64d52d3"),
+    "2": ("7207dfb8b2e4b39937d6ac3f8dfc124b6bed56d1e87efd1d32b70167abddede6",
+          "8d165aa0de0152f83e1f000f0a51f89da273819062ae16afa467c8e77076bea9"),
+    "3": ("e87ac612aba112be92c466ec4a0bea5bc1e4e8530fcd50d5a724acf497d69ad0",
+          "3f4d77388774d89209497f5554ad08fa45893daae1a5a376379d7ac12ca8ae4e"),
+    "2-trailing": ("ae23e7f20342bd2d37869334329b3af3c205431258c8c041f74c994511d225d4",
+                   "8d165aa0de0152f83e1f000f0a51f89da273819062ae16afa467c8e77076bea9"),
+}
+
+
+def _table3_plan(plan_id: int):
+    graphs, schema = build_plan(plan_id, rows=1024)
+    workload = TrainingWorkload(model_for_plan(graphs, schema), num_gpus=4, local_batch=1024)
+    return RapPlanner(workload).plan(graphs)
+
+
+def _last_stage_trailing(plan):
+    assignments, trailing = [], []
+    for per_gpu, tail in zip(plan.assignments_per_gpu, plan.trailing_per_gpu):
+        per_gpu = dict(per_gpu)
+        moved = per_gpu.pop(max(per_gpu)) if per_gpu else []
+        assignments.append(per_gpu)
+        trailing.append(list(moved) + list(tail))
+    return dataclasses.replace(plan, assignments_per_gpu=assignments, trailing_per_gpu=trailing)
+
+
+def _lowered_groups(plan, monkeypatch) -> list:
+    """The op groups compile_plan lowers, recorded instead of compiled."""
+    recorded = []
+
+    def record(groups, rows, arena=None):
+        recorded.append([[op.output for op in group] for group in groups])
+
+    monkeypatch.setattr(codegen, "compile_op_groups", record)
+    codegen.compile_plan(plan)
+    return recorded
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_WALKS))
+def test_plan_walk_is_pinned(key, monkeypatch):
+    plan = _table3_plan(int(key[0]))
+    if key.endswith("trailing"):
+        plan = _last_stage_trailing(plan)
+        assert any(plan.trailing_per_gpu)
+    module, groups = PINNED_WALKS[key]
+    assert _sha(generate_plan_module(plan)) == module
+    assert _sha(json.dumps(_lowered_groups(plan, monkeypatch))) == groups

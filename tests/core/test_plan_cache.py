@@ -30,8 +30,6 @@ def make_key(workload, graphs, solver=None, **overrides):
         mapping_strategy="rap",
         fusion_enabled=True,
         interleaving_enabled=True,
-        exact_fusion=None,
-        max_mapping_moves=None,
         solver=solver or BranchAndBoundSolver(),
     )
     kwargs.update(overrides)
@@ -100,7 +98,7 @@ class TestInvalidation:
         base = make_key(workload, graphs)
         assert make_key(workload, graphs, fusion_enabled=False) != base
         assert make_key(workload, graphs, mapping_strategy="data_parallel") != base
-        assert make_key(workload, graphs, max_mapping_moves=3) != base
+        assert make_key(workload, graphs, interleaving_enabled=False) != base
 
     def test_code_version_invalidates(self, setting, monkeypatch):
         graphs, workload = setting

@@ -110,8 +110,6 @@ class TestSharedPlanIndex:
             planner.mapping_strategy,
             planner.fusion_enabled,
             planner.interleaving_enabled,
-            planner.exact_fusion,
-            planner.max_mapping_moves,
             planner.solver,
             predictor_fingerprint=planner._predictor_fingerprint(),
         )
@@ -147,13 +145,13 @@ class TestSharedPlanIndex:
         graphs_b, _, workload_b = tenant_b
         cache = PlanCache(tmp_path)
         index = SharedPlanIndex(cache)
-        planner_a = RapPlanner(workload, cache=cache, exact_fusion=True)
+        planner_a = RapPlanner(workload, cache=cache)
         plan_a = planner_a.plan(graphs)
         assert len(solve_calls) > 0
         index.store(self._key(planner_a, graphs), plan_to_json(plan_a), graphs)
 
         solve_calls.clear()
-        planner_b = RapPlanner(workload_b, cache=cache, exact_fusion=True)
+        planner_b = RapPlanner(workload_b, cache=cache)
         assert index.lookup(self._key(planner_b, graphs_b), workload_b, graphs_b) is not None
         assert len(solve_calls) == 0
 

@@ -12,7 +12,6 @@ and checkpoint state.
 """
 
 import json
-import math
 from dataclasses import dataclass, replace
 
 import pytest
@@ -37,17 +36,11 @@ class Setting:
     window: int = 256
     min_samples: int = 8
     clip: float = 32.0
-    mode: str = "quantile"
-    min_fit_samples: int = 64
 
     def session(self) -> TelemetrySession:
         return TelemetrySession(
             residual=ResidualModel(
-                window=self.window,
-                min_samples=self.min_samples,
-                mode=self.mode,
-                min_fit_samples=self.min_fit_samples,
-                clip=self.clip,
+                window=self.window, min_samples=self.min_samples, clip=self.clip
             ),
             drift_detector=DriftDetector(threshold=0.2, window=2),
         )
@@ -63,8 +56,7 @@ def reference_record(session: TelemetrySession, batch: SampleBatch, iteration, c
             if not calibrated:
                 yield replace(t, iteration=iteration)
                 continue
-            features = t.features if model.mode == "gbdt" else ()
-            active = model.correct(t.op_type, t.predicted_us, features)
+            active = model.correct(t.op_type, t.predicted_us)
             yield replace(
                 t,
                 iteration=iteration,
@@ -115,13 +107,11 @@ samples_st = st.builds(
 
 
 @st.composite
-def scenarios(draw, modes):
+def scenarios(draw):
     setting = Setting(
         window=draw(st.integers(1, 12)),
         min_samples=draw(st.integers(1, 8)),
         clip=draw(st.sampled_from((1.5, 4.0, 32.0))),
-        mode=draw(st.sampled_from(modes)),
-        min_fit_samples=draw(st.integers(2, 6)),
     )
     batches = [
         SampleBatch(draw(st.lists(samples_st, max_size=10)))
@@ -133,14 +123,8 @@ def scenarios(draw, modes):
 
 
 @settings(max_examples=200, deadline=None)
-@given(scenarios(("quantile",)))
+@given(scenarios())
 def test_quantile_recorder_matches_per_sample_path(scenario):
-    replay(*scenario)
-
-
-@settings(max_examples=20, deadline=None)
-@given(scenarios(("gbdt",)))
-def test_gbdt_recorder_matches_per_sample_path(scenario):
     replay(*scenario)
 
 
@@ -182,14 +166,3 @@ def test_two_recordings_before_one_drift_check():
     session = replay(Setting(min_samples=2), [first, second], schedule)
     assert session.drift_events
 
-
-def test_gbdt_mode_fits_mid_iteration():
-    batch = SampleBatch(
-        template("Clamp", 30.0, 1.5 + i % 3, features=(float(i % 3), 1.0)) for i in range(6)
-    )
-    setting = Setting(window=8, min_samples=2, mode="gbdt", min_fit_samples=4)
-    session = replay(setting, [batch], steady(iterations=3))
-    actives = [s.active_predicted_us for s in session.residual.samples_for("Clamp")]
-    # Fitted corrections differ from the median's once the model exists.
-    assert len({a for a in actives if a is not None}) > 1
-    assert all(math.isfinite(a) for a in actives if a is not None)

@@ -6,10 +6,8 @@ import math
 import random
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from repro.ml.gbdt import GradientBoostingRegressor
 from repro.telemetry import (
     CalibratedPredictor,
     CalibrationSample,
@@ -156,33 +154,30 @@ class TestResidualModel:
         assert b.corrections() == a.corrections()
         assert b.state_dict() == a.state_dict()
 
-    def test_gbdt_mode_learns_feature_dependent_drift(self):
-        # Drift that depends on a feature: small kernels 1.5x, big ones 3x.
-        model = ResidualModel(mode="gbdt", min_fit_samples=64)
-        recorded = []
-        for i in range(128):
-            size = float(i % 2)  # 0 = small, 1 = big
-            factor = 1.5 if size == 0.0 else 3.0
-            recorded.append(
-                CalibrationSample(
-                    "Ngram", 100.0, 100.0 * factor, features=(size, 1.0)
-                )
-            )
-        for s in recorded:
-            model.record(s)
-        assert model.correct("Ngram", 100.0, (0.0, 1.0)) == pytest.approx(150.0, rel=0.05)
-        assert model.correct("Ngram", 100.0, (1.0, 1.0)) == pytest.approx(300.0, rel=0.05)
-
-    def test_gbdt_mode_falls_back_below_threshold(self):
-        model = ResidualModel(mode="gbdt", min_fit_samples=64)
+    def test_state_writes_constant_mode_keys(self):
+        # Checkpoints written while a second residual mode existed carry
+        # "mode" and "min_fit_samples"; a round trip still writes both.
+        a = ResidualModel(window=32)
         for s in samples("Clamp", 2.0, n=16):
-            model.record(s)
-        # Too few samples for the regressor: quantile correction applies.
-        assert model.correct("Clamp", 100.0, (1.0,)) == pytest.approx(200.0)
+            a.record(s)
+        state = json.loads(json.dumps(a.state_dict()))
+        assert state["mode"] == "quantile"
+        assert state["min_fit_samples"] == 64
+        b = ResidualModel()
+        b.load_state(state)
+        assert b.state_dict() == a.state_dict()
+
+    def test_load_state_refuses_gbdt_mode(self):
+        a = ResidualModel()
+        for s in samples("Clamp", 2.0, n=16):
+            a.record(s)
+        state = {**a.state_dict(), "mode": "gbdt"}
+        b = ResidualModel()
+        with pytest.raises(ValueError, match="gbdt"):
+            b.load_state(state)
+        assert b.op_types() == []
 
     def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            ResidualModel(mode="nonsense")
         with pytest.raises(ValueError):
             ResidualModel(window=0)
         with pytest.raises(ValueError):
@@ -429,39 +424,14 @@ class ReferenceResidual:
     def corrections(self) -> dict[str, float]:
         return {op: self.correction(op) for op in sorted(self.windows)}
 
-    def gbdt_model(self, op_type: str):
-        window = self.windows.get(op_type, [])
-        rows = [s for s in window if s.features]
-        if len(window) < self.model.min_fit_samples or len(rows) < self.model.min_fit_samples:
-            return None
-        model = GradientBoostingRegressor(
-            n_estimators=40, max_depth=3, learning_rate=0.2, random_state=0
-        )
-        model.fit(
-            np.asarray([s.features for s in rows], dtype=float),
-            np.asarray([self.log_ratio(s) for s in rows], dtype=float),
-        )
-        return model
-
-    def correct(self, op_type: str, predicted_us: float, features, gbdt=None) -> float:
-        if self.model.mode == "gbdt":
-            model = gbdt if gbdt is not None else self.gbdt_model(op_type)
-            if model is not None and features:
-                log_corr = float(model.predict(np.asarray([features], dtype=float))[0])
-                bound = math.log(self.model.clip)
-                return predicted_us * math.exp(min(bound, max(-bound, log_corr)))
+    def correct(self, op_type: str, predicted_us: float) -> float:
         return predicted_us * self.correction(op_type)
 
     def mape(self, corrected: bool) -> float:
         errors = []
         for op_type, window in self.windows.items():
-            gbdt = self.gbdt_model(op_type) if corrected and self.model.mode == "gbdt" else None
             for s in window:
-                pred = (
-                    self.correct(op_type, s.predicted_us, s.features, gbdt)
-                    if corrected
-                    else s.predicted_us
-                )
+                pred = self.correct(op_type, s.predicted_us) if corrected else s.predicted_us
                 errors.append(abs(s.observed_us - pred) / max(s.observed_us, 1e-9))
         return float(sum(errors) / len(errors)) if errors else 0.0
 
@@ -512,15 +482,12 @@ class TestIncrementalEquivalence:
             }
         else:
             s = self.random_sample(rng)
-            assert model.correct(op, s.predicted_us, s.features) == ref.correct(
-                op, s.predicted_us, s.features
-            )
+            assert model.correct(op, s.predicted_us) == ref.correct(op, s.predicted_us)
 
-    @pytest.mark.parametrize("mode", ["quantile", "gbdt"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_interleavings_match_reference(self, mode, seed):
+    def test_random_interleavings_match_reference(self, seed):
         rng = random.Random(seed)
-        model = ResidualModel(window=8, min_samples=3, mode=mode, min_fit_samples=4)
+        model = ResidualModel(window=8, min_samples=3)
         ref = ReferenceResidual(model)
         snapshots = []
         batches = []
@@ -568,9 +535,7 @@ class TestIncrementalEquivalence:
         assert model.mean_absolute_percentage_error(corrected=True) == ref.mape(True)
         for op in self.OPS:
             for s in model.samples_for(op):
-                assert model.correct(op, s.predicted_us, s.features) == ref.correct(
-                    op, s.predicted_us, s.features
-                )
+                assert model.correct(op, s.predicted_us) == ref.correct(op, s.predicted_us)
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_sorted_window_tracks_ties_and_evictions(self, batched):
