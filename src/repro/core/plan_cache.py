@@ -14,19 +14,23 @@ A plan is cached under a SHA-256 of everything the search consumes:
 - the **graph set**: per-graph operator structure, parameters, consumers,
   and list-length statistics -- kernel changes invalidate;
 - the **planner knobs**: mapping strategy, fusion/interleaving toggles,
-  move budgets, and the MILP solver's limits -- search-behaviour changes
-  invalidate;
+  the MILP solver's limits, and the latency predictor's fingerprint --
+  search-behaviour changes invalidate;
 - the **code version** (:data:`PLANNER_CODE_VERSION`): bumped whenever the
   search algorithm changes, so stale artifacts from older planners are
   never resurrected.
 
-Entries are the exact JSON text of :func:`repro.core.serialization.plan_to_json`,
-persisted next to plan artifacts when a directory is given, so a warm hit
-is bit-identical to the cold search that produced it.
+Process memory holds each entry as a plan; a hit returns it bound to the
+caller's workload and graph set, with containers of its own. JSON exists
+only at the optional directory: a store writes
+:func:`repro.core.serialization.plan_to_json` text there, and a fresh
+process decodes an entry once on its first hit. Either way a warm hit
+serializes to the bytes of the cold search that produced it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import threading
 from dataclasses import dataclass
@@ -154,23 +158,12 @@ def graph_set_structure_fingerprint(graph_set: GraphSet) -> str:
     )
 
 
-def workload_fingerprint(workload: TrainingWorkload) -> str:
-    """Hash of everything the workload contributes to the search.
-
-    The per-stage (duration, utilization) tuples are included directly, so
-    any change to stage capacities -- recalibration, a different spec, a
-    new placement -- invalidates cached plans even when the headline shape
-    (GPU count x batch) is unchanged.
-    """
+def _workload_payload(workload: TrainingWorkload, table_map: dict[str, str]) -> tuple:
+    """What both workload fingerprints hash, with embedding tables renamed
+    through ``table_map`` (a table it lacks keeps its name)."""
     spec = workload.spec
     placement = workload.placement
-    stages = tuple(
-        (gpu, s.name, s.duration_us, s.utilization.sm, s.utilization.dram)
-        for gpu in range(workload.num_gpus)
-        for s in workload.stages_for_gpu(gpu)
-    )
     payload = (
-        workload.config.name,
         workload.num_gpus,
         workload.local_batch,
         (
@@ -184,15 +177,52 @@ def workload_fingerprint(workload: TrainingWorkload) -> str:
             spec.pcie_bw_gbps,
             spec.kernel_launch_us,
         ),
-        tuple(sorted(placement.table_to_gpu.items())),
-        tuple(sorted(placement.row_wise_tables)),
-        stages,
+        tuple(sorted((table_map.get(t, t), gpu) for t, gpu in placement.table_to_gpu.items())),
+        tuple(sorted(table_map.get(t, t) for t in placement.row_wise_tables)),
+        tuple(
+            (gpu, s.name, s.duration_us, s.utilization.sm, s.utilization.dram)
+            for gpu in range(workload.num_gpus)
+            for s in workload.stages_for_gpu(gpu)
+        ),
     )
     if getattr(workload, "specs", None) is not None:
         # Heterogeneous fleet: the per-GPU profile sequence is identity, not
         # just the stage numbers it happens to produce. Appended only when
         # set, so every homogeneous fingerprint is unchanged.
         payload = payload + (workload.fleet_profile,)
+    return payload
+
+
+def workload_fingerprint(workload: TrainingWorkload) -> str:
+    """Hash of everything the workload contributes to the search.
+
+    The per-stage (duration, utilization) tuples are included directly, so
+    any change to stage capacities -- recalibration, a different spec, a
+    new placement -- invalidates cached plans even when the headline shape
+    (GPU count x batch) is unchanged.
+    """
+    payload = (workload.config.name,) + _workload_payload(workload, {})
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+def _request_key(
+    salt: tuple, workload_fp: str, graph_set_fp: str, mapping_strategy: str,
+    fusion_enabled: bool, interleaving_enabled: bool, solver: "BranchAndBoundSolver",
+    code_version: str | None, predictor_fingerprint: str | None,
+) -> str:
+    """The digest behind both plan keys: ``salt``, the code version, the
+    workload and graph-set fingerprints, then the planner's knobs."""
+    payload = (
+        *salt,
+        code_version if code_version is not None else PLANNER_CODE_VERSION,
+        workload_fp,
+        graph_set_fp,
+        mapping_strategy,
+        fusion_enabled,
+        interleaving_enabled,
+        (solver.node_limit, solver.time_limit_s, solver.integrality_tol, solver.gap_tol),
+        predictor_fingerprint,
+    )
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
@@ -213,17 +243,11 @@ def plan_cache_key(
     without touching the workload or graphs, so the fingerprint keeps a
     recalibrated replan from resurrecting the stale pre-drift plan.
     """
-    payload = (
-        code_version if code_version is not None else PLANNER_CODE_VERSION,
-        workload_fingerprint(workload),
-        graph_set_fingerprint(graph_set),
-        mapping_strategy,
-        fusion_enabled,
-        interleaving_enabled,
-        (solver.node_limit, solver.time_limit_s, solver.integrality_tol, solver.gap_tol),
-        predictor_fingerprint,
+    return _request_key(
+        (), workload_fingerprint(workload), graph_set_fingerprint(graph_set),
+        mapping_strategy, fusion_enabled, interleaving_enabled, solver,
+        code_version, predictor_fingerprint,
     )
-    return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -313,38 +337,7 @@ def invariant_workload_fingerprint(
     consequence of the config is already hashed through the stages.
     """
     _, _, consumer_map = canonical_name_maps(graph_set)
-    spec = workload.spec
-    placement = workload.placement
-    stages = tuple(
-        (gpu, s.name, s.duration_us, s.utilization.sm, s.utilization.dram)
-        for gpu in range(workload.num_gpus)
-        for s in workload.stages_for_gpu(gpu)
-    )
-    payload = (
-        workload.num_gpus,
-        workload.local_batch,
-        (
-            spec.name,
-            spec.num_sms,
-            spec.warps_per_sm,
-            spec.dram_bw_gbps,
-            spec.mem_gb,
-            spec.fp32_tflops,
-            spec.nvlink_bw_gbps,
-            spec.pcie_bw_gbps,
-            spec.kernel_launch_us,
-        ),
-        tuple(
-            sorted(
-                (consumer_map.get(t, t), gpu)
-                for t, gpu in placement.table_to_gpu.items()
-            )
-        ),
-        tuple(sorted(consumer_map.get(t, t) for t in placement.row_wise_tables)),
-        stages,
-    )
-    if getattr(workload, "specs", None) is not None:
-        payload = payload + (workload.fleet_profile,)
+    payload = _workload_payload(workload, consumer_map)
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
@@ -366,18 +359,13 @@ def invariant_plan_key(
     has drifted prices kernels differently and must not inherit another
     tenant's plan.
     """
-    payload = (
-        "tenant-invariant",
-        code_version if code_version is not None else PLANNER_CODE_VERSION,
+    return _request_key(
+        ("tenant-invariant",),
         invariant_workload_fingerprint(workload, graph_set),
         invariant_graph_set_fingerprint(graph_set),
-        mapping_strategy,
-        fusion_enabled,
-        interleaving_enabled,
-        (solver.node_limit, solver.time_limit_s, solver.integrality_tol, solver.gap_tol),
-        predictor_fingerprint,
+        mapping_strategy, fusion_enabled, interleaving_enabled, solver,
+        code_version, predictor_fingerprint,
     )
-    return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -416,19 +404,54 @@ class PlanCacheStats:
         }
 
 
+def _detached(plan: "RapPlan", workload: TrainingWorkload, graph_set: GraphSet) -> "RapPlan":
+    """``plan`` bound to ``workload`` and ``graph_set``, in containers of
+    its own, with its evaluation cut to what ``plan_to_json`` persists.
+
+    Kernels and data-preparation entries are frozen values, so the copy
+    shares them; the assignment, trailing and placement containers it
+    gets are new, so editing them touches neither ``plan`` nor another
+    copy. A copy of a searched plan has the shape its JSON decodes to.
+    """
+    evaluation = plan.mapping_eval
+    mapping = evaluation.mapping
+    return dataclasses.replace(
+        plan,
+        workload=workload,
+        graph_set=graph_set,
+        mapping_eval=dataclasses.replace(
+            evaluation,
+            mapping=dataclasses.replace(
+                mapping,
+                placements={k: list(v) for k, v in mapping.placements.items()},
+            ),
+            schedules=[],
+            comm_us=float(evaluation.comm_us),
+            exposed_us_per_gpu=[float(v) for v in evaluation.exposed_per_gpu],
+        ),
+        assignments_per_gpu=[
+            {stage: list(kernels) for stage, kernels in per_gpu.items()}
+            for per_gpu in plan.assignments_per_gpu
+        ],
+        trailing_per_gpu=[list(kernels) for kernels in plan.trailing_per_gpu],
+        data_prep_per_gpu=list(plan.data_prep_per_gpu),
+    )
+
+
 class PlanCache:
     """Two-tier (memory + optional directory) store of searched plans.
 
-    Entries are exact serialized-plan text; a hit deserializes against the
-    live workload and graph set, so re-serializing a warm plan reproduces
-    the stored bytes and the plan is bit-identical to the cold search.
+    The memory tier holds plans; JSON exists only at the directory, which
+    holds each entry's :func:`~repro.core.serialization.plan_to_json` text.
+    A hit is the stored plan bound to the caller's workload and graph set,
+    so re-serializing it reproduces the cold search's bytes.
     """
 
     def __init__(self, directory: str | Path | None = None) -> None:
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-        self._memory: dict[str, str] = {}
+        self._memory: dict[str, RapPlan] = {}
         self.stats = PlanCacheStats()
         self._metrics = None
         # Reentrant: a service admission thread holding the cache lock may
@@ -456,66 +479,57 @@ class PlanCache:
         assert self.directory is not None
         return self.directory / f"{key}.plan.json"
 
-    def get(
+    def _load(
         self, key: str, workload: TrainingWorkload, graph_set: GraphSet
-    ) -> "RapPlan | None":
+    ) -> "tuple[RapPlan, str] | None":
+        """``(plan, tier)`` for ``key`` from memory, else from disk; no stats.
+
+        A disk entry is decoded once and then served from memory. A torn or
+        stale artifact is a miss, never an error: the planner falls through
+        to a fresh search and overwrites it.
+        """
         from .serialization import PlanLoadError, plan_from_json
 
         with self._tier_lock:
-            tier = "memory"
-            text = self._memory.get(key)
-            if text is None and self.directory is not None:
-                path = self._path(key)
-                if path.exists():
-                    try:
-                        text = path.read_text()
-                    except OSError:
-                        text = None
-                    else:
-                        tier = "disk"
-            if text is not None:
-                try:
-                    plan = plan_from_json(text, workload, graph_set)
-                except PlanLoadError:
-                    # A torn or stale artifact is a miss, never an error: the
-                    # planner falls through to a fresh search and overwrites it.
-                    text = None
-                else:
-                    self._memory[key] = text
-                    self.stats.hits += 1
-                    if tier == "disk":
-                        self.stats.disk_hits += 1
-                    self._count("hits", tier)
-                    return plan
-            self.stats.misses += 1
-            self._count("misses")
-            return None
+            stored = self._memory.get(key)
+            if stored is not None:
+                return _detached(stored, workload, graph_set), "memory"
+            if self.directory is None:
+                return None
+            try:
+                text = self._path(key).read_text()
+                plan = plan_from_json(text, workload, graph_set)
+            except (OSError, PlanLoadError):
+                return None
+            self._memory[key] = plan
+            return _detached(plan, workload, graph_set), "disk"
 
-    def get_text(self, key: str) -> str | None:
-        """The raw stored plan text, without deserializing (no stats)."""
+    def get(
+        self, key: str, workload: TrainingWorkload, graph_set: GraphSet
+    ) -> "RapPlan | None":
         with self._tier_lock:
-            text = self._memory.get(key)
-            if text is None and self.directory is not None:
-                path = self._path(key)
-                if path.exists():
-                    try:
-                        text = path.read_text()
-                    except OSError:
-                        text = None
-            return text
+            found = self._load(key, workload, graph_set)
+            if found is None:
+                self.stats.misses += 1
+                self._count("misses")
+                return None
+            plan, tier = found
+            self.stats.hits += 1
+            if tier == "disk":
+                self.stats.disk_hits += 1
+            self._count("hits", tier)
+            return plan
 
     def put(self, key: str, plan: "RapPlan") -> None:
         from .serialization import plan_to_json
 
-        self.put_text(key, plan_to_json(plan))
-
-    def put_text(self, key: str, text: str) -> None:
-        """Store exact serialized-plan text under ``key``."""
+        stored = _detached(plan, plan.workload, plan.graph_set)
+        text = plan_to_json(plan) if self.directory is not None else None
         with self._tier_lock:
-            self._memory[key] = text
+            self._memory[key] = stored
             self.stats.stores += 1
             self._count("stores")
-            if self.directory is not None:
+            if text is not None:
                 # Atomic write under an advisory lock: concurrent planners
                 # never interleave bytes, and a held lock degrades to
                 # skipping the disk tier (the memory tier still serves; a
@@ -529,6 +543,13 @@ class PlanCache:
                             self._count("lock_contention", "disk")
                 except OSError:
                     pass  # best-effort persistence; the memory tier still serves
+
+    def __contains__(self, key: str) -> bool:
+        """Whether either tier holds an entry for ``key``; reads no entry."""
+        with self._tier_lock:
+            return key in self._memory or (
+                self.directory is not None and self._path(key).exists()
+            )
 
     def __len__(self) -> int:
         with self._tier_lock:

@@ -192,7 +192,8 @@ class RapPlanner:
 
     - ``cache``: a :class:`repro.core.plan_cache.PlanCache`; planning
       requests whose content hash matches a cached entry return the stored
-      plan (bit-identical to the cold search) without searching. It is the
+      plan, bound to this planner's workload and the request's graph set,
+      without searching (it serializes to the cold search's bytes). It is the
       planner's only cache: repeated fusion MILPs within a search are
       absorbed by the fusion pass's structure memo, so each planner owns
       a plain :class:`~repro.milp.branch_and_bound.BranchAndBoundSolver`.

@@ -32,12 +32,7 @@ from .job import (
     parse_tenant_specs,
 )
 from .metrics import ServiceMetrics
-from .reuse import (
-    SharedPlanIndex,
-    canonicalize_plan_text,
-    renamed_model,
-    specialize_plan_text,
-)
+from .reuse import SharedPlanIndex, canonicalize_plan, renamed_model, specialize_plan
 from .service import PreprocessingService, ServiceSummary
 
 __all__ = [
@@ -53,9 +48,9 @@ __all__ = [
     "parse_tenant_specs",
     "ServiceMetrics",
     "SharedPlanIndex",
-    "canonicalize_plan_text",
+    "canonicalize_plan",
     "renamed_model",
-    "specialize_plan_text",
+    "specialize_plan",
     "PreprocessingService",
     "ServiceSummary",
 ]

@@ -3,18 +3,16 @@
 Two tenants that submit *isomorphic* preprocessing workloads -- identical
 op pipelines, list lengths, batch shape, and fleet, differing only in
 the names of graphs, columns, and embedding tables -- deserve one plan
-search, not two. This module makes the stored plan text itself
-tenant-invariant:
+search, not two. This module shares plans, not their text:
 
-- :func:`canonicalize_plan_text` rewrites a tenant's serialized plan into
-  canonical names (``g0/g1/...`` graphs, ``c0/c1/...`` columns) using
+- :func:`canonicalize_plan` renames a tenant's plan into canonical names
+  (``g0/g1/...`` graphs, ``c0/c1/...`` columns) using
   :func:`repro.core.plan_cache.canonical_name_maps`, so isomorphic
-  workloads produce byte-identical canonical text.
-- :func:`specialize_plan_text` inverts the target tenant's own canonical
-  maps to rewrite that text back into *its* names, producing exactly the
-  bytes :func:`repro.core.serialization.plan_to_json` would emit for the
-  renamed plan.
-- :class:`SharedPlanIndex` stores canonical text in the ordinary
+  workloads produce the same canonical kernels and placements.
+- :func:`specialize_plan` inverts the target tenant's own canonical maps
+  to rename a canonical plan back into *its* names; the result
+  serializes to exactly the bytes a search under those names would.
+- :class:`SharedPlanIndex` stores canonical plans in the ordinary
   :class:`~repro.core.plan_cache.PlanCache` under the salted
   :func:`~repro.core.plan_cache.invariant_plan_key`, so the invariant
   tier shares the cache's thread safety, disk persistence, and stats.
@@ -30,23 +28,20 @@ generated-table hash size and break isomorphism.
 from __future__ import annotations
 
 import dataclasses
-import json
 
 from ..core.plan_cache import PlanCache, canonical_name_maps
-from ..core.serialization import plan_from_json
+from ..core.planner import RapPlan
 from ..dlrm.model import DLRMConfig
 from ..dlrm.training import TrainingWorkload
+from ..gpusim.kernel import KernelDesc
 from ..preprocessing.graph import DENSE_CONSUMER, FeatureGraph, GraphSet
 
 __all__ = [
     "renamed_model",
-    "canonicalize_plan_text",
-    "specialize_plan_text",
+    "canonicalize_plan",
+    "specialize_plan",
     "SharedPlanIndex",
 ]
-
-#: ``workload.model`` in canonical plan text; restored at specialization.
-_CANONICAL_MODEL = "canonical"
 
 
 def renamed_model(
@@ -101,11 +96,11 @@ def renamed_model(
 
 
 # ----------------------------------------------------------------------
-# Plan-text renaming
+# Plan renaming
 
 
 def _rename_kernel_name(name: str, column_map: dict[str, str]) -> str:
-    """Map the column identity inside one serialized kernel name.
+    """Map the column identity inside one kernel name.
 
     Kernel names are ``"<op>:<output_column>"`` with an optional ``#i``
     shard suffix; fused kernels are ``"fused_<tag>_x<N>"`` and carry no
@@ -123,87 +118,65 @@ def _rename_kernel_name(name: str, column_map: dict[str, str]) -> str:
     return f"{op}:{renamed}{sep}{shard}"
 
 
-def _rename_kernel_dict(kernel: dict, column_map: dict[str, str]) -> dict:
-    out = dict(kernel)
-    out["name"] = _rename_kernel_name(kernel["name"], column_map)
-    meta = kernel.get("meta")
-    if isinstance(meta, dict):
-        meta = dict(meta)
-        fused = meta.get("fused")
-        if isinstance(fused, list):
-            meta["fused"] = [_rename_kernel_name(m, column_map) for m in fused]
-        members = meta.get("member_kernels")
-        if isinstance(members, list):
-            meta["member_kernels"] = [
-                _rename_kernel_dict(m, column_map) if isinstance(m, dict) else m
-                for m in members
-            ]
-        out["meta"] = meta
-    return out
+def _renamed(plan: RapPlan, graph_map: dict[str, str], column_map: dict[str, str]) -> RapPlan:
+    """``plan`` with every graph and column name mapped: kernel names,
+    fused-member names and kernels, and mapping placements.
 
-
-def _rename_plan_payload(
-    payload: dict,
-    graph_map: dict[str, str],
-    column_map: dict[str, str],
-    model_name: str,
-) -> dict:
-    """Rename every graph/column reference in a plan payload in place.
-
-    Dict insertion order is preserved throughout, so re-dumping with
-    ``json.dumps(..., indent=2)`` reproduces ``plan_to_json``'s exact
-    byte layout for the renamed plan.
+    Meta keys keep their order, so the renamed plan serializes to the
+    bytes :func:`~repro.core.serialization.plan_to_json` gives a plan
+    searched under the new names.
     """
-    out = dict(payload)
-    workload = dict(out.get("workload", {}))
-    workload["model"] = model_name
-    out["workload"] = workload
-    mapping = dict(out.get("mapping", {}))
-    placements = mapping.get("placements")
-    if isinstance(placements, dict):
-        mapping["placements"] = {
-            graph_map.get(name, name): gpus for name, gpus in placements.items()
-        }
-    out["mapping"] = mapping
-    out["assignments_per_gpu"] = [
-        {
-            stage: [_rename_kernel_dict(k, column_map) for k in kernels]
-            for stage, kernels in per_gpu.items()
-        }
-        for per_gpu in out.get("assignments_per_gpu", [])
-    ]
-    out["trailing_per_gpu"] = [
-        [_rename_kernel_dict(k, column_map) for k in kernels]
-        for kernels in out.get("trailing_per_gpu", [])
-    ]
-    return out
 
+    def kernel(k: KernelDesc) -> KernelDesc:
+        meta = k.meta
+        if "fused" in meta or "member_kernels" in meta:
+            meta = dict(meta)
+            if "fused" in meta:
+                meta["fused"] = [_rename_kernel_name(m, column_map) for m in meta["fused"]]
+            if "member_kernels" in meta:
+                meta["member_kernels"] = tuple(kernel(m) for m in meta["member_kernels"])
+        return dataclasses.replace(
+            k, name=_rename_kernel_name(k.name, column_map), meta=meta
+        )
 
-def canonicalize_plan_text(plan_text: str, graph_set: GraphSet) -> str:
-    """``plan_text`` rewritten into the graph set's canonical names."""
-    graph_map, column_map, _ = canonical_name_maps(graph_set)
-    payload = _rename_plan_payload(
-        json.loads(plan_text), graph_map, column_map, _CANONICAL_MODEL
+    mapping = plan.mapping
+    placements = {graph_map.get(n, n): list(p) for n, p in mapping.placements.items()}
+    return dataclasses.replace(
+        plan,
+        mapping_eval=dataclasses.replace(
+            plan.mapping_eval,
+            mapping=dataclasses.replace(mapping, placements=placements),
+        ),
+        assignments_per_gpu=[
+            {stage: [kernel(k) for k in kernels] for stage, kernels in per_gpu.items()}
+            for per_gpu in plan.assignments_per_gpu
+        ],
+        trailing_per_gpu=[[kernel(k) for k in kernels] for kernels in plan.trailing_per_gpu],
     )
-    return json.dumps(payload, indent=2)
 
 
-def specialize_plan_text(
-    canonical_text: str, graph_set: GraphSet, model_name: str
-) -> str:
-    """Canonical plan text rewritten into ``graph_set``'s own names.
+def canonicalize_plan(plan: RapPlan, graph_set: GraphSet) -> RapPlan:
+    """``plan`` renamed into ``graph_set``'s canonical names."""
+    graph_map, column_map, _ = canonical_name_maps(graph_set)
+    return _renamed(plan, graph_map, column_map)
+
+
+def specialize_plan(
+    canonical: RapPlan, workload: TrainingWorkload, graph_set: GraphSet
+) -> RapPlan:
+    """A canonical plan bound to ``workload`` and ``graph_set`` and renamed
+    into ``graph_set``'s own names.
 
     Inverts :func:`canonical_name_maps` for the *target* tenant; since
     isomorphic graph sets share one canonical form, the inverse maps of
     any isomorphic tenant line up entry for entry.
     """
     graph_map, column_map, _ = canonical_name_maps(graph_set)
-    inverse_graphs = {v: k for k, v in graph_map.items()}
-    inverse_columns = {v: k for k, v in column_map.items()}
-    payload = _rename_plan_payload(
-        json.loads(canonical_text), inverse_graphs, inverse_columns, model_name
+    return _renamed(
+        dataclasses.replace(canonical, workload=workload, graph_set=graph_set),
+        {v: k for k, v in graph_map.items()},
+        {v: k for k, v in column_map.items()},
     )
-    return json.dumps(payload, indent=2)
 
 
 class SharedPlanIndex:
@@ -212,7 +185,7 @@ class SharedPlanIndex:
     Entries live in the same :class:`PlanCache` as exact-key plans (same
     memory/disk tiers, same lock), just under the salted invariant key
     and in canonical names. ``lookup`` specializes a hit into the asking
-    tenant's names and validates it against the live workload shape.
+    tenant's workload, graph set and names.
     """
 
     def __init__(self, cache: PlanCache) -> None:
@@ -221,26 +194,20 @@ class SharedPlanIndex:
         self.misses = 0
         self.stores = 0
 
-    def store(self, invariant_key: str, plan_text: str, graph_set: GraphSet) -> None:
+    def store(self, invariant_key: str, plan: RapPlan, graph_set: GraphSet) -> None:
         self.stores += 1
-        self.cache.put_text(invariant_key, canonicalize_plan_text(plan_text, graph_set))
+        self.cache.put(invariant_key, canonicalize_plan(plan, graph_set))
 
     def lookup(
         self,
         invariant_key: str,
         workload: TrainingWorkload,
         graph_set: GraphSet,
-    ) -> tuple[object, str] | None:
-        """``(plan, specialized_text)`` for an isomorphic hit, else None."""
-        canonical = self.cache.get_text(invariant_key)
-        if canonical is None:
-            self.misses += 1
-            return None
-        specialized = specialize_plan_text(canonical, graph_set, workload.config.name)
-        try:
-            plan = plan_from_json(specialized, workload, graph_set)
-        except (ValueError, KeyError):
+    ) -> RapPlan | None:
+        """The plan for an isomorphic hit, in this tenant's names, else None."""
+        found = self.cache._load(invariant_key, workload, graph_set)
+        if found is None:
             self.misses += 1
             return None
         self.hits += 1
-        return plan, specialized
+        return specialize_plan(found[0], workload, graph_set)

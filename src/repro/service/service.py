@@ -41,7 +41,6 @@ from pathlib import Path
 
 from ..core.plan_cache import PlanCache, invariant_plan_key
 from ..core.planner import RapPlanner
-from ..core.serialization import plan_to_json
 from ..runtime.checkpoint import CheckpointManager
 from ..runtime.executor import FaultTolerantRuntime
 from ..runtime.journal import RunJournal
@@ -104,6 +103,8 @@ class ServiceSummary:
 
 def _plan_gpu_kernel_us(plan) -> float:
     """Per-iteration preprocessing time the plan places on GPUs."""
+    # Summed per stage in dict order, not over RapPlan.placed_kernels():
+    # the printed fleet_gpu_kernel_us depends on this float order.
     total = 0.0
     for per_gpu in plan.assignments_per_gpu:
         for kernels in per_gpu.values():
@@ -194,9 +195,9 @@ class PreprocessingService:
         planner = RapPlanner(workload, cache=self.plan_cache)
         exact_key = planner._cache_key(job.graphs)
         plan = None
-        if self.plan_cache.get_text(exact_key) is not None:
-            # The raw text may be torn; only the planner's parse decides
-            # whether it hit. A miss has already searched cold.
+        if exact_key in self.plan_cache:
+            # Only the planner's load decides whether it hit: a torn disk
+            # entry is a miss, and the planner has then searched cold.
             hits = planner.stats.cache_hits
             plan = planner.plan(job.graphs)
             if planner.stats.cache_hits > hits:
@@ -211,17 +212,14 @@ class PreprocessingService:
             predictor_fingerprint=planner._predictor_fingerprint(),
         )
         if plan is None:
-            hit = self.reuse.lookup(invariant_key, workload, job.graphs)
-            if hit is not None:
-                plan, specialized = hit
+            plan = self.reuse.lookup(invariant_key, workload, job.graphs)
+            if plan is not None:
                 # Promote to this tenant's exact key so its next admission
-                # is a plain exact hit; the stored bytes are exactly what a
-                # plan_to_json of the renamed plan would produce.
-                self.plan_cache.put_text(exact_key, specialized)
+                # is a plain exact hit.
+                self.plan_cache.put(exact_key, plan)
                 return planner, plan, "warm-invariant"
             plan = planner.plan(job.graphs)
-        text = self.plan_cache.get_text(exact_key) or plan_to_json(plan)
-        self.reuse.store(invariant_key, text, job.graphs)
+        self.reuse.store(invariant_key, plan, job.graphs)
         return planner, plan, "cold"
 
     def _meets_deadline(self, job: Job, plan) -> bool:
@@ -500,12 +498,7 @@ class PreprocessingService:
         runtime = job.runtime
         if runtime is None:
             return 0.0
-        on_gpu = 0
-        for per_gpu in runtime.plan.assignments_per_gpu:
-            for kernels in per_gpu.values():
-                on_gpu += len(kernels)
-        for trailing in runtime.plan.trailing_per_gpu:
-            on_gpu += len(trailing)
+        on_gpu = sum(runtime.plan.num_kernels_per_gpu())
         on_cpu = len(runtime._cpu_kernels)
         total = on_gpu + on_cpu
         return on_gpu / total if total else 0.0

@@ -71,6 +71,40 @@ class TestBitIdentity:
         assert warm.predicted_exposed_us == cold.predicted_exposed_us
 
 
+class TestHitIsolation:
+    """A memory hit is the caller's own plan: bound to the caller's
+    workload and graph set, in containers nothing else holds."""
+
+    def test_hits_are_bound_and_isolated(self, setting):
+        graphs, workload = setting
+        cache = PlanCache()
+        planner = RapPlanner(workload, cache=cache)
+        cold = planner.plan(graphs)
+        expected = plan_to_json(cold)
+        key = planner._cache_key(graphs)
+        # A second caller with equal content under its own objects.
+        other_graphs, schema = build_plan(1, rows=1024)
+        other_workload = TrainingWorkload(
+            model_for_plan(other_graphs, schema), num_gpus=2, local_batch=1024
+        )
+        assert planner._cache_key(other_graphs) == key
+
+        first = cache.get(key, workload, graphs)
+        second = cache.get(key, other_workload, other_graphs)
+        assert first.workload is workload and first.graph_set is graphs
+        assert second.workload is other_workload and second.graph_set is other_graphs
+
+        for per_gpu in first.assignments_per_gpu:
+            for kernels in per_gpu.values():
+                kernels.clear()
+        first.trailing_per_gpu[0].clear()
+        first.mapping.placements.clear()
+        assert plan_to_json(second) == expected
+        assert plan_to_json(cache.get(key, workload, graphs)) == expected
+        assert plan_to_json(cache._memory[key]) == expected
+        assert plan_to_json(cold) == expected
+
+
 class TestInvalidation:
     """Any input the search consumes must change the cache key."""
 

@@ -42,23 +42,40 @@ def _hammer(worker) -> list:
     return errors
 
 
+@pytest.fixture(scope="module")
+def two_plans():
+    """``(workload, graphs, plans)``: two plans that serialize differently."""
+    graphs, schema = build_plan(0, rows=512)
+    workload = TrainingWorkload(
+        model_for_plan(graphs, schema), num_gpus=2, local_batch=512
+    )
+    plans = [
+        RapPlanner(workload).plan(graphs),
+        RapPlanner(workload, fusion_enabled=False).plan(graphs),
+    ]
+    assert plan_to_json(plans[0]) != plan_to_json(plans[1])
+    return workload, graphs, plans
+
+
 class TestPlanCacheConcurrency:
-    def test_text_tier_survives_hammer(self, tmp_path):
+    def test_text_tier_survives_hammer(self, tmp_path, two_plans):
+        workload, graphs, plans = two_plans
+        texts = {plan_to_json(p) for p in plans}
         cache = PlanCache(tmp_path)
 
         def worker(index: int) -> None:
             for round_ in range(ROUNDS):
                 key = f"key{(index + round_) % 4}"
-                cache.put_text(key, f"payload-{index}-{round_}")
-                text = cache.get_text(key)
-                assert text is not None and text.startswith("payload-")
+                cache.put(key, plans[(index + round_) % 2])
+                hit = cache.get(key, workload, graphs)
+                assert hit is not None and hit.workload is workload
 
         assert _hammer(worker) == []
         assert cache.stats.stores == THREADS * ROUNDS
-        # Every surviving entry is one complete payload, never interleaved.
+        assert cache.stats.hits == THREADS * ROUNDS
+        # Every surviving entry is one complete plan, never interleaved.
         for key in ("key0", "key1", "key2", "key3"):
-            on_disk = (tmp_path / f"{key}.plan.json").read_text()
-            assert on_disk.startswith("payload-")
+            assert (tmp_path / f"{key}.plan.json").read_text() in texts
 
     def test_deserializing_tier_hits_consistently(self, tmp_path):
         graphs, schema = build_plan(0, rows=512)
@@ -82,14 +99,16 @@ class TestPlanCacheConcurrency:
         assert cache.stats.hits == base_hits + THREADS * ROUNDS
         assert cache.stats.lookups == cache.stats.hits + cache.stats.misses
 
-    def test_busy_lock_degrades_to_contention_not_miss(self, tmp_path):
+    def test_busy_lock_degrades_to_contention_not_miss(self, tmp_path, two_plans):
+        workload, graphs, plans = two_plans
+        expected = plan_to_json(plans[0])
         registry = MetricsRegistry()
         cache = PlanCache(tmp_path)
         cache.bind_metrics(registry, cache="plan")
         fd = os.open(tmp_path / ".lock", os.O_RDWR | os.O_CREAT, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
-            cache.put_text("contended", "payload")
+            cache.put("contended", plans[0])
         finally:
             fcntl.flock(fd, fcntl.LOCK_UN)
             os.close(fd)
@@ -97,7 +116,7 @@ class TestPlanCacheConcurrency:
         assert cache.stats.misses == 0
         assert cache.stats.stores == 1
         # The memory tier still serves; the disk tier was skipped.
-        assert cache.get_text("contended") == "payload"
+        assert plan_to_json(cache.get("contended", workload, graphs)) == expected
         assert not (tmp_path / "contended.plan.json").exists()
         snapshot = registry.snapshot()
         series = snapshot["rap_cache_lock_contention_total"]["series"]
@@ -105,8 +124,8 @@ class TestPlanCacheConcurrency:
             ({"cache": "plan", "tier": "disk"}, 1.0)
         ]
         # With the lock free again, the same store persists.
-        cache.put_text("contended", "payload")
-        assert (tmp_path / "contended.plan.json").read_text() == "payload"
+        cache.put("contended", plans[0])
+        assert (tmp_path / "contended.plan.json").read_text() == expected
         assert cache.stats.lock_contention == 1
 
 

@@ -1,8 +1,11 @@
 """Tenant-invariant plan reuse: rename, canonicalize, specialize."""
 
+import hashlib
+import json
+
 import pytest
 
-from repro.core import PlanCache, RapPlanner, plan_to_json
+from repro.core import PlanCache, RapPlanner, plan_from_json, plan_to_json
 from repro.core.plan_cache import (
     graph_set_fingerprint,
     invariant_graph_set_fingerprint,
@@ -10,7 +13,16 @@ from repro.core.plan_cache import (
 )
 from repro.dlrm import TrainingWorkload, model_for_plan
 from repro.preprocessing import build_plan
-from repro.service import SharedPlanIndex, canonicalize_plan_text, renamed_model, specialize_plan_text
+from repro.service import SharedPlanIndex, canonicalize_plan, renamed_model, specialize_plan
+
+#: SHA-256 of tenant A's plan specialized into tenant B's names, as the
+#: text rewriter that renamed serialized plans produced it (and as tenant
+#: B's own cold search serializes).
+SPECIALIZED_B_SHA256 = "516cf3906266be3c3e4c2cfb1d6e4bb10b0569e1a58c513a7ad7114dc6bdc4c2"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -73,26 +85,29 @@ class TestPlanTextRenaming:
         graphs_b, _, workload_b = tenant_b
         plan_a = RapPlanner(workload).plan(graphs)
         plan_b = RapPlanner(workload_b).plan(graphs_b)
-        canon_a = canonicalize_plan_text(plan_to_json(plan_a), graphs)
-        canon_b = canonicalize_plan_text(plan_to_json(plan_b), graphs_b)
+        canon_a = json.loads(plan_to_json(canonicalize_plan(plan_a, graphs)))
+        canon_b = json.loads(plan_to_json(canonicalize_plan(plan_b, graphs_b)))
+        # A canonical plan keeps its tenant's workload, so only the model
+        # name tells the two apart.
+        assert canon_a["workload"].pop("model") != canon_b["workload"].pop("model")
         assert canon_a == canon_b
 
     def test_specialize_round_trips_bytes(self, tenant_a):
-        graphs, config, workload = tenant_a
-        text = plan_to_json(RapPlanner(workload).plan(graphs))
-        canonical = canonicalize_plan_text(text, graphs)
-        assert specialize_plan_text(canonical, graphs, config.name) == text
+        graphs, _, workload = tenant_a
+        plan = RapPlanner(workload).plan(graphs)
+        canonical = canonicalize_plan(plan, graphs)
+        assert plan_to_json(specialize_plan(canonical, workload, graphs)) == plan_to_json(plan)
 
     def test_specialize_into_other_tenant_loads(self, tenant_a, tenant_b):
         graphs, _, workload = tenant_a
-        graphs_b, config_b, workload_b = tenant_b
+        graphs_b, _, workload_b = tenant_b
         plan_a = RapPlanner(workload).plan(graphs)
-        canonical = canonicalize_plan_text(plan_to_json(plan_a), graphs)
-        specialized = specialize_plan_text(canonical, graphs_b, config_b.name)
-        from repro.core.serialization import plan_from_json
-
-        plan_b = plan_from_json(specialized, workload_b, graphs_b)
-        assert plan_to_json(plan_b) == specialized
+        canonical = canonicalize_plan(plan_a, graphs)
+        plan_b = specialize_plan(canonical, workload_b, graphs_b)
+        assert plan_b.workload is workload_b and plan_b.graph_set is graphs_b
+        text = plan_to_json(plan_b)
+        assert _sha256(text) == SPECIALIZED_B_SHA256
+        assert plan_to_json(plan_from_json(text, workload_b, graphs_b)) == text
         assert plan_b.predicted_exposed_us == pytest.approx(plan_a.predicted_exposed_us)
         # Every kernel landed under tenant B's names.
         for per_gpu in plan_b.assignments_per_gpu:
@@ -100,6 +115,7 @@ class TestPlanTextRenaming:
                 for kernel in kernels:
                     if not kernel.name.startswith("fused_"):
                         assert ".b" in kernel.name.partition(":")[2]
+        assert set(plan_b.mapping.placements) == {g.name for g in graphs_b}
 
 
 class TestSharedPlanIndex:
@@ -124,17 +140,20 @@ class TestSharedPlanIndex:
 
         planner_a = RapPlanner(workload, cache=cache)
         plan_a = planner_a.plan(graphs)
-        index.store(self._key(planner_a, graphs), plan_to_json(plan_a), graphs)
+        index.store(self._key(planner_a, graphs), plan_a, graphs)
 
         planner_b = RapPlanner(workload_b, cache=cache)
         solve_calls.clear()
-        hit = index.lookup(self._key(planner_b, graphs_b), workload_b, graphs_b)
-        assert hit is not None
-        plan_b, text = hit
+        plan_b = index.lookup(self._key(planner_b, graphs_b), workload_b, graphs_b)
+        assert plan_b is not None
         assert len(solve_calls) == 0  # no solve at all
         assert planner_b.stats.plans == 0  # the planner never searched
-        assert plan_to_json(plan_b) == text
+        assert _sha256(plan_to_json(plan_b)) == SPECIALIZED_B_SHA256
         assert index.hits == 1
+        # A fresh process reads the same entry from the disk tier.
+        fresh = SharedPlanIndex(PlanCache(tmp_path))
+        from_disk = fresh.lookup(self._key(planner_b, graphs_b), workload_b, graphs_b)
+        assert _sha256(plan_to_json(from_disk)) == SPECIALIZED_B_SHA256
 
     def test_invariant_hit_skips_milp_a_cold_search_needs(
         self, tenant_a, tenant_b, tmp_path, solve_calls
@@ -148,7 +167,7 @@ class TestSharedPlanIndex:
         planner_a = RapPlanner(workload, cache=cache)
         plan_a = planner_a.plan(graphs)
         assert len(solve_calls) > 0
-        index.store(self._key(planner_a, graphs), plan_to_json(plan_a), graphs)
+        index.store(self._key(planner_a, graphs), plan_a, graphs)
 
         solve_calls.clear()
         planner_b = RapPlanner(workload_b, cache=cache)
@@ -162,7 +181,7 @@ class TestSharedPlanIndex:
         index = SharedPlanIndex(cache)
         planner_a = RapPlanner(workload, cache=cache)
         plan_a = planner_a.plan(graphs)
-        index.store(self._key(planner_a, graphs), plan_to_json(plan_a), graphs)
+        index.store(self._key(planner_a, graphs), plan_a, graphs)
 
         class DriftedPredictor:
             is_fitted = True
