@@ -30,12 +30,6 @@ class BaselineReport:
     exposed_preprocessing_us: float = 0.0
     details: dict = field(default_factory=dict)
 
-    @property
-    def training_slowdown_vs(self) -> float:
-        if self.training_time_us <= 0:
-            return 1.0
-        return self.iteration_us / self.training_time_us
-
 
 def unfused_kernels_per_gpu(
     graph_set: GraphSet,

@@ -91,10 +91,6 @@ class AdaptiveReplanner:
         self._planner = RapPlanner(self.workload)
         self._plan = self._planner.plan(self.base_graphs)
 
-    @property
-    def current_plan(self) -> RapPlan:
-        return self._plan
-
     def observe(self, list_length_scale: float) -> AdaptationEvent:
         """Feed one observed distribution; replan if drift is excessive.
 

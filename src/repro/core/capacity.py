@@ -42,10 +42,6 @@ class StageCapacity:
     capacity_us: float
     leftover: ResourceVector
 
-    @property
-    def capacity_fraction(self) -> float:
-        return self.capacity_us / self.duration_us if self.duration_us > 0 else 0.0
-
 
 class OverlappingCapacityEstimator:
     """Profiles DLRM training stages for their overlapping capacity.
@@ -88,13 +84,6 @@ class OverlappingCapacityEstimator:
             )
             for idx, stage in enumerate(stages)
         ]
-
-    def total_capacity(
-        self,
-        stages: Sequence[StageProfile],
-        probe: ResourceVector = REFERENCE_PROBE,
-    ) -> float:
-        return sum(c.capacity_us for c in self.profile_stages(stages, probe))
 
     # ------------------------------------------------------------------
     # Empirical path (validation / Fig. 5)

@@ -17,7 +17,6 @@ from typing import Mapping, Sequence
 
 from ..gpusim.device import StageProfile
 from ..gpusim.kernel import KernelDesc
-from ..gpusim.resources import ResourceVector
 from .capacity import OverlappingCapacityEstimator, REFERENCE_PROBE
 from .latency_predictor import PreprocessingLatencyPredictor
 
@@ -76,11 +75,9 @@ class CoRunningCostModel:
         self,
         estimator: OverlappingCapacityEstimator,
         predictor: PreprocessingLatencyPredictor | None = None,
-        probe: ResourceVector = REFERENCE_PROBE,
     ) -> None:
         self.estimator = estimator
         self.predictor = predictor
-        self.probe = probe
 
     def kernel_latency(self, kernel: KernelDesc) -> float:
         """Standalone latency: predicted when a model is fitted, else true.
@@ -106,7 +103,7 @@ class CoRunningCostModel:
 
     def stage_selection_score(self, stage: StageProfile) -> float:
         """Probe-based stage ranking score (leftover quality x duration)."""
-        return self.estimator.estimate(stage, self.probe)
+        return self.estimator.estimate(stage, REFERENCE_PROBE)
 
     def evaluate(
         self,

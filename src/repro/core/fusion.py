@@ -38,6 +38,12 @@ __all__ = [
     "fit_kernel_to_leftover",
 ]
 
+#: Most pieces a kernel is split into to fit a stage's leftover; each piece
+#: pays a launch, so unbounded splitting is counterproductive.
+MAX_SHARD_PIECES = 64
+#: Smallest fraction of a kernel worth peeling off into a stage's capacity.
+MIN_SHARD_FRACTION = 0.05
+
 
 def build_fusion_instance(graphs: Sequence[FeatureGraph]) -> tuple[FusionInstance, list[tuple[int, int]]]:
     """Lower feature graphs to one fusion instance with global op indices.
@@ -233,13 +239,11 @@ class HorizontalFusionPass:
 
 
 def shard_by_latency(
-    kernel: KernelDesc,
-    capacity_us: float,
-    min_fraction: float = 0.05,
+    kernel: KernelDesc, capacity_us: float
 ) -> tuple[KernelDesc, KernelDesc] | None:
     """Split ``kernel`` so the first shard's latency is about ``capacity_us``.
 
-    Returns ``None`` when the capacity admits less than ``min_fraction`` of
+    Returns ``None`` when the capacity admits less than ``MIN_SHARD_FRACTION`` of
     the kernel (sharding overhead would dominate) -- the caller should move
     on to the next training stage instead, exactly like Algorithm 1 pushes
     the remainder back onto the queue.
@@ -253,7 +257,7 @@ def shard_by_latency(
     fraction = capacity_us / kernel.duration_us
     if fraction >= 1.0:
         return None
-    if fraction < min_fraction:
+    if fraction < MIN_SHARD_FRACTION:
         return None
     return shard_kernel(kernel, fraction)
 
@@ -261,7 +265,7 @@ def shard_by_latency(
 def shard_to_fit_demand(
     kernel: KernelDesc,
     leftover: ResourceVector,
-    max_pieces: int = 16,
+    max_pieces: int = MAX_SHARD_PIECES,
 ) -> list[KernelDesc] | None:
     """Split ``kernel`` into equal pieces whose demand fits ``leftover``.
 
@@ -369,7 +373,6 @@ def fit_kernel_to_leftover(
     kernel: KernelDesc,
     leftover: ResourceVector,
     spec: GpuSpec = A100_SPEC,
-    max_pieces: int = 64,
 ) -> list[KernelDesc] | None:
     """Make ``kernel`` co-runnable within ``leftover``, the paper's way.
 
@@ -393,7 +396,7 @@ def fit_kernel_to_leftover(
         return [kernel]
     members = kernel.meta.get("member_kernels") if kernel.meta else None
     if not members:
-        return shard_to_fit_demand(kernel, leftover, max_pieces)
+        return shard_to_fit_demand(kernel, leftover)
 
     pieces: list[KernelDesc] = []
     chunk: list[KernelDesc] = []
@@ -407,7 +410,7 @@ def fit_kernel_to_leftover(
             candidate = member.demand
         if not member.demand.fits_within(leftover):
             # Even alone the member is too wide: warp-shard it.
-            shards = shard_to_fit_demand(member, leftover, max_pieces)
+            shards = shard_to_fit_demand(member, leftover)
             if shards is None:
                 return None
             pieces.extend(shards)
@@ -416,6 +419,6 @@ def fit_kernel_to_leftover(
         chunk_demand = candidate
     if chunk:
         pieces.append(fuse_kernels(chunk, spec) if len(chunk) > 1 else chunk[0])
-    if len(pieces) > max_pieces:
+    if len(pieces) > MAX_SHARD_PIECES:
         return None
     return pieces

@@ -110,10 +110,6 @@ class HybridReport:
         workload = self.rap_report.plan.workload
         return workload.throughput_from_iteration(self.iteration_us)
 
-    @property
-    def cpu_bound(self) -> bool:
-        return self.cpu_production_us > self.rap_report.iteration_us
-
 
 def degraded_pool(pool: CpuWorkerPool, worker_fraction: float) -> CpuWorkerPool:
     """A pool running with only ``worker_fraction`` of its workers alive.
@@ -135,7 +131,6 @@ def cpu_fallback_production_us(
     pool: CpuWorkerPool,
     kernels: Sequence[KernelDesc],
     num_gpus: int,
-    gpu_to_cpu_slowdown: float = GPU_TO_CPU_SLOWDOWN,
 ) -> float:
     """Steady-state cost of producing ``kernels``' outputs on the CPU pool.
 
@@ -147,7 +142,7 @@ def cpu_fallback_production_us(
     """
     if not kernels:
         return 0.0
-    total_cpu_us = sum(k.duration_us for k in kernels) * gpu_to_cpu_slowdown
+    total_cpu_us = sum(k.duration_us for k in kernels) * GPU_TO_CPU_SLOWDOWN
     return total_cpu_us / pool.effective_workers(num_gpus)
 
 

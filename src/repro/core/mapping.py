@@ -38,6 +38,9 @@ __all__ = [
     "rebuild_comm",
 ]
 
+#: Non-improving move rounds the §7.2 walk tolerates before it stops.
+MAPPING_PATIENCE = 6
+
 
 @dataclass
 class GraphMapping:
@@ -61,17 +64,6 @@ class GraphMapping:
                 if g == gpu:
                     out.append((graph, rows))
         return out
-
-    def gpu_of(self, graph_name: str) -> list[int]:
-        return [g for g, _ in self.placements.get(graph_name, ())]
-
-    def work_us_per_gpu(self, graph_set: GraphSet, spec) -> list[float]:
-        """Unfused standalone preprocessing latency mapped to each GPU."""
-        loads = [0.0] * self.num_gpus
-        for graph in graph_set:
-            for g, rows in self.placements.get(graph.name, ()):
-                loads[g] += graph.standalone_latency_us(rows, spec)
-        return loads
 
 
 def _owner_gpu(graph: FeatureGraph, workload: TrainingWorkload) -> list[int]:
@@ -237,7 +229,6 @@ class RapMapper:
     def optimize(
         self,
         graph_set: GraphSet,
-        patience: int = 6,
         initial_mapping: GraphMapping | None = None,
         budget: int | None = None,
     ) -> MappingEvaluation:
@@ -248,7 +239,7 @@ class RapMapper:
         GPU to the cheapest, and repeat. Individual moves may transiently
         worsen the objective (rebalancing two overloaded GPUs requires one
         move each, and the first move alone adds communication without
-        lowering the max), so the walk continues for up to ``patience``
+        lowering the max), so the walk continues for up to ``MAPPING_PATIENCE``
         non-improving rounds and the best mapping seen is returned --
         the "weigh the benefits" acceptance of the paper applied globally
         rather than per move.
@@ -290,7 +281,7 @@ class RapMapper:
                 stale = 0
             else:
                 stale += 1
-                if stale >= patience:
+                if stale >= MAPPING_PATIENCE:
                     break
         best.mapping.strategy = "rap"
         return best

@@ -220,7 +220,7 @@ def _request_key(
         mapping_strategy,
         fusion_enabled,
         interleaving_enabled,
-        (solver.node_limit, solver.time_limit_s, solver.integrality_tol, solver.gap_tol),
+        (solver.node_limit, solver.time_limit_s, solver.INTEGRALITY_TOL, solver.GAP_TOL),
         predictor_fingerprint,
     )
     return hashlib.sha256(repr(payload).encode()).hexdigest()

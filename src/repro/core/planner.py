@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from ..dlrm.training import TrainingWorkload
 from ..gpusim.cluster import ClusterIterationResult
-from ..gpusim.device import RAP_POLICY, CoRunPolicy
 from ..gpusim.kernel import KernelDesc
 from ..milp.branch_and_bound import BranchAndBoundSolver
 from ..preprocessing.executor import DataPreparation, estimate_data_preparation
@@ -88,10 +87,6 @@ class RapPlan:
     @property
     def predicted_exposed_us(self) -> float:
         return self.mapping_eval.objective_us
-
-    @property
-    def max_data_prep_us(self) -> float:
-        return max((p.total_us for p in self.data_prep_per_gpu), default=0.0)
 
     def placed_kernels(self) -> list[KernelDesc]:
         """Every GPU's staged kernels in stage order, then every GPU's
@@ -446,16 +441,15 @@ class RapPlanner:
 
     # ------------------------------------------------------------------
 
-    def evaluate(self, plan: RapPlan, policy: CoRunPolicy = RAP_POLICY) -> RapRunReport:
+    def evaluate(self, plan: RapPlan) -> RapRunReport:
         """Simulate one steady-state iteration of the plan on the cluster."""
-        return self._report(plan, plan.assignments_per_gpu, plan.trailing_per_gpu, policy)
+        return self._report(plan, plan.assignments_per_gpu, plan.trailing_per_gpu)
 
     def evaluate_scaled(
         self,
         plan: RapPlan,
         scale: float = 1.0,
         drift_factors: dict[str, float] | None = None,
-        policy: CoRunPolicy = RAP_POLICY,
     ) -> RapRunReport:
         """Shadow-mode evaluation: simulate ``plan`` under a drifted regime.
 
@@ -469,15 +463,14 @@ class RapPlanner:
         iteration conditions.
         """
         assignments, trailing = scale_plan_kernels(plan, scale, drift_factors)
-        return self._report(plan, assignments, trailing, policy)
+        return self._report(plan, assignments, trailing)
 
-    def _report(self, plan: RapPlan, assignments, trailing, policy: CoRunPolicy) -> RapRunReport:
+    def _report(self, plan: RapPlan, assignments, trailing) -> RapRunReport:
         result = self.workload.simulate(
             assignments_per_gpu=assignments,
             trailing_per_gpu=trailing,
             input_comm_bytes=plan.input_comm_bytes,
             input_comm_transfers=max(1, plan.input_comm_transfers),
-            policy=policy,
         )
         prep = max(plan.data_prep_per_gpu, key=lambda p: p.total_us, default=DataPreparation(0, 0, 0))
         timeline = self.interleaver.steady_state(result.iteration_time_us, prep)

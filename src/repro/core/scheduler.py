@@ -48,12 +48,6 @@ class CoRunSchedule:
     def exposed_us(self) -> float:
         return self.cost.exposed_us if self.cost is not None else 0.0
 
-    def assigned_kernels(self) -> list[KernelDesc]:
-        out: list[KernelDesc] = []
-        for idx in sorted(self.assignments):
-            out.extend(self.assignments[idx])
-        return out
-
 
 class ResourceAwareScheduler:
     """Algorithm 1: pack fused kernels into training-stage capacity.

@@ -45,17 +45,6 @@ class EmbeddingPlacement:
     def is_placed(self, name: str) -> bool:
         return name in self.table_to_gpu or name in self.row_wise_tables
 
-    def memory_per_gpu(self, config: DLRMConfig) -> list[float]:
-        loads = [0.0] * self.num_gpus
-        for table in config.tables:
-            if table.name in self.row_wise_tables:
-                share = table.nbytes / self.num_gpus
-                for g in range(self.num_gpus):
-                    loads[g] += share
-            else:
-                loads[self.table_to_gpu[table.name]] += table.nbytes
-        return loads
-
     def lookup_bytes_per_gpu(self, config: DLRMConfig, batch_size: int) -> list[float]:
         """Per-GPU embedding lookup traffic for one batch (drives stage cost)."""
         loads = [0.0] * self.num_gpus

@@ -92,10 +92,6 @@ class DLRMConfig:
     def num_tables(self) -> int:
         return len(self.tables)
 
-    @property
-    def num_sparse_features(self) -> int:
-        return len(self.tables)
-
     def table(self, name: str) -> EmbeddingTableConfig:
         for t in self.tables:
             if t.name == name:
@@ -116,10 +112,6 @@ class DLRMConfig:
     @property
     def top_arch(self) -> MlpArch:
         return MlpArch(input_dim=self.interaction_dim, layers=self.top_arch_layers)
-
-    @property
-    def total_embedding_bytes(self) -> int:
-        return sum(t.nbytes for t in self.tables)
 
     @property
     def mlp_param_bytes(self) -> int:

@@ -36,14 +36,6 @@ class ClusterIterationResult:
     recovery_us_per_gpu: list[float] = field(default_factory=list)
 
     @property
-    def slowest_gpu(self) -> int:
-        times = [
-            r.total_time_us + rec
-            for r, rec in zip(self.per_gpu, self._recovery_padded())
-        ]
-        return times.index(max(times)) if times else 0
-
-    @property
     def max_exposed_preprocessing_us(self) -> float:
         return max((r.exposed_preprocessing_us for r in self.per_gpu), default=0.0)
 
@@ -54,15 +46,6 @@ class ClusterIterationResult:
     @property
     def degraded(self) -> bool:
         return self.max_recovery_us > 0.0
-
-    def _recovery_padded(self) -> list[float]:
-        pad = len(self.per_gpu) - len(self.recovery_us_per_gpu)
-        return list(self.recovery_us_per_gpu) + [0.0] * max(0, pad)
-
-    def throughput_samples_per_s(self, batch_size: int) -> float:
-        if self.iteration_time_us <= 0:
-            return 0.0
-        return batch_size / (self.iteration_time_us * 1e-6)
 
 
 class MultiGpuCluster:

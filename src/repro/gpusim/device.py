@@ -181,10 +181,6 @@ class IterationResult:
             return 1.0
         return self.training_time_us / standalone
 
-    @property
-    def preprocessing_wall_us(self) -> float:
-        return sum(k.wall_time for k in self.kernel_spans)
-
 
 class _RunningKernel:
     """Mutable progress tracker for a kernel moving through the simulation.
@@ -225,24 +221,6 @@ class GpuDevice:
     # ------------------------------------------------------------------
     # Standalone execution
     # ------------------------------------------------------------------
-
-    def run_kernels_standalone(self, kernels: Sequence[KernelDesc], t0: float = 0.0) -> IterationResult:
-        """Execute kernels back to back with the device otherwise idle."""
-        segments: list[tuple] = []
-        spans: list[KernelSpan] = []
-        t = t0
-        for k in kernels:
-            end = t + k.duration_us
-            segments.append((t, end, min(k.demand.sm, 1.0), min(k.demand.dram, 1.0), k.name))
-            spans.append(KernelSpan(k.name, t, end, k.tag, overlapped=False))
-            t = end
-        return IterationResult(
-            total_time_us=t - t0,
-            training_time_us=0.0,
-            exposed_preprocessing_us=t - t0,
-            kernel_spans=tuple(spans),
-            segments=tuple(segments),
-        )
 
     def run_training_standalone(self, stages: Sequence[StageProfile]) -> IterationResult:
         """Execute a training iteration with no co-running preprocessing."""
@@ -411,16 +389,6 @@ class GpuDevice:
     # ------------------------------------------------------------------
     # Measurement helpers used by the cost model and figures
     # ------------------------------------------------------------------
-
-    def overlap_latency(
-        self,
-        stage: StageProfile,
-        kernel: KernelDesc,
-        policy: CoRunPolicy = RAP_POLICY,
-    ) -> float:
-        """Wall time for ``stage`` co-run with ``kernel`` (Fig. 1c measurement)."""
-        result = self.simulate_iteration([stage], assignments={0: [kernel]}, policy=policy)
-        return result.total_time_us
 
     def stage_overlapping_capacity(self, stage: StageProfile, probe: ResourceVector) -> float:
         """Overlapping capacity of ``stage`` in standalone-latency units (§5.1).

@@ -42,12 +42,6 @@ class Interconnect:
     def link_bytes_per_us(self) -> float:
         return self.spec.nvlink_bw_gbps * 1e9 / 1e6 * self.efficiency
 
-    def p2p_us(self, nbytes: float) -> float:
-        """One GPU sending ``nbytes`` to one peer."""
-        if nbytes <= 0:
-            return 0.0
-        return self.alpha_us + nbytes / self.link_bytes_per_us
-
     def all_to_all_us(self, nbytes_per_gpu: float, num_gpus: int) -> float:
         """All-to-all where each GPU exchanges ``nbytes_per_gpu`` in total.
 

@@ -150,11 +150,7 @@ class KernelDesc:
         )
 
 
-def fuse_kernels(
-    kernels: list[KernelDesc],
-    spec: GpuSpec,
-    launch_overhead_us: float | None = None,
-) -> KernelDesc:
+def fuse_kernels(kernels: list[KernelDesc], spec: GpuSpec) -> KernelDesc:
     """Horizontally fuse same-type kernels into one wider kernel.
 
     Horizontal fusion (§6.1) launches the threads of several independent
@@ -176,7 +172,7 @@ def fuse_kernels(
     if len(kernels) == 1:
         return kernels[0]
 
-    launch = spec.kernel_launch_us if launch_overhead_us is None else launch_overhead_us
+    launch = spec.kernel_launch_us
     bodies = [k.body_us for k in kernels]
     total_warps = sum(k.num_warps for k in kernels)
     raw_sm = sum(k.demand.sm for k in kernels)

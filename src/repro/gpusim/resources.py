@@ -168,18 +168,6 @@ class ResourceVector:
         """True when this demand fits inside ``available`` without contention."""
         return self.sm <= available.sm + 1e-12 and self.dram <= available.dram + 1e-12
 
-    def contention_factor(self, other: "ResourceVector") -> float:
-        """Slowdown from co-running this workload with ``other``.
-
-        The rate-sharing model: when combined demand on a resource exceeds
-        the device peak, both co-runners advance at ``1 / combined_demand``
-        of their standalone rate on that resource. The overall slowdown is
-        set by the most contended resource, and is 1.0 when the two demands
-        fit side by side -- which is exactly RAP's contention-free target.
-        """
-        combined = self + other
-        return max(1.0, combined.sm, combined.dram)
-
     def as_tuple(self) -> tuple[float, float]:
         return (self.sm, self.dram)
 

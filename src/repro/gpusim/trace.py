@@ -140,36 +140,6 @@ class UtilizationTrace:
                 area += seg.utilization.peak * (b - a)
         return area / (hi - lo)
 
-    def busy_fraction(self, threshold: float = 0.01) -> float:
-        """Fraction of time either resource is above ``threshold``.
-
-        This matches what ``nvidia-smi``-style "GPU utilization" reports
-        (any kernel resident), as distinct from SM occupancy -- the paper's
-        Table 4 reports both.
-        """
-        if not self._segments:
-            return 0.0
-        busy = sum(
-            seg.duration
-            for seg in self._segments
-            if seg.utilization.sm > threshold or seg.utilization.dram > threshold
-        )
-        return busy / self.duration if self.duration > 0 else 0.0
-
-    def leftover_area(self) -> ResourceVector:
-        """Integral of (1 - utilization) over the trace, per resource.
-
-        This is the geometric quantity behind RAP's overlapping capacity
-        estimator (Fig. 5a): the shaded leftover area in the
-        utilization-time graph, in units of (fraction x microseconds).
-        """
-        sm_area = 0.0
-        dram_area = 0.0
-        for seg in self._segments:
-            sm_area += max(0.0, 1.0 - seg.utilization.sm) * seg.duration
-            dram_area += max(0.0, 1.0 - seg.utilization.dram) * seg.duration
-        return ResourceVector(sm_area, dram_area)
-
     def shifted(self, offset: float) -> "UtilizationTrace":
         """Return a copy with all timestamps shifted by ``offset``."""
         return UtilizationTrace(

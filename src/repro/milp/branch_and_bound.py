@@ -70,17 +70,14 @@ class BranchAndBoundSolver:
     #: around every solve; drop it together with that reader.
     cache = None
 
-    def __init__(
-        self,
-        node_limit: int = 20_000,
-        time_limit_s: float = 30.0,
-        integrality_tol: float = 1e-6,
-        gap_tol: float = 1e-9,
-    ) -> None:
+    #: Slack when snapping the root relaxation down to integers.
+    INTEGRALITY_TOL = 1e-6
+    #: Objective improvement below which a point does not beat the incumbent.
+    GAP_TOL = 1e-9
+
+    def __init__(self, node_limit: int = 20_000, time_limit_s: float = 30.0) -> None:
         self.node_limit = node_limit
         self.time_limit_s = time_limit_s
-        self.integrality_tol = integrality_tol
-        self.gap_tol = gap_tol
 
     def solve(self, problem: MilpProblem, warm_start: np.ndarray | None = None) -> MilpSolution:
         from scipy.optimize import Bounds, LinearConstraint, linprog, milp
@@ -122,7 +119,7 @@ class BranchAndBoundSolver:
             status = "node_limit"
         elif time.monotonic() > deadline:
             status = "time_limit"
-        elif incumbent_x is not None and bound >= incumbent_obj - self.gap_tol:
+        elif incumbent_x is not None and bound >= incumbent_obj - self.GAP_TOL:
             # The root bound proves the warm start optimal: no search needed.
             return MilpSolution(
                 "optimal", incumbent_x, problem.objective_value(incumbent_x), 1, gap=0.0
@@ -153,7 +150,7 @@ class BranchAndBoundSolver:
                 snapped = np.array(result.x, dtype=float)
                 snapped[integer_mask] = np.round(snapped[integer_mask])
                 obj = float(c @ snapped)
-                if obj < incumbent_obj - self.gap_tol:
+                if obj < incumbent_obj - self.GAP_TOL:
                     if problem.is_feasible(snapped):
                         incumbent_x, incumbent_obj = snapped, obj
                     else:
@@ -166,7 +163,7 @@ class BranchAndBoundSolver:
             # No integral point in hand: try snapping the root relaxation to
             # integers as a last-resort feasible point.
             snapped = root.x.copy()
-            snapped[integer_mask] = np.floor(snapped[integer_mask] + self.integrality_tol)
+            snapped[integer_mask] = np.floor(snapped[integer_mask] + self.INTEGRALITY_TOL)
             if problem.is_feasible(snapped):
                 incumbent_x = snapped
                 incumbent_obj = float(c @ snapped)

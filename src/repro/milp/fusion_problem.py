@@ -245,22 +245,18 @@ def _local_improve(instance: FusionInstance, steps: list[int], max_rounds: int =
 # ----------------------------------------------------------------------
 
 
-def build_fusion_milp(
-    instance: FusionInstance,
-    num_steps: int | None = None,
-) -> tuple[MilpProblem, list[list[Variable]]]:
+def build_fusion_milp(instance: FusionInstance) -> tuple[MilpProblem, list[list[Variable]]]:
     """Build the paper's fusion MILP with the linearized quadratic objective.
 
     Returns the problem and the ``x[i][t]`` assignment variable matrix.
-    ``num_steps`` defaults to the dependency-depth bound plus one slack
-    step -- the slack is what lets the solver delay one chain to align
+    The step count is the dependency-depth bound plus one slack step --
+    the slack is what lets the solver delay one chain to align
     fusable ops across chains (the §6.1 conflict case needs it) -- while
     keeping the variable count far below the paper's N x N formulation.
     """
     n = instance.num_ops
     levels = instance.asap_levels()
-    t_max = (max(levels) + 2 if levels else 1) if num_steps is None else num_steps
-    t_max = max(t_max, 1)
+    t_max = max(levels) + 2 if levels else 1
 
     problem = MilpProblem(name="horizontal_fusion", maximize=True)
     x = [[problem.add_binary(f"x_{i}_{t}") for t in range(t_max)] for i in range(n)]

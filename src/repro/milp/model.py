@@ -21,6 +21,9 @@ import numpy as np
 
 __all__ = ["Variable", "Constraint", "MilpProblem"]
 
+#: Slack allowed on bounds, integrality and constraints by ``is_feasible``.
+FEASIBILITY_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Variable:
@@ -183,8 +186,9 @@ class MilpProblem:
             total += coef * x[idx]
         return total
 
-    def is_feasible(self, x: np.ndarray, tol: float = 1e-6) -> bool:
-        """Check all constraints, bounds and integrality at the point ``x``."""
+    def is_feasible(self, x: np.ndarray) -> bool:
+        """Check all constraints, bounds and integrality at ``x``, to ``FEASIBILITY_TOL``."""
+        tol = FEASIBILITY_TOL
         arrays = self.to_arrays()
         x = np.asarray(x, dtype=float)
         lower, upper = arrays["bounds"].T

@@ -7,11 +7,11 @@ This module lowers a planned :class:`GraphSet` **once** into a flat,
 topologically-ordered program of *fused step* objects and then executes
 batches through it:
 
-- **Fusion-aware grouped execution** -- all same-type ops that the §6.2
-  MILP assigned to one time step (and that share the same numeric
-  parameters) execute as a *single* vectorized kernel call over their
-  concatenated column segments, so the fusion decision is visible in
-  wall-clock time, not just in the simulator.
+- **Fusion-aware grouped execution** -- all same-type ops that share one
+  fused kernel of the searched plan (or one ASAP level of the graph set),
+  and that share the same numeric parameters, execute as a *single*
+  vectorized kernel call over their concatenated column segments, so the
+  fusion decision is visible in wall-clock time, not just in the simulator.
 - **Vectorized sparse kernels** -- steps call the module-level kernels in
   :mod:`repro.preprocessing.ops` (``sigridhash_kernel`` & co.) directly on
   CSR ``values``/``offsets`` arrays; the naive ``_transform``s call the very
@@ -40,7 +40,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..milp.fusion_problem import FusionAssignment
 from .data import (
     Batch,
     DenseColumn,
@@ -69,7 +68,7 @@ __all__ = [
     "BufferArena",
     "CompileError",
     "CompiledProgram",
-    "DEFAULT_RETAIN_PER_CLASS",
+    "RETAIN_PER_CLASS",
     "compile_graph_set",
     "compile_op_groups",
     "plan_slots",
@@ -77,7 +76,7 @@ __all__ = [
 
 
 class CompileError(ValueError):
-    """The graph set / fusion assignment cannot be lowered to a program."""
+    """The graph set or fused op groups cannot be lowered to a program."""
 
 
 # ----------------------------------------------------------------------
@@ -85,11 +84,11 @@ class CompileError(ValueError):
 # ----------------------------------------------------------------------
 
 
-#: Default per-(dtype, block-size) retention cap. A program's steady-state
+#: Per-(dtype, block-size) retention cap. A program's steady-state
 #: lease count per class is what it actually needs; anything beyond that
 #: (e.g. a one-off giant batch, or a program swapped out for another) is
 #: dead weight, so surplus blocks are dropped at ``reset`` time.
-DEFAULT_RETAIN_PER_CLASS = 64
+RETAIN_PER_CLASS = 64
 
 
 class BufferArena:
@@ -102,7 +101,7 @@ class BufferArena:
     steady-state execution of the same program allocates no new blocks.
 
     Pool growth is bounded: each (dtype, block) size class retains at most
-    ``retain_per_class`` free blocks; surplus blocks returned by ``reset``
+    ``RETAIN_PER_CLASS`` free blocks; surplus blocks returned by ``reset``
     are released to the allocator and counted in ``evicted_blocks``.
     """
 
@@ -112,25 +111,20 @@ class BufferArena:
         "allocated_blocks",
         "reused_blocks",
         "evicted_blocks",
-        "retain_per_class",
     )
 
-    def __init__(self, retain_per_class: int = DEFAULT_RETAIN_PER_CLASS) -> None:
-        if retain_per_class < 1:
-            raise ValueError("retain_per_class must be >= 1")
+    def __init__(self) -> None:
         self._free: dict[tuple[np.dtype, int], list[np.ndarray]] = {}
         self._leased: list[tuple[tuple[np.dtype, int], np.ndarray]] = []
         self.allocated_blocks = 0
         self.reused_blocks = 0
         self.evicted_blocks = 0
-        self.retain_per_class = retain_per_class
 
     def reset(self) -> None:
         """Return every leased block to the pool (invalidates prior leases)."""
-        cap = self.retain_per_class
         for key, base in self._leased:
             pool = self._free.setdefault(key, [])
-            if len(pool) < cap:
+            if len(pool) < RETAIN_PER_CLASS:
                 pool.append(base)
             else:
                 self.evicted_blocks += 1
@@ -700,71 +694,47 @@ def _required_inputs(ops: list[PreprocessingOp], produced: dict[str, int]) -> fr
 
 
 def plan_slots(
-    graph_set: GraphSet,
-    assignment: FusionAssignment | None = None,
-    fusion: bool = True,
+    graph_set: GraphSet, fusion: bool = True
 ) -> tuple[list[PreprocessingOp], list[int], dict[str, int]]:
     """Flatten a graph set into ``(ops, slots, produced)``.
 
-    The per-op slot indices are exactly what :func:`compile_graph_set`
-    lowers from, exposed separately so the multi-core engine
-    (:mod:`repro.preprocessing.parallel`) can shard the very same op/slot
-    plan and stay bit-identical to the single-core program.
+    With ``fusion=True`` an op's slot is its ASAP depth over the global
+    dependency graph, so same-type ops at equal depth fuse -- the greedy
+    baseline the §6.2 MILP warm-starts from. With ``fusion=False`` each op
+    gets its own slot in topological order (the ``RAP w/o fusion``
+    ablation). The per-op slot indices are exactly what
+    :func:`compile_graph_set` lowers from, exposed separately so the
+    multi-core engine (:mod:`repro.preprocessing.parallel`) can shard the
+    very same op/slot plan and stay bit-identical to the single-core
+    program.
     """
     ops = [op for graph in graph_set for op in graph.ops]
     produced, deps = _global_deps(ops)
-    if assignment is not None:
-        if len(assignment.steps) != len(ops):
-            raise CompileError(
-                f"fusion assignment covers {len(assignment.steps)} ops "
-                f"but the graph set has {len(ops)}"
-            )
-        slots = list(assignment.steps)
-        for i, j in deps:
-            if slots[j] <= slots[i]:
-                raise CompileError(
-                    f"fusion assignment violates dependency: {ops[j].output!r} at step "
-                    f"{slots[j]} must execute after {ops[i].output!r} at step {slots[i]}"
-                )
+    levels = _asap_levels(len(ops), deps)
+    if fusion:
+        slots = levels
     else:
-        levels = _asap_levels(len(ops), deps)
-        if fusion:
-            slots = levels
-        else:
-            order = sorted(range(len(ops)), key=lambda i: (levels[i], i))
-            slots = [0] * len(ops)
-            for pos, idx in enumerate(order):
-                slots[idx] = pos
+        order = sorted(range(len(ops)), key=lambda i: (levels[i], i))
+        slots = [0] * len(ops)
+        for pos, idx in enumerate(order):
+            slots[idx] = pos
     return ops, slots, produced
 
 
-def compile_graph_set(
-    graph_set: GraphSet,
-    assignment: FusionAssignment | None = None,
-    fusion: bool = True,
-    arena: BufferArena | None = None,
-) -> CompiledProgram:
-    """Lower a graph set (optionally with a solved fusion assignment).
+def compile_graph_set(graph_set: GraphSet, fusion: bool = True) -> CompiledProgram:
+    """Lower a graph set at its ASAP levels (see :func:`plan_slots`).
 
-    - With ``assignment`` (ops indexed in graph-major order, as produced by
-      :func:`repro.core.fusion.build_fusion_instance` over the same
-      graphs): fused groups follow the assignment's time steps, further
-      split by numeric parameter key so fused members compute identical
-      math. The assignment is validated against the *global* dependency
-      graph (including cross-graph column reads its instance cannot see).
-    - Without one, with ``fusion=True``: groups form at equal ASAP depth --
-      the same greedy baseline the MILP warm-starts from.
-    - With ``fusion=False``: one op per step in topological order (the
-      ``RAP w/o fusion`` ablation).
+    Same-type ops in one slot fuse, further split by numeric parameter key
+    so fused members compute identical math. A searched plan's kernel queue
+    lowers through :func:`compile_op_groups` instead.
     """
-    ops, slots, produced = plan_slots(graph_set, assignment, fusion)
+    ops, slots, produced = plan_slots(graph_set, fusion)
     steps = _group_and_lower(ops, slots)
     return CompiledProgram(
         steps,
         rows=graph_set.rows,
         required_inputs=_required_inputs(ops, produced),
         num_ops=len(ops),
-        arena=arena,
     )
 
 

@@ -515,21 +515,6 @@ class PreprocessingOp:
         work = self.work_elements(rows, avg_list_length)
         return work / self.cpu_elems_per_us
 
-    def cost_features(self, rows: int, avg_list_length: float = 2.0) -> dict[str, float]:
-        """Feature vector for the ML latency predictor (§5.2)."""
-        params = self._params_key()
-        features = {
-            "rows": float(rows),
-            "avg_list_length": float(avg_list_length),
-            "work": self.work_elements(rows, avg_list_length),
-            "warps": float(self.num_warps(rows, avg_list_length)),
-            "output_bytes": self.output_bytes(rows, avg_list_length),
-            "num_inputs": float(len(self.inputs)),
-        }
-        for i, p in enumerate(params):
-            features[f"param_{i}"] = float(p)
-        return features
-
     def describe(self) -> str:
         return f"{self.op_name}({', '.join(self.inputs)}) -> {self.output}"
 

@@ -44,7 +44,6 @@ from time import perf_counter
 
 import numpy as np
 
-from ..milp.fusion_problem import FusionAssignment
 from .data import Batch, DenseColumn, SparseColumn
 from .engine import (
     CompiledProgram,
@@ -556,9 +555,10 @@ class _WorkerHandle:
 class ParallelEngine:
     """Execute a graph set across a pool of shard workers, bit-identically.
 
-    Drop-in peer of :func:`compile_graph_set`'s program: same constructor
-    inputs, same ``execute(batch, copy_outputs=False)`` contract and lease
-    semantics, same outputs to the bit. ``workers`` bounds the pool; the
+    Drop-in peer of :func:`compile_graph_set`'s fused program: it lowers
+    the same ASAP-level slots (:func:`plan_slots`) and keeps the same
+    ``execute(batch, copy_outputs=False)`` contract, lease semantics and
+    outputs to the bit. ``workers`` bounds the pool; the
     actual pool size is ``min(workers, number of dependency components)``.
     Workers spawn lazily on the first ``execute`` and persist until
     ``close()``; a finalizer sweeps the engine's segments if ``close()`` is
@@ -568,14 +568,12 @@ class ParallelEngine:
     def __init__(
         self,
         graph_set: GraphSet,
-        assignment: FusionAssignment | None = None,
-        fusion: bool = True,
         workers: int = 2,
         metrics: EngineMetrics | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        ops, slots, produced = plan_slots(graph_set, assignment, fusion)
+        ops, slots, produced = plan_slots(graph_set)
         self.rows = graph_set.rows
         self.num_ops = len(ops)
         self.workers = workers

@@ -65,7 +65,7 @@ from .ladder import (
     LadderTransition,
 )
 from .report import IterationRecord, ResilienceReport
-from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from .retry import RetryPolicy
 from .shadow import (
     PROBATION_ABORTED,
     PROBATION_COMMITTED,
@@ -125,7 +125,6 @@ __all__ = [
     "CPU_FALLBACK",
     "LadderTransition",
     "RetryPolicy",
-    "DEFAULT_RETRY_POLICY",
     "LatencyWatchdog",
     "WatchdogDecision",
     "IterationRecord",

@@ -127,13 +127,6 @@ class ResilienceReport:
             counts[epoch] = counts.get(epoch, 0) + 1
         return counts
 
-    def fault_rate_for_epoch(self, epoch: int) -> float:
-        """Faults per iteration, restricted to one plan epoch."""
-        iterations = sum(1 for r in self.iterations if r.plan_epoch == epoch)
-        if iterations == 0:
-            return 0.0
-        return self.faults_by_epoch().get(epoch, 0) / iterations
-
     def rungs_reached(self) -> dict[str, int]:
         """How many demotions landed on each ladder rung."""
         counts: dict[str, int] = {}

@@ -28,39 +28,37 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-__all__ = ["RetryPolicy", "DEFAULT_RETRY_POLICY"]
+__all__ = ["RetryPolicy"]
+
+#: Retries of the same placement before the runtime demotes it.
+MAX_ATTEMPTS = 2
+#: Backoff before the first retry; each further retry multiplies it by
+#: ``BACKOFF_MULTIPLIER`` up to ``MAX_BACKOFF_US``.
+BASE_BACKOFF_US = 25.0
+BACKOFF_MULTIPLIER = 2.0
+MAX_BACKOFF_US = 5_000.0
+#: Recovery time one stage may absorb, as a multiple of its duration.
+STAGE_DEADLINE_FRACTION = 2.0
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """Exponential-backoff retry budget for one placement rung.
 
-    ``max_attempts`` bounds retries of the same placement;
-    ``stage_deadline_fraction`` additionally bounds the *time* spent
-    recovering at a stage to a fraction of that stage's duration, whichever
-    limit hits first. ``jitter_fraction`` spreads each backoff pause by up
-    to that fraction of its nominal value (deterministically, keyed by the
-    caller's ``token``), and ``retry_budget_per_epoch`` (0 = unlimited)
-    caps total retries per plan epoch across all kernels.
+    ``MAX_ATTEMPTS`` bounds retries of the same placement;
+    ``STAGE_DEADLINE_FRACTION`` additionally bounds the *time* spent
+    recovering at a stage to a multiple of that stage's duration, whichever
+    limit hits first. Both, and the backoff curve, are module constants.
+    ``jitter_fraction`` spreads each backoff pause by up to that fraction of
+    its nominal value (deterministically, keyed by the caller's ``token``),
+    and ``retry_budget_per_epoch`` (0 = unlimited) caps total retries per
+    plan epoch across all kernels.
     """
 
-    max_attempts: int = 2
-    base_backoff_us: float = 25.0
-    backoff_multiplier: float = 2.0
-    max_backoff_us: float = 5_000.0
-    stage_deadline_fraction: float = 2.0
     jitter_fraction: float = 0.0
     retry_budget_per_epoch: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 0:
-            raise ValueError("max_attempts must be non-negative")
-        if self.base_backoff_us < 0 or self.max_backoff_us < 0:
-            raise ValueError("backoff times must be non-negative")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
-        if self.stage_deadline_fraction <= 0:
-            raise ValueError("stage_deadline_fraction must be positive")
         if not 0.0 <= self.jitter_fraction <= 1.0:
             raise ValueError("jitter_fraction must be in [0, 1]")
         if self.retry_budget_per_epoch < 0:
@@ -77,9 +75,7 @@ class RetryPolicy:
         """
         if attempt < 0:
             raise ValueError("attempt must be non-negative")
-        nominal = min(
-            self.max_backoff_us, self.base_backoff_us * self.backoff_multiplier**attempt
-        )
+        nominal = min(MAX_BACKOFF_US, BASE_BACKOFF_US * BACKOFF_MULTIPLIER**attempt)
         if self.jitter_fraction <= 0.0 or nominal <= 0.0:
             return nominal
         # String seeding survives PYTHONHASHSEED, matching the fault
@@ -89,7 +85,7 @@ class RetryPolicy:
 
     def stage_deadline_us(self, stage_duration_us: float) -> float:
         """Maximum recovery wall time budgeted against one stage."""
-        return self.stage_deadline_fraction * max(0.0, stage_duration_us)
+        return STAGE_DEADLINE_FRACTION * max(0.0, stage_duration_us)
 
     def attempts_within(
         self, stage_duration_us: float, attempt_cost_us: float, token: str = ""
@@ -97,12 +93,12 @@ class RetryPolicy:
         """How many retry attempts fit the stage deadline.
 
         Each attempt costs one wasted kernel run plus its (jittered)
-        backoff pause; the count is clipped to ``max_attempts``.
+        backoff pause; the count is clipped to ``MAX_ATTEMPTS``.
         """
         deadline = self.stage_deadline_us(stage_duration_us)
         spent = 0.0
         attempts = 0
-        while attempts < self.max_attempts:
+        while attempts < MAX_ATTEMPTS:
             cost = attempt_cost_us + self.backoff_us(attempts, token)
             if spent + cost > deadline:
                 break
@@ -110,5 +106,3 @@ class RetryPolicy:
             attempts += 1
         return attempts
 
-
-DEFAULT_RETRY_POLICY = RetryPolicy()

@@ -20,6 +20,9 @@ from dataclasses import dataclass, field
 
 __all__ = ["WatchdogDecision", "LatencyWatchdog"]
 
+#: Iterations the watchdog averages its error and fault signals over.
+WINDOW = 4
+
 
 @dataclass(frozen=True)
 class WatchdogDecision:
@@ -36,14 +39,13 @@ class LatencyWatchdog:
     """Windowed, edge-triggered staleness detector for active plans.
 
     ``error_threshold`` is the tolerated mean relative error between
-    predicted and measured exposed latency over the last ``window``
+    predicted and measured exposed latency over the last ``WINDOW``
     iterations; ``fault_rate_threshold`` is the tolerated mean number of
     faults per iteration over the same window.
     """
 
     error_threshold: float = 0.5
     fault_rate_threshold: float = 2.0
-    window: int = 4
     _errors: deque = field(default_factory=deque, repr=False)
     _faults: deque = field(default_factory=deque, repr=False)
     _armed: bool = field(default=True, repr=False)
@@ -54,8 +56,6 @@ class LatencyWatchdog:
             raise ValueError("error_threshold must be positive")
         if self.fault_rate_threshold <= 0:
             raise ValueError("fault_rate_threshold must be positive")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
 
     # ------------------------------------------------------------------
 
@@ -70,9 +70,9 @@ class LatencyWatchdog:
         error = abs(measured_exposed_us - predicted_exposed_us) / baseline
         self._errors.append(error)
         self._faults.append(num_faults)
-        while len(self._errors) > self.window:
+        while len(self._errors) > WINDOW:
             self._errors.popleft()
-        while len(self._faults) > self.window:
+        while len(self._faults) > WINDOW:
             self._faults.popleft()
 
         mean_error = sum(self._errors) / len(self._errors)

@@ -194,14 +194,14 @@ class PreprocessingService:
         workload = carved_workload(job.workload, share)
         planner = RapPlanner(workload, cache=self.plan_cache)
         exact_key = planner._cache_key(job.graphs)
-        plan = None
+        torn = False
         if exact_key in self.plan_cache:
-            # Only the planner's load decides whether it hit: a torn disk
-            # entry is a miss, and the planner has then searched cold.
-            hits = planner.stats.cache_hits
-            plan = planner.plan(job.graphs)
-            if planner.stats.cache_hits > hits:
+            # The cache's load decides whether it hit: a torn disk entry is
+            # a miss, and the invariant index is asked before a cold search.
+            plan = self.plan_cache.get(exact_key, workload, job.graphs)
+            if plan is not None:
                 return planner, plan, "warm-exact"
+            torn = True
         invariant_key = invariant_plan_key(
             workload,
             job.graphs,
@@ -211,13 +211,18 @@ class PreprocessingService:
             planner.solver,
             predictor_fingerprint=planner._predictor_fingerprint(),
         )
-        if plan is None:
-            plan = self.reuse.lookup(invariant_key, workload, job.graphs)
-            if plan is not None:
-                # Promote to this tenant's exact key so its next admission
-                # is a plain exact hit.
-                self.plan_cache.put(exact_key, plan)
-                return planner, plan, "warm-invariant"
+        plan = self.reuse.lookup(invariant_key, workload, job.graphs)
+        if plan is not None:
+            # Promote to this tenant's exact key so its next admission
+            # is a plain exact hit.
+            self.plan_cache.put(exact_key, plan)
+            return planner, plan, "warm-invariant"
+        if torn:
+            # The torn entry's miss is already counted: search and
+            # overwrite it without a second lookup.
+            plan = planner._search(job.graphs)
+            self.plan_cache.put(exact_key, plan)
+        else:
             plan = planner.plan(job.graphs)
         self.reuse.store(invariant_key, plan, job.graphs)
         return planner, plan, "cold"

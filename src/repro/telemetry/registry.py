@@ -316,9 +316,6 @@ class MetricsRegistry:
                 for name, children in sorted(by_name.items())
             ]
 
-    def type_of(self, name: str) -> type | None:
-        return self._types.get(name)
-
     def snapshot(self) -> dict:
         """A plain-dict view of every metric, suitable for JSON encoding."""
         out: dict[str, list[dict]] = {}

@@ -136,7 +136,7 @@ class TestShardByLatency:
 
     def test_tiny_capacity_returns_none(self):
         k = KernelDesc("k", 1000.0, ResourceVector(0.5, 0.5))
-        assert shard_by_latency(k, 10.0, min_fraction=0.05) is None
+        assert shard_by_latency(k, 10.0) is None
 
     def test_zero_duration_kernel(self):
         k = KernelDesc("k", 0.0, ResourceVector(0.0, 0.0))

@@ -52,7 +52,11 @@ class TestDataParallelMapping:
     def test_balanced_work(self, setting):
         graphs, workload = setting
         mapping = map_data_parallel(graphs, workload)
-        loads = mapping.work_us_per_gpu(graphs, workload.spec)
+        loads = [
+            sum(g.standalone_latency_us(rows, workload.spec)
+                for g, rows in mapping.graphs_on_gpu(graphs, gpu))
+            for gpu in range(workload.num_gpus)
+        ]
         assert max(loads) == pytest.approx(min(loads), rel=0.01)
 
 

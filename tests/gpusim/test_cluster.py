@@ -24,7 +24,7 @@ class TestMultiGpuCluster:
         cluster = MultiGpuCluster(2)
         result = cluster.simulate_iteration([stages(1000.0), stages(2000.0)])
         assert result.iteration_time_us == pytest.approx(3000.0)
-        assert result.slowest_gpu == 1
+        assert result.per_gpu[1].total_time_us > result.per_gpu[0].total_time_us
 
     def test_requires_matching_pipeline_count(self):
         cluster = MultiGpuCluster(4)
@@ -57,12 +57,6 @@ class TestMultiGpuCluster:
             [stages(), stages()], trailing_per_gpu=[trailing, []]
         )
         assert result.max_exposed_preprocessing_us == pytest.approx(500.0)
-
-    def test_throughput_helper(self):
-        cluster = MultiGpuCluster(1)
-        result = cluster.simulate_iteration([stages()])
-        tput = result.throughput_samples_per_s(4096)
-        assert tput == pytest.approx(4096 / (result.iteration_time_us * 1e-6))
 
     def test_empty_cluster_result_defaults(self):
         cluster = MultiGpuCluster(1)

@@ -39,7 +39,8 @@ class TestStandaloneExecution:
 
     def test_kernels_standalone_back_to_back(self, device):
         ks = [kernel(100.0, 0.5, 0.5, f"k{i}") for i in range(3)]
-        result = device.run_kernels_standalone(ks)
+        # With no training stage, trailing kernels run alone on the device.
+        result = device.simulate_iteration([], trailing_kernels=ks)
         assert result.total_time_us == pytest.approx(300.0)
         assert len(result.kernel_spans) == 3
         assert all(not s.overlapped for s in result.kernel_spans)
@@ -90,7 +91,8 @@ class TestContention:
         lats = []
         for sm in (0.1, 0.3, 0.5, 0.8, 1.0):
             k = kernel(800.0, sm, 0.1)
-            lats.append(device.overlap_latency(mlp_stage, k))
+            result = device.simulate_iteration([mlp_stage], {0: [k]})
+            lats.append(result.total_time_us)
         assert lats == sorted(lats)
 
     def test_dram_contention_counts_too(self, device, emb_stage):

@@ -8,19 +8,6 @@ from repro.gpusim.interconnect import Interconnect
 IC = Interconnect()
 
 
-class TestPointToPoint:
-    def test_zero_bytes_is_free(self):
-        assert IC.p2p_us(0) == 0.0
-
-    def test_alpha_floor(self):
-        assert IC.p2p_us(1) >= IC.alpha_us
-
-    def test_linear_in_bytes(self):
-        base = IC.p2p_us(10_000_000) - IC.alpha_us
-        double = IC.p2p_us(20_000_000) - IC.alpha_us
-        assert double == pytest.approx(2 * base)
-
-
 class TestAllToAll:
     def test_single_gpu_is_free(self):
         assert IC.all_to_all_us(1_000_000, 1) == 0.0

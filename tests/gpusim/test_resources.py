@@ -5,6 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.gpusim.device import GpuDevice, StageProfile
+from repro.gpusim.kernel import KernelDesc
 from repro.gpusim.resources import (
     A100_SPEC,
     V100_SPEC,
@@ -14,6 +16,20 @@ from repro.gpusim.resources import (
 )
 
 fractions = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
+
+
+def corun_slowdown(train: ResourceVector, other: ResourceVector) -> float:
+    """The device's slowdown when a stage and an equally long kernel co-run.
+
+    Under the rate-sharing model both advance at ``1 / s`` of their
+    standalone rate, where ``s`` is the combined demand on the most
+    contended resource (at least 1), so both finish after ``s`` times
+    their standalone duration.
+    """
+    stage = StageProfile("s", 1000.0, train)
+    kernel = KernelDesc("k", 1000.0, other)
+    result = GpuDevice(A100_SPEC).simulate_iteration([stage], {0: [kernel]})
+    return result.total_time_us / 1000.0
 
 
 class TestGpuSpec:
@@ -113,16 +129,16 @@ class TestResourceVector:
 
     def test_contention_factor_no_contention(self):
         train = ResourceVector(0.5, 0.5)
-        assert train.contention_factor(ResourceVector(0.4, 0.4)) == 1.0
+        assert corun_slowdown(train, ResourceVector(0.4, 0.4)) == pytest.approx(1.0)
 
     def test_contention_factor_oversubscribed(self):
         train = ResourceVector(0.8, 0.2)
-        assert train.contention_factor(ResourceVector(0.5, 0.1)) == pytest.approx(1.3)
+        assert corun_slowdown(train, ResourceVector(0.5, 0.1)) == pytest.approx(1.3)
 
     def test_contention_picks_worst_resource(self):
         train = ResourceVector(0.2, 0.9)
         kernel = ResourceVector(0.2, 0.5)
-        assert train.contention_factor(kernel) == pytest.approx(1.4)
+        assert corun_slowdown(train, kernel) == pytest.approx(1.4)
 
     def test_as_tuple(self):
         assert ResourceVector(0.25, 0.75).as_tuple() == (0.25, 0.75)
@@ -130,12 +146,12 @@ class TestResourceVector:
     @given(fractions, fractions, fractions, fractions)
     def test_contention_is_symmetric(self, a, b, c, d):
         v1, v2 = ResourceVector(a, b), ResourceVector(c, d)
-        assert v1.contention_factor(v2) == pytest.approx(v2.contention_factor(v1))
+        assert corun_slowdown(v1, v2) == pytest.approx(corun_slowdown(v2, v1))
 
     @given(fractions, fractions)
     def test_contention_at_least_one(self, a, b):
         v = ResourceVector(a, b)
-        assert v.contention_factor(ResourceVector(0.0, 0.0)) >= 1.0
+        assert corun_slowdown(v, ResourceVector(0.0, 0.0)) >= 1.0
 
     @given(fractions, fractions)
     def test_headroom_plus_util_covers_unit(self, a, b):

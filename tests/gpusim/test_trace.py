@@ -49,7 +49,6 @@ class TestUtilizationTrace:
     def test_empty_trace(self):
         t = UtilizationTrace()
         assert t.duration == 0.0
-        assert t.busy_fraction() == 0.0
         times, sm, dram = t.sample(1.0)
         assert times.size == 0
 
@@ -80,20 +79,6 @@ class TestUtilizationTrace:
         t = make_trace()
         mean = t.mean_utilization(50.0, 50.0)
         assert mean.sm == 0.0
-
-    def test_busy_fraction_all_busy(self):
-        assert make_trace().busy_fraction() == pytest.approx(1.0)
-
-    def test_busy_fraction_with_idle(self):
-        t = make_trace()
-        t.record(300.0, 400.0, ResourceVector(0.0, 0.0), label="idle")
-        assert t.busy_fraction() == pytest.approx(0.75)
-
-    def test_leftover_area(self):
-        t = make_trace()
-        area = t.leftover_area()
-        assert area.sm == pytest.approx(0.2 * 100 + 0.8 * 200)
-        assert area.dram == pytest.approx(0.8 * 100 + 0.1 * 200)
 
     def test_shifted(self):
         t = make_trace().shifted(1000.0)

@@ -14,9 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.codegen import compile_plan
-from repro.core.fusion import build_fusion_instance
 from repro.dlrm import TrainingWorkload, model_for_plan
-from repro.milp.fusion_problem import solve_fusion
 from repro.preprocessing import (
     Batch,
     CompileError,
@@ -67,12 +65,13 @@ def produced_outputs(graph_set: GraphSet) -> list[str]:
 
 
 def all_modes(graph_set: GraphSet):
-    """The three compile modes: ASAP-fused, unfused, MILP assignment."""
+    """The two graph-set compile modes: ASAP-fused and unfused.
+
+    MILP-fused groups reach the engine through a searched plan's kernel
+    queue; ``test_compile_plan_matches_naive`` covers that lowering.
+    """
     yield "fused", compile_graph_set(graph_set, fusion=True)
     yield "unfused", compile_graph_set(graph_set, fusion=False)
-    instance, _ = build_fusion_instance(list(graph_set))
-    assignment = solve_fusion(instance)
-    yield "milp", compile_graph_set(graph_set, assignment=assignment)
 
 
 def random_batch(rng: np.random.Generator, rows: int, max_len: int = 6) -> Batch:
@@ -97,7 +96,7 @@ def random_batch(rng: np.random.Generator, rows: int, max_len: int = 6) -> Batch
 
 
 # ----------------------------------------------------------------------
-# Per-op coverage: every Table-1 operator, fused/unfused/MILP
+# Per-op coverage: every Table-1 operator, fused and unfused
 # ----------------------------------------------------------------------
 
 TABLE1_OPS = [
@@ -147,7 +146,7 @@ def test_pinned_plans_bit_identical(plan_id):
         assert_batches_bit_identical(golden, out, produced_outputs(graph_set))
         # The fused modes must actually fuse on these plans, otherwise the
         # suite silently stops covering the grouped execution paths.
-        if mode in ("fused", "milp"):
+        if mode == "fused":
             assert program.max_fusion_degree >= 2
 
 
@@ -251,14 +250,26 @@ def test_worker_matrix_empty_sparse_rows(workers):
 # ----------------------------------------------------------------------
 
 
-def test_compile_plan_matches_naive():
-    graph_set, schema = build_plan(1, rows=256)
+#: Plan/GPU-count pairs whose searched schedule breaks a column dependency:
+#: the scheduler's spill pass can place a consumer's kernel in an earlier
+#: stage than its producer's, and ``compile_op_groups`` refuses that order
+#: (ROADMAP item 3).
+SPILL_ORDER_VIOLATIONS = {(2, 8)}
+
+
+def check_compiled_plan(plan_id: int, num_gpus: int) -> None:
+    """A searched plan's MILP-fused kernel queue executes bit-identically.
+
+    The plan is lowered the way every program that runs a searched plan
+    lowers it (:func:`compile_plan`), and its fusion must reach the engine.
+    """
+    graph_set, schema = build_plan(plan_id, rows=256)
     model = model_for_plan(graph_set, schema)
-    workload = TrainingWorkload(model, num_gpus=2, local_batch=256)
+    workload = TrainingWorkload(model, num_gpus=num_gpus, local_batch=256)
     plan = RapPlanner(workload).plan(graph_set)
     programs = compile_plan(plan, rows=256)
-    assert set(programs) == {0, 1}
-    batch = SyntheticCriteoDataset(schema, seed=3).batch(256, index=0)
+    assert set(programs) == set(range(num_gpus))
+    batch = SyntheticCriteoDataset(schema, seed=3).batch(256, index=plan_id)
     golden = execute_graph_set(graph_set, batch)
     covered = set()
     for program in programs.values():
@@ -268,6 +279,21 @@ def test_compile_plan_matches_naive():
         assert_batches_bit_identical(golden, out, names)
     # Between them the per-GPU programs execute every op the plan schedules.
     assert covered
+    assert max(p.max_fusion_degree for p in programs.values()) >= 2
+
+
+def test_compile_plan_matches_naive():
+    """Table-3 plans 0-2 at 2, 4 and 8 GPUs (plan 3 waits for ROADMAP item 3)."""
+    for plan_id in (0, 1, 2):
+        for num_gpus in (2, 4, 8):
+            if (plan_id, num_gpus) not in SPILL_ORDER_VIOLATIONS:
+                check_compiled_plan(plan_id, num_gpus)
+
+
+@pytest.mark.xfail(strict=True, raises=CompileError, reason="spill pass order, ROADMAP item 3")
+def test_compile_plan_spill_order_violations():
+    for plan_id, num_gpus in sorted(SPILL_ORDER_VIOLATIONS):
+        check_compiled_plan(plan_id, num_gpus)
 
 
 # ----------------------------------------------------------------------
@@ -317,14 +343,6 @@ def test_execute_validates_like_naive():
 # ----------------------------------------------------------------------
 # Compile-time validation
 # ----------------------------------------------------------------------
-
-
-def test_assignment_size_mismatch_raises():
-    graph_set, _ = build_plan(1, rows=64)
-    instance, _ = build_fusion_instance(list(graph_set)[:1])
-    assignment = solve_fusion(instance)
-    with pytest.raises(CompileError, match="covers"):
-        compile_graph_set(graph_set, assignment=assignment)
 
 
 def test_op_groups_order_violation_raises():

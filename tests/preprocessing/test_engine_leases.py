@@ -55,8 +55,8 @@ def sparse_batch(names, rows=6):
 
 def run_counted(ops, batch):
     graph_set = GraphSet([FeatureGraph("g", ops, consumer="t0")], rows=batch.size)
-    arena = CountingArena()
-    program = compile_graph_set(graph_set, arena=arena)
+    program = compile_graph_set(graph_set)
+    program.arena = arena = CountingArena()
     assert program.num_steps == 1, "the ops must fuse into one step"
     out = program.execute(batch)
     assert_batches_bit_identical(

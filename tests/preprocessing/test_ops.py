@@ -331,13 +331,6 @@ class TestCostModel:
         op = SigridHash(inputs=("s",), output="y")
         assert op.cpu_latency_us(4096) > 10 * op.gpu_kernel(4096).duration_us
 
-    def test_cost_features_complete(self):
-        op = FirstX(inputs=("s",), output="y", x=4)
-        feats = op.cost_features(1024, avg_list_length=3.0)
-        assert feats["rows"] == 1024.0
-        assert feats["param_0"] == 4.0
-        assert feats["warps"] >= 1
-
     def test_kernel_tag_matches_op(self):
         for name, cls in OP_REGISTRY.items():
             inputs = ("a", "b", "c") if cls.input_kind == "multi_sparse" else ("a",)

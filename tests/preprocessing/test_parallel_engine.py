@@ -14,8 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.fusion import build_fusion_instance
-from repro.milp.fusion_problem import solve_fusion
 from repro.preprocessing import (
     BufferArena,
     EngineMetrics,
@@ -27,6 +25,7 @@ from repro.preprocessing import (
     partition_ops,
     plan_slots,
 )
+from repro.preprocessing.engine import RETAIN_PER_CLASS
 from repro.preprocessing.executor import MissingColumnsError
 from repro.preprocessing.parallel import leaked_segments
 
@@ -84,21 +83,8 @@ def test_partition_rejects_zero_shards(plan1):
 
 
 # ----------------------------------------------------------------------
-# Compile modes through the parallel engine
+# Execution contract
 # ----------------------------------------------------------------------
-
-
-def test_unfused_and_milp_modes_bit_identical(plan1):
-    graph_set, schema = plan1
-    batch = SyntheticCriteoDataset(schema, seed=23).batch(256, index=0)
-    golden = execute_graph_set(graph_set, batch)
-    names = produced_outputs(graph_set)
-    with ParallelEngine(graph_set, fusion=False, workers=2) as engine:
-        assert_batches_bit_identical(golden, engine.execute(batch), names)
-    instance, _ = build_fusion_instance(list(graph_set))
-    assignment = solve_fusion(instance)
-    with ParallelEngine(graph_set, assignment=assignment, workers=3) as engine:
-        assert_batches_bit_identical(golden, engine.execute(batch), names)
 
 
 def test_copy_outputs_survive_next_batch(plan1):
@@ -172,23 +158,18 @@ def test_worker_kill_mid_run_leaves_no_segments(plan1):
 
 
 def test_arena_retention_cap_evicts_surplus():
-    arena = BufferArena(retain_per_class=1)
-    a = arena.take(1024, np.float32)
-    b = arena.take(1024, np.float32)
-    assert a.base is not b.base
+    arena = BufferArena()
+    leases = [arena.take(1024, np.float32) for _ in range(RETAIN_PER_CLASS + 1)]
+    assert len({id(a.base) for a in leases}) == RETAIN_PER_CLASS + 1
     arena.reset()
-    # Only one block fits the size class's cap; the surplus was released.
+    # Only RETAIN_PER_CLASS blocks fit the size class's cap; the surplus
+    # block was released.
     assert arena.evicted_blocks == 1
-    assert arena.stats()["free_blocks"] == 1
+    assert arena.stats()["free_blocks"] == RETAIN_PER_CLASS
     arena.take(1024, np.float32)
     assert arena.reused_blocks == 1
-    assert arena.hit_rate() == pytest.approx(1 / 3)
-    assert arena.pooled_bytes() == 1024 * 4
-
-
-def test_arena_rejects_nonpositive_cap():
-    with pytest.raises(ValueError, match="retain_per_class"):
-        BufferArena(retain_per_class=0)
+    assert arena.hit_rate() == pytest.approx(1 / (RETAIN_PER_CLASS + 2))
+    assert arena.pooled_bytes() == RETAIN_PER_CLASS * 1024 * 4
 
 
 def test_arena_stats_surface_pool_health():

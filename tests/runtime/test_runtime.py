@@ -298,7 +298,7 @@ class TestRunAndReport:
             graphs,
             plan=plan,
             injector=injector,
-            watchdog=LatencyWatchdog(error_threshold=0.2, window=1),
+            watchdog=LatencyWatchdog(error_threshold=0.2),
         )
         report = runtime.run(8)
         assert report.replans >= 1
