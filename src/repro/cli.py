@@ -484,6 +484,8 @@ def cmd_run(args) -> int:
         value = getattr(args, flag)
         if value < 0:
             raise ValueError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
+    if args.iterations < 1:
+        raise ValueError(f"--iterations must be >= 1, got {args.iterations}")
     graphs, schema, workload = _workload(args)
     specs = [_parse_inject(s) for s in args.inject or []]
     drift_schedule = [_parse_drift(s) for s in args.drift or []]

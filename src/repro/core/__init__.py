@@ -7,7 +7,7 @@ interleaving, the §7.2 joint graph-mapping heuristic, the end-to-end
 planner, and plan code generation.
 """
 
-from .capacity import OverlappingCapacityEstimator, REFERENCE_PROBE, StageCapacity
+from .capacity import OverlappingCapacityEstimator, REFERENCE_PROBE
 from .latency_predictor import (
     KernelSample,
     PREDICTOR_FAMILIES,
@@ -62,7 +62,6 @@ from .serialization import (
 __all__ = [
     "OverlappingCapacityEstimator",
     "REFERENCE_PROBE",
-    "StageCapacity",
     "KernelSample",
     "PREDICTOR_FAMILIES",
     "PreprocessingLatencyPredictor",

@@ -18,29 +18,15 @@ Two estimation paths are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 from ..gpusim.device import GpuDevice, StageProfile
 from ..gpusim.kernel import KernelDesc
 from ..gpusim.resources import GpuSpec, ResourceVector, A100_SPEC
 
-__all__ = ["StageCapacity", "OverlappingCapacityEstimator", "REFERENCE_PROBE"]
+__all__ = ["OverlappingCapacityEstimator", "REFERENCE_PROBE"]
 
 # A mid-weight preprocessing kernel profile used as the default probe: the
 # demand mix of a moderately fused normalization kernel.
 REFERENCE_PROBE = ResourceVector(sm=0.30, dram=0.45)
-
-
-@dataclass(frozen=True)
-class StageCapacity:
-    """One stage's overlapping capacity, in standalone-latency microseconds."""
-
-    stage_name: str
-    stage_index: int
-    duration_us: float
-    capacity_us: float
-    leftover: ResourceVector
 
 
 class OverlappingCapacityEstimator:
@@ -67,23 +53,6 @@ class OverlappingCapacityEstimator:
         if key not in self._cache:
             self._cache[key] = self.device.stage_overlapping_capacity(stage, probe)
         return self._cache[key]
-
-    def profile_stages(
-        self,
-        stages: Sequence[StageProfile],
-        probe: ResourceVector = REFERENCE_PROBE,
-    ) -> list[StageCapacity]:
-        """Capacity profile of a full iteration pipeline."""
-        return [
-            StageCapacity(
-                stage_name=stage.name,
-                stage_index=idx,
-                duration_us=stage.duration_us,
-                capacity_us=self.estimate(stage, probe),
-                leftover=stage.leftover(),
-            )
-            for idx, stage in enumerate(stages)
-        ]
 
     # ------------------------------------------------------------------
     # Empirical path (validation / Fig. 5)

@@ -37,11 +37,6 @@ class StageCost:
         """The paper's L_delta for this stage, clamped at zero."""
         return max(0.0, self.assigned_latency_us - self.capacity_us)
 
-    @property
-    def slack_us(self) -> float:
-        """Unused capacity (negative L_delta magnitude)."""
-        return max(0.0, self.capacity_us - self.assigned_latency_us)
-
 
 @dataclass
 class CoRunCost:
@@ -58,10 +53,6 @@ class CoRunCost:
     @property
     def total_capacity_us(self) -> float:
         return sum(s.capacity_us for s in self.stage_costs)
-
-    @property
-    def total_assigned_us(self) -> float:
-        return sum(s.assigned_latency_us for s in self.stage_costs) + self.trailing_latency_us
 
     @property
     def is_contention_free(self) -> bool:

@@ -81,10 +81,6 @@ class FusionPlan:
         return sum(k.duration_us for k in self.kernels)
 
     @property
-    def num_kernels(self) -> int:
-        return len(self.kernels)
-
-    @property
     def max_fusion_degree(self) -> int:
         return max((int(k.meta.get("members", 1)) for k in self.kernels), default=0)
 

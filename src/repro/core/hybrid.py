@@ -19,7 +19,7 @@ The steady-state iteration time is then
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from ..dlrm.training import TrainingWorkload
 from ..gpusim.kernel import KernelDesc
@@ -47,7 +47,7 @@ GPU_TO_CPU_SLOWDOWN = 25.0
 class CpuWorkerPool:
     """A pool of preprocessing workers on the host CPUs.
 
-    ``workers_per_gpu`` follows the paper's setup (8). Parallel efficiency
+    ``workers_per_gpu`` follows the paper's setup (8). ``parallel_efficiency``
     accounts for batch-granularity scheduling, and ``max_effective_workers``
     models the node-level ceiling -- host memory bandwidth and core budget
     are shared by all workers, so beyond a point extra workers add nothing.
@@ -56,8 +56,8 @@ class CpuWorkerPool:
     """
 
     workers_per_gpu: int = 8
-    parallel_efficiency: float = 0.85
     max_effective_workers: int = 24
+    parallel_efficiency: ClassVar[float] = 0.85
 
     def effective_workers(self, num_gpus: int) -> float:
         workers = max(1, self.workers_per_gpu * num_gpus)
@@ -82,10 +82,6 @@ class HybridSplit:
     cpu_graphs: GraphSet
     capacity_budget_us: float
     gpu_latency_us: float
-
-    @property
-    def num_gpu_features(self) -> int:
-        return len(self.gpu_graphs)
 
     @property
     def num_cpu_features(self) -> int:

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..gpusim.kernel import KernelDesc
-from ..gpusim.resources import GpuSpec, A100_SPEC
+from ..gpusim.resources import A100_SPEC
 from ..ml.gbdt import GradientBoostingRegressor
 from ..ml.metrics import within_tolerance_accuracy
 from ..preprocessing.ops import (
@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 PREDICTOR_FAMILIES = ("1D Ops", "FirstX", "Ngram", "Onehot", "Bucketize")
+
+#: Share of the collected samples held out for Table-5 accuracy (the 9:1 split).
+HOLDOUT_FRACTION = 0.1
 
 _FEATURE_NAMES = (
     "num_warps",
@@ -126,24 +129,20 @@ def _sample_op(family: str, rng: np.random.Generator) -> tuple[PreprocessingOp, 
     return op, avg_len
 
 
-def collect_training_samples(
-    num_samples: int = 11_000,
-    spec: GpuSpec = A100_SPEC,
-    seed: int = 7,
-    families: Sequence[str] = PREDICTOR_FAMILIES,
-) -> list[KernelSample]:
+def collect_training_samples(num_samples: int = 11_000, seed: int = 7) -> list[KernelSample]:
     """Offline training-data collection: ~11K kernel configs (as in §8.4).
 
     Each sample draws an operator family, a configuration, and a batch
-    size, lowers it to a kernel, and records (features, measured latency).
+    size, lowers it to an A100 kernel, and records (features, measured
+    latency).
     """
     rng = np.random.default_rng(seed)
     samples: list[KernelSample] = []
     for _ in range(num_samples):
-        family = families[int(rng.integers(0, len(families)))]
+        family = PREDICTOR_FAMILIES[int(rng.integers(0, len(PREDICTOR_FAMILIES)))]
         op, avg_len = _sample_op(family, rng)
         rows = int(rng.integers(256, 65_536))
-        kernel = op.gpu_kernel(rows, spec, avg_list_length=avg_len)
+        kernel = op.gpu_kernel(rows, A100_SPEC, avg_list_length=avg_len)
         samples.append(
             KernelSample(
                 family=family,
@@ -249,18 +248,16 @@ class PreprocessingLatencyPredictor:
 
 def train_default_predictor(
     num_samples: int = 11_000,
-    spec: GpuSpec = A100_SPEC,
     seed: int = 7,
-    holdout_fraction: float = 0.1,
 ) -> tuple[PreprocessingLatencyPredictor, dict[str, float]]:
     """Offline phase: collect samples, train, and report Table-5 accuracy.
 
     Samples are split 9:1 into train/eval as in the paper.
     """
-    samples = collect_training_samples(num_samples, spec=spec, seed=seed)
+    samples = collect_training_samples(num_samples, seed=seed)
     rng = np.random.default_rng(seed + 1)
     perm = rng.permutation(len(samples))
-    n_eval = max(1, int(len(samples) * holdout_fraction))
+    n_eval = max(1, int(len(samples) * HOLDOUT_FRACTION))
     eval_set = [samples[i] for i in perm[:n_eval]]
     train_set = [samples[i] for i in perm[n_eval:]]
     predictor = PreprocessingLatencyPredictor().fit(train_set)

@@ -208,13 +208,13 @@ def workload_fingerprint(workload: TrainingWorkload) -> str:
 def _request_key(
     salt: tuple, workload_fp: str, graph_set_fp: str, mapping_strategy: str,
     fusion_enabled: bool, interleaving_enabled: bool, solver: "BranchAndBoundSolver",
-    code_version: str | None, predictor_fingerprint: str | None,
+    predictor_fingerprint: str | None,
 ) -> str:
     """The digest behind both plan keys: ``salt``, the code version, the
     workload and graph-set fingerprints, then the planner's knobs."""
     payload = (
         *salt,
-        code_version if code_version is not None else PLANNER_CODE_VERSION,
+        PLANNER_CODE_VERSION,
         workload_fp,
         graph_set_fp,
         mapping_strategy,
@@ -233,7 +233,6 @@ def plan_cache_key(
     fusion_enabled: bool,
     interleaving_enabled: bool,
     solver: "BranchAndBoundSolver",
-    code_version: str | None = None,
     predictor_fingerprint: str | None = None,
 ) -> str:
     """The content address of one planning request.
@@ -246,7 +245,7 @@ def plan_cache_key(
     return _request_key(
         (), workload_fingerprint(workload), graph_set_fingerprint(graph_set),
         mapping_strategy, fusion_enabled, interleaving_enabled, solver,
-        code_version, predictor_fingerprint,
+        predictor_fingerprint,
     )
 
 
@@ -348,7 +347,6 @@ def invariant_plan_key(
     fusion_enabled: bool,
     interleaving_enabled: bool,
     solver: "BranchAndBoundSolver",
-    code_version: str | None = None,
     predictor_fingerprint: str | None = None,
 ) -> str:
     """The tenant-invariant content address of one planning request.
@@ -364,7 +362,7 @@ def invariant_plan_key(
         invariant_workload_fingerprint(workload, graph_set),
         invariant_graph_set_fingerprint(graph_set),
         mapping_strategy, fusion_enabled, interleaving_enabled, solver,
-        code_version, predictor_fingerprint,
+        predictor_fingerprint,
     )
 
 
@@ -389,10 +387,6 @@ class PlanCacheStats:
     stores: int = 0
     disk_hits: int = 0
     lock_contention: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
 
     def to_dict(self) -> dict[str, int]:
         return {

@@ -65,10 +65,6 @@ class MlpArch:
         dims = (self.input_dim,) + self.layers
         return 2.0 * batch_size * sum(dims[i] * dims[i + 1] for i in range(len(self.layers)))
 
-    def backward_flops(self, batch_size: int) -> float:
-        """Backward is ~2x forward (input gradients plus weight gradients)."""
-        return 2.0 * self.forward_flops(batch_size)
-
 
 @dataclass(frozen=True)
 class DLRMConfig:
@@ -122,50 +118,56 @@ class DLRMConfig:
         return 2.0 * batch_size * f * f * self.embedding_dim
 
 
-def _tables_from_schema(schema: CriteoSchema, dim: int) -> list[EmbeddingTableConfig]:
+#: Embedding width of Table 2's models.
+EMBEDDING_DIM = 128
+
+#: Rows of the table behind a generated feature (an Ngram output or a
+#: bucketized dense feature), which has no cardinality in the schema.
+GENERATED_TABLE_HASH_SIZE = 2_000_000
+
+
+def _tables_from_schema(schema: CriteoSchema) -> list[EmbeddingTableConfig]:
     return [
-        EmbeddingTableConfig(name=f"table:{feat}", hash_size=size, dim=dim,
+        EmbeddingTableConfig(name=f"table:{feat}", hash_size=size, dim=EMBEDDING_DIM,
                              avg_ids_per_row=schema.avg_list_length)
         for feat, size in zip(schema.sparse_names(), schema.hash_sizes())
     ]
 
 
-def kaggle_model(dim: int = 128) -> DLRMConfig:
+def kaggle_model() -> DLRMConfig:
     """Table 2's Criteo Kaggle configuration (dense 512-256, top 1024-1024-512)."""
     schema = KAGGLE_SCHEMA
     return DLRMConfig(
         name="dlrm_kaggle",
         dense_arch=MlpArch(input_dim=schema.num_dense, layers=(512, 256)),
         top_arch_layers=(1024, 1024, 512),
-        tables=tuple(_tables_from_schema(schema, dim)),
-        embedding_dim=dim,
+        tables=tuple(_tables_from_schema(schema)),
+        embedding_dim=EMBEDDING_DIM,
     )
 
 
-def terabyte_model(dim: int = 128) -> DLRMConfig:
+def terabyte_model() -> DLRMConfig:
     """Table 2's Criteo Terabyte configuration (top 1024-1024-512-256)."""
     schema = TERABYTE_SCHEMA
     return DLRMConfig(
         name="dlrm_terabyte",
         dense_arch=MlpArch(input_dim=schema.num_dense, layers=(512, 256)),
         top_arch_layers=(1024, 1024, 512, 256),
-        tables=tuple(_tables_from_schema(schema, dim)),
-        embedding_dim=dim,
+        tables=tuple(_tables_from_schema(schema)),
+        embedding_dim=EMBEDDING_DIM,
     )
 
 
 def model_for_plan(
     graph_set: GraphSet,
     schema: CriteoSchema,
-    dim: int = 128,
-    generated_table_hash_size: int = 2_000_000,
+    dim: int = EMBEDDING_DIM,
 ) -> DLRMConfig:
     """Build the DLRM whose tables match a preprocessing plan's consumers.
 
     Every ``table:*`` consumer in the graph set becomes an embedding table:
     raw sparse features take their cardinality from the schema, generated
-    features (Ngram outputs, bucketized dense features) get
-    ``generated_table_hash_size`` or the graph output's own hash space.
+    features get :data:`GENERATED_TABLE_HASH_SIZE` rows.
     """
     schema_sizes = dict(zip(schema.sparse_names(), schema.hash_sizes()))
     tables: list[EmbeddingTableConfig] = []
@@ -176,7 +178,7 @@ def model_for_plan(
             continue
         seen.add(consumer)
         feature = consumer.removeprefix("table:")
-        hash_size = schema_sizes.get(feature, generated_table_hash_size)
+        hash_size = schema_sizes.get(feature, GENERATED_TABLE_HASH_SIZE)
         tables.append(
             EmbeddingTableConfig(
                 name=consumer,

@@ -13,6 +13,7 @@ utilization swings RAP harvests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from ..gpusim.device import StageProfile
 from ..gpusim.interconnect import Interconnect
@@ -29,25 +30,29 @@ class StageCalibration:
 
     These fold every micro-effect (tensor-core utilization, cache hit
     rates, kernel tail effects) into a handful of per-stage efficiency
-    factors. Defaults are set to make stage-time *ratios* credible for an
+    factors. Values are set to make stage-time *ratios* credible for an
     A100 at DLRM-scale shapes; absolute times only need to be consistent
     with the preprocessing cost model, which uses the same device spec.
+
+    Only the two fields vary: the sensitivity study
+    (:mod:`repro.experiments.sensitivity`) sweeps them. The rest are class
+    constants.
     """
 
     mlp_flops_efficiency: float = 0.60
-    interaction_flops_efficiency: float = 0.35
     embedding_bw_efficiency: float = 0.30
-    optimizer_bw_efficiency: float = 0.60
-    backward_multiplier: float = 2.0
-    embedding_update_multiplier: float = 1.6
+    interaction_flops_efficiency: ClassVar[float] = 0.35
+    optimizer_bw_efficiency: ClassVar[float] = 0.60
+    backward_multiplier: ClassVar[float] = 2.0
+    embedding_update_multiplier: ClassVar[float] = 1.6
 
     # Utilization profiles (sm, dram) per stage family.
-    mlp_util: tuple[float, float] = (0.88, 0.30)
-    interaction_util: tuple[float, float] = (0.70, 0.50)
-    embedding_util: tuple[float, float] = (0.22, 0.92)
-    embedding_bwd_util: tuple[float, float] = (0.28, 0.95)
-    comm_util: tuple[float, float] = (0.08, 0.22)
-    optimizer_util: tuple[float, float] = (0.35, 0.80)
+    mlp_util: ClassVar[tuple[float, float]] = (0.88, 0.30)
+    interaction_util: ClassVar[tuple[float, float]] = (0.70, 0.50)
+    embedding_util: ClassVar[tuple[float, float]] = (0.22, 0.92)
+    embedding_bwd_util: ClassVar[tuple[float, float]] = (0.28, 0.95)
+    comm_util: ClassVar[tuple[float, float]] = (0.08, 0.22)
+    optimizer_util: ClassVar[tuple[float, float]] = (0.35, 0.80)
 
 
 DEFAULT_CALIBRATION = StageCalibration()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-__all__ = ["ascii_line_chart", "ascii_bar_chart"]
+__all__ = ["ascii_line_chart"]
 
 _MARKERS = "*o+x#@%&"
 
@@ -70,23 +70,4 @@ def ascii_line_chart(
         f"{_MARKERS[i % len(_MARKERS)]} {name}" for i, name in enumerate(series)
     )
     lines.append(f"{' ' * label_width}  legend: {legend}")
-    return "\n".join(lines)
-
-
-def ascii_bar_chart(
-    values: Mapping[str, float],
-    width: int = 50,
-    title: str | None = None,
-) -> str:
-    """Horizontal bars scaled to the maximum value."""
-    if not values:
-        return "(no data)"
-    peak = max(values.values())
-    if peak <= 0:
-        peak = 1.0
-    label_width = max(len(k) for k in values)
-    lines = [title] if title else []
-    for name, value in values.items():
-        bar = "#" * max(1, int(round(value / peak * width))) if value > 0 else ""
-        lines.append(f"{name.ljust(label_width)} |{bar} {value:,.6g}")
     return "\n".join(lines)

@@ -23,7 +23,7 @@ against. This package is the scenario-diversity engine (ROADMAP item 4):
 """
 
 from .audit import AuditFinding, AuditResult, audit_scenario
-from .generator import ForgeConfig, ScenarioForge
+from .generator import ScenarioForge
 from .scenario import (
     SCENARIO_FORMAT_VERSION,
     ArrivalCurve,
@@ -47,7 +47,6 @@ __all__ = [
     "Scenario",
     "WorkloadSpec",
     "scenario_digest",
-    "ForgeConfig",
     "ScenarioForge",
     "AuditFinding",
     "AuditResult",

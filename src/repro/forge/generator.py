@@ -21,16 +21,15 @@ covering a sampled point in the robustness space:
 - **retry pressure**: jittered backoff and a per-epoch retry budget, the
   knobs that make fault storms exhaust the ladder deterministically.
 
-Determinism contract: ``generate(seed)`` is a pure function of
-``(config, seed)``. The RNG is string-seeded (``rap-forge:<seed>``) so the
-stream survives hash randomization, and every admitted scenario's audit
-re-generates from the seed and asserts canonical-JSON equality.
+Determinism contract: ``generate(seed)`` is a pure function of ``seed``.
+The RNG is string-seeded (``rap-forge:<seed>``) so the stream survives hash
+randomization, and every admitted scenario's audit re-generates from the
+seed and asserts canonical-JSON equality.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from ..runtime.faults import (
     CPU_POOL_CRASH,
@@ -45,7 +44,7 @@ from ..runtime.faults import (
 from ..telemetry import LatencyDrift
 from .scenario import ArrivalCurve, Scenario, WorkloadSpec
 
-__all__ = ["ForgeConfig", "ScenarioForge"]
+__all__ = ["ScenarioForge"]
 
 #: Op types whose latency plausibly shifts with categorical skew (heavier
 #: key distributions make hashing/dedup work harder).
@@ -54,48 +53,29 @@ SKEW_SHIFT_OPS = ("SigridHash", "MapId", "Ngram", "Bucketize")
 #: Op types whose latency plausibly creeps with vocabulary growth.
 VOCAB_GROWTH_OPS = ("SigridHash", "MapId")
 
-
-@dataclass(frozen=True)
-class ForgeConfig:
-    """Sampling bounds of the forge (all ranges inclusive)."""
-
-    min_gpus: int = 2
-    max_gpus: int = 4
-    min_iterations: int = 10
-    max_iterations: int = 16
-    hetero_probability: float = 0.5
-    drift_probability: float = 0.6
-    correlated_probability: float = 0.6
-    profiles: tuple[str, ...] = ("a100", "h100", "v100")
-    batches: tuple[int, ...] = (256, 512, 1024)
-    max_fault_rate: float = 0.35
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.min_gpus <= self.max_gpus:
-            raise ValueError("need 1 <= min_gpus <= max_gpus")
-        if not 4 <= self.min_iterations <= self.max_iterations:
-            raise ValueError("need 4 <= min_iterations <= max_iterations")
-        if not self.profiles or not self.batches:
-            raise ValueError("profiles and batches must be non-empty")
+#: Sampling bounds (all ranges inclusive).
+MIN_GPUS, MAX_GPUS = 2, 4
+MIN_ITERATIONS, MAX_ITERATIONS = 10, 16
+HETERO_PROBABILITY = 0.5
+DRIFT_PROBABILITY = 0.6
+CORRELATED_PROBABILITY = 0.6
+#: Device profiles a fleet draws from; the first is the homogeneous default.
+PROFILES = ("a100", "h100", "v100")
+BATCHES = (256, 512, 1024)
+MAX_FAULT_RATE = 0.35
 
 
 class ScenarioForge:
-    """Deterministic scenario sampler over :class:`ForgeConfig` bounds."""
-
-    def __init__(self, config: ForgeConfig | None = None) -> None:
-        self.config = config or ForgeConfig()
-
-    # ------------------------------------------------------------------
+    """Deterministic scenario sampler over the module's sampling bounds."""
 
     def generate(self, seed: int) -> Scenario:
-        """Expand one seed into one scenario (pure in ``(config, seed)``)."""
-        cfg = self.config
+        """Expand one seed into one scenario (pure in ``seed``)."""
         rng = random.Random(f"rap-forge:{seed}")
         tags: list[str] = []
 
         workload = self._sample_workload(rng, seed)
         fleet = self._sample_fleet(rng, tags)
-        iterations = rng.randint(cfg.min_iterations, cfg.max_iterations)
+        iterations = rng.randint(MIN_ITERATIONS, MAX_ITERATIONS)
 
         drift_schedule = self._sample_drift(rng, workload, iterations, tags)
         arrival = self._sample_arrival(rng, iterations, tags)
@@ -140,22 +120,21 @@ class ScenarioForge:
             max_chain=rng.randint(min_chain, 4),
             num_ngram_graphs=rng.randint(0, 2),
             ngram_width=2,
-            batch=rng.choice(self.config.batches),
+            batch=rng.choice(BATCHES),
         )
 
     def _sample_fleet(self, rng: random.Random, tags: list[str]) -> tuple[str, ...]:
-        cfg = self.config
-        n = rng.randint(cfg.min_gpus, cfg.max_gpus)
-        if rng.random() < cfg.hetero_probability and len(cfg.profiles) > 1:
-            fleet = tuple(rng.choice(cfg.profiles) for _ in range(n))
+        n = rng.randint(MIN_GPUS, MAX_GPUS)
+        if rng.random() < HETERO_PROBABILITY:
+            fleet = tuple(rng.choice(PROFILES) for _ in range(n))
             if len(set(fleet)) == 1:
                 # Force at least one odd device in, otherwise the "hetero"
                 # draw silently degenerates to a uniform fleet.
-                other = rng.choice([p for p in cfg.profiles if p != fleet[0]])
+                other = rng.choice([p for p in PROFILES if p != fleet[0]])
                 fleet = (other,) + fleet[1:]
             tags.append("hetero-fleet")
             return fleet
-        return (cfg.profiles[0],) * n
+        return (PROFILES[0],) * n
 
     def _sample_drift(
         self,
@@ -164,7 +143,7 @@ class ScenarioForge:
         iterations: int,
         tags: list[str],
     ) -> tuple[LatencyDrift, ...]:
-        if rng.random() >= self.config.drift_probability:
+        if rng.random() >= DRIFT_PROBABILITY:
             return ()
         graphs, _ = workload.build()
         present = sorted({op.op_name for graph in graphs for op in graph.ops})
@@ -221,7 +200,7 @@ class ScenarioForge:
     def _sample_fault_specs(
         self, rng: random.Random, tags: list[str]
     ) -> tuple[FaultSpec, ...]:
-        cap = self.config.max_fault_rate
+        cap = MAX_FAULT_RATE
         specs: list[FaultSpec] = []
         if rng.random() < 0.7:
             specs.append(
@@ -252,7 +231,7 @@ class ScenarioForge:
         iterations: int,
         tags: list[str],
     ) -> tuple[FaultEvent, ...]:
-        if rng.random() >= self.config.correlated_probability:
+        if rng.random() >= CORRELATED_PROBABILITY:
             return ()
         patterns = ["pool-cascade", "drift-storm"]
         # A same-iteration pair loss needs a third survivor to stay a GPU run.

@@ -29,7 +29,7 @@ import json
 import multiprocessing
 import tempfile
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..core import RapPlanner
@@ -44,7 +44,7 @@ from ..runtime import (
 )
 from ..telemetry import TelemetrySession
 from .audit import audit_scenario
-from .generator import ForgeConfig, ScenarioForge
+from .generator import ScenarioForge
 from .scenario import Scenario, scenario_digest
 
 __all__ = [
@@ -118,7 +118,6 @@ class SweepConfig:
     jobs: int = 0
     resume_check_every: int = 3
     triage_dir: Path | None = None
-    forge: ForgeConfig = field(default_factory=ForgeConfig)
 
     def __post_init__(self) -> None:
         if self.seeds < 1:
@@ -374,7 +373,7 @@ def sweep(config: SweepConfig | None = None, log=None) -> dict:
     ``jobs`` of them concurrently.
     """
     config = config or SweepConfig()
-    forge = ScenarioForge(config.forge)
+    forge = ScenarioForge()
     say = log or (lambda message: None)
 
     admitted: list[tuple[int, Scenario]] = []

@@ -42,8 +42,6 @@ from .device import (
 )
 from .interconnect import Interconnect
 from .cluster import ClusterIterationResult, MultiGpuCluster
-from .stream import run_on_low_priority_stream
-from .mps import run_under_mps
 from .export import render_gantt, to_chrome_trace
 
 __all__ = [
@@ -72,8 +70,6 @@ __all__ = [
     "Interconnect",
     "ClusterIterationResult",
     "MultiGpuCluster",
-    "run_on_low_priority_stream",
-    "run_under_mps",
     "render_gantt",
     "to_chrome_trace",
 ]

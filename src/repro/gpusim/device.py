@@ -93,6 +93,11 @@ class CoRunPolicy:
 
 
 RAP_POLICY = CoRunPolicy(name="rap")
+#: The §8.1 CUDA-stream baseline: every preprocessing kernel goes onto one
+#: extra low-priority stream and is released at the top of the iteration,
+#: contending with whichever training stage is active. Time-sliced SM
+#: partitions are coarser than RAP's capacity-sized kernels, hence the
+#: inflated demand and the per-kernel issue overhead.
 STREAM_POLICY = CoRunPolicy(
     name="cuda_stream",
     demand_inflation=1.35,
@@ -100,6 +105,11 @@ STREAM_POLICY = CoRunPolicy(
     train_stall_us=7.0,
     serialization_fraction=0.80,
 )
+#: The §8.1 MPS baseline: a preprocessing process shares the GPU with
+#: training through MPS. Spatial sharing at thread-percentage granularity
+#: inflates demand less than a priority stream, and cross-process submission
+#: costs a small per-kernel overhead; kernels are still released at the top
+#: of the iteration with no knowledge of the stage's leftover resources.
 MPS_POLICY = CoRunPolicy(
     name="mps",
     demand_inflation=1.12,

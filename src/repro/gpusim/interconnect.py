@@ -14,6 +14,7 @@ bandwidth on a fully connected NVSwitch fabric (the DGX-A100 topology).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .resources import GpuSpec, A100_SPEC
 
@@ -22,21 +23,16 @@ __all__ = ["Interconnect"]
 
 @dataclass(frozen=True)
 class Interconnect:
-    """Collective and point-to-point latency estimates for one node.
+    """Collective latency estimates for one node.
 
-    Parameters
-    ----------
-    spec:
-        The GPU spec supplying per-GPU NVLink bandwidth.
-    alpha_us:
-        Fixed per-collective software latency (launch + rendezvous).
-    efficiency:
-        Fraction of peak link bandwidth achieved by collectives.
+    ``spec`` supplies the per-GPU NVLink bandwidth.
     """
 
     spec: GpuSpec = A100_SPEC
-    alpha_us: float = 12.0
-    efficiency: float = 0.75
+    #: Fixed per-collective software latency (launch + rendezvous).
+    alpha_us: ClassVar[float] = 12.0
+    #: Fraction of peak link bandwidth achieved by collectives.
+    efficiency: ClassVar[float] = 0.75
 
     @property
     def link_bytes_per_us(self) -> float:

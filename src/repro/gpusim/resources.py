@@ -151,10 +151,6 @@ class ResourceVector:
             raise ValueError("scale factor must be non-negative")
         return ResourceVector(self.sm * factor, self.dram * factor)
 
-    def clamp(self, limit: float = 1.0) -> "ResourceVector":
-        """Return a copy with both components clipped to ``limit``."""
-        return ResourceVector(min(self.sm, limit), min(self.dram, limit))
-
     @property
     def peak(self) -> float:
         """The dominant (bottleneck) component."""

@@ -139,10 +139,3 @@ class UtilizationTrace:
             if b > a:
                 area += seg.utilization.peak * (b - a)
         return area / (hi - lo)
-
-    def shifted(self, offset: float) -> "UtilizationTrace":
-        """Return a copy with all timestamps shifted by ``offset``."""
-        return UtilizationTrace(
-            TraceSegment(seg.t0 + offset, seg.t1 + offset, seg.utilization, seg.label)
-            for seg in self._segments
-        )

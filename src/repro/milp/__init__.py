@@ -8,7 +8,7 @@ paths.
 
 from .model import Constraint, MilpProblem, Variable
 from .branch_and_bound import BranchAndBoundSolver, MilpSolution
-from .linearize import add_binary_product, add_pairwise_products
+from .linearize import add_binary_product
 from .fusion_problem import (
     FusionAssignment,
     FusionInstance,
@@ -23,7 +23,6 @@ __all__ = [
     "BranchAndBoundSolver",
     "MilpSolution",
     "add_binary_product",
-    "add_pairwise_products",
     "FusionAssignment",
     "FusionInstance",
     "build_fusion_milp",

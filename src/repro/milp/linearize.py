@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .model import MilpProblem, Variable
 
-__all__ = ["add_binary_product", "add_pairwise_products"]
+__all__ = ["add_binary_product"]
 
 
 def add_binary_product(
@@ -37,18 +37,3 @@ def add_binary_product(
     problem.add_constraint({y: 1.0, x2: -1.0}, "<=", 0.0, name=f"{name}_le_x2")
     problem.add_constraint({y: 1.0, x1: -1.0, x2: -1.0}, ">=", -1.0, name=f"{name}_ge_sum")
     return y
-
-
-def add_pairwise_products(
-    problem: MilpProblem,
-    variables: list[Variable],
-    prefix: str,
-) -> list[Variable]:
-    """Add product variables for every unordered pair in ``variables``."""
-    products: list[Variable] = []
-    for a in range(len(variables)):
-        for b in range(a + 1, len(variables)):
-            products.append(
-                add_binary_product(problem, variables[a], variables[b], f"{prefix}_{a}_{b}")
-            )
-    return products

@@ -2,14 +2,12 @@
 
 from .tree import RegressionTree
 from .gbdt import GradientBoostingRegressor
-from .metrics import mae, mape, mse, r2_score, within_tolerance_accuracy
+from .metrics import mape, r2_score, within_tolerance_accuracy
 
 __all__ = [
     "RegressionTree",
     "GradientBoostingRegressor",
-    "mae",
     "mape",
-    "mse",
     "r2_score",
     "within_tolerance_accuracy",
 ]

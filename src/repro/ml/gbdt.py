@@ -125,17 +125,3 @@ class GradientBoostingRegressor:
         for tree in self.trees_:
             out += self.learning_rate * tree.predict(x)
         return out
-
-    @property
-    def n_trees_(self) -> int:
-        return len(self.trees_)
-
-    def feature_importances(self) -> np.ndarray:
-        """Split-count importances, normalized to sum to 1."""
-        if self._num_features is None:
-            raise RuntimeError("model is not fitted")
-        counts = np.zeros(self._num_features, dtype=np.float64)
-        for tree in self.trees_:
-            counts += tree.feature_split_counts(self._num_features)
-        total = counts.sum()
-        return counts / total if total > 0 else counts

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mse", "mae", "mape", "r2_score", "within_tolerance_accuracy"]
+__all__ = ["mape", "r2_score", "within_tolerance_accuracy"]
 
 
 def _validate(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -15,16 +15,6 @@ def _validate(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.nd
     if y_true.size == 0:
         raise ValueError("empty arrays")
     return y_true, y_pred
-
-
-def mse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    y_true, y_pred = _validate(y_true, y_pred)
-    return float(np.mean((y_true - y_pred) ** 2))
-
-
-def mae(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    y_true, y_pred = _validate(y_true, y_pred)
-    return float(np.mean(np.abs(y_true - y_pred)))
 
 
 def mape(y_true: np.ndarray, y_pred: np.ndarray, eps: float = 1e-12) -> float:

@@ -169,10 +169,6 @@ class RegressionTree:
         return out
 
     @property
-    def num_nodes(self) -> int:
-        return len(self._feature)
-
-    @property
     def depth(self) -> int:
         if not self._fitted:
             return 0
@@ -183,10 +179,3 @@ class RegressionTree:
             return 1 + max(walk(self._left[node]), walk(self._right[node]))
 
         return walk(0)
-
-    def feature_split_counts(self, num_features: int) -> np.ndarray:
-        counts = np.zeros(num_features, dtype=np.int64)
-        for f in self._feature:
-            if f >= 0:
-                counts[f] += 1
-        return counts

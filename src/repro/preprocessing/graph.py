@@ -11,7 +11,7 @@ input batch: the unit the mapping and scheduling machinery operates on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from ..gpusim.kernel import KernelDesc
 from ..gpusim.resources import GpuSpec, A100_SPEC
@@ -194,10 +194,6 @@ class GraphSet:
 
     def graphs_for_consumer(self, consumer: str) -> list[FeatureGraph]:
         return [g for g in self.graphs if g.consumer == consumer]
-
-    def subset(self, names: Sequence[str]) -> "GraphSet":
-        wanted = set(names)
-        return GraphSet([g for g in self.graphs if g.name in wanted], rows=self.rows)
 
     def execute(self, batch: Batch) -> None:
         """Execute every graph against a batch (functional path)."""

@@ -101,10 +101,6 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     # Pinning
 
-    @property
-    def pinned(self) -> frozenset:
-        return frozenset(self._pinned)
-
     def pin(self, directory: str | Path) -> None:
         """Protect one checkpoint directory from pruning until unpinned.
 

@@ -111,9 +111,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
-
 
 def bucket_counts(
     buckets: Sequence[float], values: Sequence[float]

@@ -40,10 +40,9 @@ class TestAnalyticEstimate:
             StageProfile("a", 100.0, ResourceVector(0.1, 0.1)),
             StageProfile("b", 200.0, ResourceVector(0.9, 0.9)),
         ]
-        profile = estimator.profile_stages(stages)
-        assert [c.stage_name for c in profile] == ["a", "b"]
-        assert profile[0].capacity_us > profile[1].capacity_us
-        assert profile[0].capacity_us == pytest.approx(100.0)
+        roomy, busy = (estimator.estimate(s) for s in stages)
+        assert roomy > busy
+        assert roomy == pytest.approx(100.0)
 
     def test_total_capacity(self, estimator):
         stages = [
@@ -52,7 +51,7 @@ class TestAnalyticEstimate:
         ]
         # Both stages admit the reference probe fully, so their capacities
         # sum to the stages' total duration.
-        capacity = sum(c.capacity_us for c in estimator.profile_stages(stages))
+        capacity = sum(estimator.estimate(s) for s in stages)
         assert capacity == pytest.approx(300.0)
 
 

@@ -25,14 +25,14 @@ class TestHybridSplit:
         workload = TrainingWorkload(model_for_plan(graphs, schema), num_gpus=4, local_batch=1024)
         split = HybridPlanner(workload).split(graphs)
         assert split.num_cpu_features == 0
-        assert split.num_gpu_features == len(graphs)
+        assert len(split.gpu_graphs) == len(graphs)
 
     def test_overload_spills_to_cpu(self, plan3_workload):
         graphs, workload = plan3_workload
         planner = HybridPlanner(workload, capacity_fill=0.05)
         split = planner.split(graphs)
         assert split.num_cpu_features > 0
-        assert split.num_gpu_features + split.num_cpu_features == len(graphs)
+        assert len(split.gpu_graphs) + split.num_cpu_features == len(graphs)
 
     def test_dense_graphs_never_leave_gpu(self, plan3_workload):
         graphs, workload = plan3_workload

@@ -31,10 +31,6 @@ class TestMlpArch:
         arch = MlpArch(input_dim=4, layers=(3,))
         assert arch.forward_flops(10) == pytest.approx(2 * 10 * 12)
 
-    def test_backward_is_double_forward(self):
-        arch = MlpArch(input_dim=8, layers=(4, 2))
-        assert arch.backward_flops(16) == pytest.approx(2 * arch.forward_flops(16))
-
     def test_output_dim(self):
         assert MlpArch(input_dim=4, layers=(3, 7)).output_dim == 7
 

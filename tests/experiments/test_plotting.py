@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.plotting import ascii_bar_chart, ascii_line_chart
+from repro.experiments.plotting import ascii_line_chart
 
 
 class TestLineChart:
@@ -41,29 +41,6 @@ class TestLineChart:
         series = {f"s{i}": [(0, i)] for i in range(10)}
         out = ascii_line_chart(series)
         assert "legend" in out
-
-
-class TestBarChart:
-    def test_empty(self):
-        assert ascii_bar_chart({}) == "(no data)"
-
-    def test_bars_scale_to_peak(self):
-        out = ascii_bar_chart({"small": 1.0, "big": 10.0}, width=10)
-        lines = {line.split("|")[0].strip(): line for line in out.splitlines()}
-        assert lines["big"].count("#") == 10
-        assert lines["small"].count("#") == 1
-
-    def test_zero_values(self):
-        out = ascii_bar_chart({"zero": 0.0, "one": 1.0})
-        assert "zero" in out
-
-    def test_all_zero(self):
-        out = ascii_bar_chart({"a": 0.0, "b": 0.0})
-        assert "a" in out and "b" in out
-
-    def test_title(self):
-        out = ascii_bar_chart({"a": 1.0}, title="My chart")
-        assert out.splitlines()[0] == "My chart"
 
 
 class TestSensitivity:

@@ -1,6 +1,7 @@
 """Forge generator: determinism, coverage, and universal admissibility."""
 
-from repro.forge import ForgeConfig, ScenarioForge, audit_scenario
+from repro.forge import ScenarioForge, audit_scenario
+from repro.forge import generator
 from repro.forge.scenario import SCHEDULABLE_FAULT_KINDS
 
 SAMPLE_SEEDS = range(40)
@@ -62,9 +63,19 @@ class TestAdmission:
             assert result.ok, (seed, [f.to_dict() for f in result.findings])
 
     def test_config_bounds_are_respected(self):
-        config = ForgeConfig(min_gpus=2, max_gpus=3, min_iterations=8, max_iterations=9)
-        forge = ScenarioForge(config)
-        for seed in range(20):
-            scenario = forge.generate(seed)
-            assert 2 <= scenario.num_gpus <= 3
-            assert 8 <= scenario.iterations <= 9
+        forge = ScenarioForge()
+        scenarios = [forge.generate(seed) for seed in range(200)]
+        for scenario in scenarios:
+            assert generator.MIN_GPUS <= scenario.num_gpus <= generator.MAX_GPUS
+            assert generator.MIN_ITERATIONS <= scenario.iterations <= generator.MAX_ITERATIONS
+            assert set(scenario.fleet) <= set(generator.PROFILES)
+            assert scenario.workload.batch in generator.BATCHES
+            for spec in scenario.fault_specs:
+                assert spec.rate <= generator.MAX_FAULT_RATE
+        # The draws cover each inclusive range, ends included.
+        assert {s.num_gpus for s in scenarios} == set(
+            range(generator.MIN_GPUS, generator.MAX_GPUS + 1)
+        )
+        assert {s.iterations for s in scenarios} == set(
+            range(generator.MIN_ITERATIONS, generator.MAX_ITERATIONS + 1)
+        )

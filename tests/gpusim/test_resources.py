@@ -102,11 +102,6 @@ class TestResourceVector:
         with pytest.raises(ValueError):
             ResourceVector(0.1, 0.1).scale(-1.0)
 
-    def test_clamp(self):
-        v = ResourceVector(1.5, 0.2).clamp()
-        assert v.sm == 1.0
-        assert v.dram == pytest.approx(0.2)
-
     def test_peak(self):
         assert ResourceVector(0.3, 0.7).peak == pytest.approx(0.7)
         assert ResourceVector(0.9, 0.7).peak == pytest.approx(0.9)

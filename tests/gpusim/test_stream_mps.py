@@ -1,14 +1,18 @@
-"""Tests for the stream/MPS sharing entry points."""
+"""Tests for the stream and MPS sharing policies of the §8.1 baselines.
+
+Both baselines release every preprocessing kernel at the top of the
+iteration, so the kernels are assigned to stage 0.
+"""
 
 import pytest
 
 from repro.gpusim import (
+    MPS_POLICY,
+    STREAM_POLICY,
     GpuDevice,
     KernelDesc,
     ResourceVector,
     StageProfile,
-    run_on_low_priority_stream,
-    run_under_mps,
 )
 
 
@@ -28,29 +32,33 @@ def kernels():
     ]
 
 
+def corun(device, pipeline, kernels, policy):
+    return device.simulate_iteration(pipeline, {0: kernels}, policy=policy)
+
+
 def test_stream_completes_all_kernels(pipeline, kernels):
-    result = run_on_low_priority_stream(GpuDevice(), pipeline, kernels)
+    result = corun(GpuDevice(), pipeline, kernels, STREAM_POLICY)
     assert len(result.kernel_spans) == len(kernels)
 
 
 def test_stream_extends_training(pipeline, kernels):
     device = GpuDevice()
     base = device.run_training_standalone(pipeline)
-    result = run_on_low_priority_stream(device, pipeline, kernels)
+    result = corun(device, pipeline, kernels, STREAM_POLICY)
     assert result.total_time_us > base.total_time_us
 
 
 def test_mps_beats_stream(pipeline, kernels):
     device = GpuDevice()
-    stream = run_on_low_priority_stream(device, pipeline, kernels)
-    mps = run_under_mps(device, pipeline, kernels)
+    stream = corun(device, pipeline, kernels, STREAM_POLICY)
+    mps = corun(device, pipeline, kernels, MPS_POLICY)
     assert mps.total_time_us < stream.total_time_us
 
 
 def test_empty_kernel_list_is_noop(pipeline):
     device = GpuDevice()
     base = device.run_training_standalone(pipeline)
-    stream = run_on_low_priority_stream(device, pipeline, [])
-    mps = run_under_mps(device, pipeline, [])
+    stream = corun(device, pipeline, [], STREAM_POLICY)
+    mps = corun(device, pipeline, [], MPS_POLICY)
     assert stream.total_time_us == pytest.approx(base.total_time_us)
     assert mps.total_time_us == pytest.approx(base.total_time_us)

@@ -80,11 +80,6 @@ class TestUtilizationTrace:
         mean = t.mean_utilization(50.0, 50.0)
         assert mean.sm == 0.0
 
-    def test_shifted(self):
-        t = make_trace().shifted(1000.0)
-        assert t.t_start == 1000.0
-        assert t.t_end == 1300.0
-
     def test_extend(self):
         t = make_trace()
         other = UtilizationTrace()

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro.milp.branch_and_bound import BranchAndBoundSolver
-from repro.milp.linearize import add_binary_product, add_pairwise_products
+from repro.milp.linearize import add_binary_product
 from repro.milp.model import MilpProblem
 
 
@@ -35,17 +35,3 @@ class TestAddBinaryProduct:
         before = p.num_constraints
         add_binary_product(p, x1, x2, "y")
         assert p.num_constraints == before + 3
-
-
-class TestAddPairwiseProducts:
-    def test_pair_count(self):
-        p = MilpProblem()
-        xs = [p.add_binary(f"x{i}") for i in range(5)]
-        ys = add_pairwise_products(p, xs, "y")
-        assert len(ys) == 10
-
-    def test_empty_and_single(self):
-        p = MilpProblem()
-        assert add_pairwise_products(p, [], "y") == []
-        x = p.add_binary("x")
-        assert add_pairwise_products(p, [x], "y") == []

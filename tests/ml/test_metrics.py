@@ -4,28 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.ml.metrics import mae, mape, mse, r2_score, within_tolerance_accuracy
+from repro.ml.metrics import mape, r2_score, within_tolerance_accuracy
 
 arrays = st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=50)
 
 
 class TestBasicMetrics:
-    def test_mse(self):
-        assert mse([1, 2], [1, 4]) == pytest.approx(2.0)
-
-    def test_mae(self):
-        assert mae([1, 2], [2, 4]) == pytest.approx(1.5)
-
     def test_mape(self):
         assert mape([2, 4], [1, 2]) == pytest.approx(0.5)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            mse([1, 2], [1])
+            mape([1, 2], [1])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            mae([], [])
+            mape([], [])
 
     def test_r2_perfect(self):
         assert r2_score([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)

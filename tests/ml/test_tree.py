@@ -43,7 +43,7 @@ class TestRegressionTree:
         tree = RegressionTree(max_depth=0).fit(x, y)
         pred = tree.predict(x)
         np.testing.assert_allclose(pred, y.mean())
-        assert tree.num_nodes == 1
+        assert tree.depth == 0
 
     def test_learns_step_function(self):
         x, y = step_data()
@@ -54,7 +54,7 @@ class TestRegressionTree:
     def test_constant_target_single_leaf(self):
         x = np.random.default_rng(0).random((50, 3))
         tree = RegressionTree(max_depth=5).fit(x, np.full(50, 7.0))
-        assert tree.num_nodes == 1
+        assert tree.depth == 0
         np.testing.assert_allclose(tree.predict(x), 7.0)
 
     def test_respects_max_depth(self):
@@ -68,20 +68,13 @@ class TestRegressionTree:
         x, y = step_data(20)
         tree = RegressionTree(max_depth=10, min_samples_leaf=10).fit(x, y)
         # With 20 samples and a 10-sample floor, at most one split happens.
-        assert tree.num_nodes <= 3
+        assert tree.depth <= 1
 
     def test_predict_wrong_ndim(self):
         x, y = step_data()
         tree = RegressionTree().fit(x, y)
         with pytest.raises(ValueError):
             tree.predict(np.zeros(3))
-
-    def test_feature_split_counts(self):
-        x, y = step_data()
-        tree = RegressionTree(max_depth=3).fit(x, y)
-        counts = tree.feature_split_counts(2)
-        assert counts[0] >= 1  # the informative feature is used
-        assert counts.sum() >= 1
 
     def test_prediction_in_target_range(self):
         rng = np.random.default_rng(2)

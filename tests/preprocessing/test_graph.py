@@ -135,12 +135,6 @@ class TestGraphSet:
         assert gs.consumers() == {"table:t1", DENSE_CONSUMER}
         assert len(gs.graphs_for_consumer("table:t1")) == 1
 
-    def test_subset(self):
-        gs = GraphSet([chain_graph("a"), chain_graph("b")], rows=64)
-        sub = gs.subset(["b"])
-        assert len(sub) == 1
-        assert sub.rows == 64
-
     def test_kernels_flattened(self):
         gs = GraphSet([chain_graph("a"), chain_graph("b")], rows=64)
         assert len(gs.kernels()) == 6

@@ -261,7 +261,8 @@ class TestPinnedAnchors:
         anchor = first.save(2, SAMPLE_STATE, "{}", SAMPLE_REPORT, tag="anchor")
         first.pin(anchor)
         second = CheckpointManager(tmp_path, keep=1)
-        assert second.pinned == frozenset()
+        second.save(4, SAMPLE_STATE, "{}", SAMPLE_REPORT)
+        assert not anchor.exists()
 
     def test_latest_skips_tagged_anchors(self, tmp_path):
         """An anchor records pre-promotion state to roll back to; resuming

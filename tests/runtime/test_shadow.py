@@ -464,10 +464,10 @@ class TestResumeMidProbation:
         with pytest.raises(SimulatedKill):
             runtime.run(14, checkpoints=checkpoints, checkpoint_every=5, kill_after=6)
         anchor_name = runtime.shadow.anchor["directory"]
-        assert anchor_name in checkpoints.pinned
+        assert anchor_name in checkpoints._pinned
 
         fresh = CheckpointManager(tmp_path / "ckpts")  # pins do not persist
-        assert anchor_name not in fresh.pinned
+        assert anchor_name not in fresh._pinned
         snapshot = fresh.latest()
         shadow = ShadowPlanner(config=config)
         resumed, report, start = FaultTolerantRuntime.restore(
@@ -483,4 +483,4 @@ class TestResumeMidProbation:
         # run() re-pinned the anchor on entry; by now probation has settled
         # and the anchor was unpinned again.
         assert not shadow.in_probation
-        assert anchor_name not in fresh.pinned
+        assert anchor_name not in fresh._pinned

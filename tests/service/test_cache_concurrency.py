@@ -97,7 +97,6 @@ class TestPlanCacheConcurrency:
 
         assert _hammer(worker) == []
         assert cache.stats.hits == base_hits + THREADS * ROUNDS
-        assert cache.stats.lookups == cache.stats.hits + cache.stats.misses
 
     def test_busy_lock_degrades_to_contention_not_miss(self, tmp_path, two_plans):
         workload, graphs, plans = two_plans

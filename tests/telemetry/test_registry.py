@@ -28,7 +28,7 @@ class TestInstruments:
         g = Gauge("queue_depth")
         g.set(7.0)
         g.inc()
-        g.dec(3.0)
+        g.inc(-3.0)
         assert g.value == 5.0
 
     def test_histogram_buckets_and_sum(self):

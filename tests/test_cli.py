@@ -349,6 +349,13 @@ class TestCheckpointResume:
         err = capsys.readouterr().err
         assert err == f"rap-repro: error: {flag} must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_iterations_is_refused_before_any_output(self, count, capsys):
+        assert main([*self.BASE, "--iterations", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rap-repro: error: --iterations must be >= 1, got {count}\n"
+
     def test_resume_past_the_end_is_an_error(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
         assert main([*self.BASE, "--iterations", "8",

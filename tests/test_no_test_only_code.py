@@ -24,46 +24,24 @@ CALLER_DIRS = ("src", "examples", "benchmarks", "perfbench")
 _HARNESS = "test harness: suites in two or more test files check other code through it"
 _DESIGN = "named in DESIGN.md as part of the model it documents"
 _FIXTURE = "writes the on-disk inputs that the ingest tests and docs read"
-_SURFACE = "unit-tested library surface with no caller yet; the next deletion pass decides"
 
 ALLOWLIST: dict[str, str] = {
     "CalibratedPredictor.predict_total": _HARNESS,
-    "CheckpointManager.pinned": _SURFACE,
     "CoRunCost.is_contention_free": _HARNESS,
-    "CoRunCost.total_assigned_us": _SURFACE,
     "CoRunPolicy.effective": _HARNESS,
-    "FusionPlan.num_kernels": _SURFACE,
-    "Gauge.dec": _SURFACE,
-    "GradientBoostingRegressor.feature_importances": _SURFACE,
-    "GradientBoostingRegressor.n_trees_": _SURFACE,
     "GraphSet.consumers": _HARNESS,
     "GraphSet.graphs_for_consumer": _HARNESS,
-    "GraphSet.subset": _SURFACE,
-    "HybridSplit.num_gpu_features": _SURFACE,
     "MilpProblem.set_objective": _HARNESS,
-    "MlpArch.backward_flops": _SURFACE,
     "OverlappingCapacityEstimator.measure": _HARNESS,
-    "OverlappingCapacityEstimator.profile_stages": _SURFACE,
-    "PlanCacheStats.lookups": _SURFACE,
     "PreprocessingLatencyPredictor.predict_total": _HARNESS,
-    "RegressionTree.num_nodes": _SURFACE,
     "ResidualModel.samples_for": _DESIGN,
     "ResilienceReport.faults_by_epoch": _DESIGN,
-    "ResourceVector.clamp": _SURFACE,
-    "StageCost.slack_us": _SURFACE,
     "TelemetrySession.prometheus_text": _HARNESS,
     "TelemetrySession.record_kernel_sample": _HARNESS,
-    "UtilizationTrace.shifted": _SURFACE,
-    "add_pairwise_products": _SURFACE,
-    "ascii_bar_chart": _SURFACE,
-    "mae": _SURFACE,
     "mape": _HARNESS,
-    "mse": _SURFACE,
     "parse_prometheus_text": _DESIGN,
     "r2_score": _HARNESS,
     "resilience_from_json": _HARNESS,
-    "run_on_low_priority_stream": _SURFACE,
-    "run_under_mps": _SURFACE,
     "segment_positions": _DESIGN,
     "write_csv": _FIXTURE,
     "write_jsonl": _FIXTURE,
@@ -137,6 +115,12 @@ def test_every_public_function_has_a_non_test_caller():
         "public names that only tests reach (delete them with their tests, "
         "or allowlist them with a reason):\n  " + "\n  ".join(unused)
     )
+
+
+def test_allowlist_reasons_are_named():
+    named = {_HARNESS, _DESIGN, _FIXTURE}
+    unnamed = sorted(name for name, reason in ALLOWLIST.items() if reason not in named)
+    assert not unnamed, f"allowlisted without a named reason: {unnamed}"
 
 
 def test_allowlist_entries_exist():
