@@ -29,7 +29,6 @@ tuples and :attr:`IterationResult.trace` builds the trace on first read.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -38,7 +37,15 @@ from .kernel import KernelDesc
 from .resources import GpuSpec, ResourceVector, A100_SPEC
 from .trace import TraceSegment, UtilizationTrace
 
-__all__ = ["StageProfile", "CoRunPolicy", "KernelSpan", "StageSpan", "IterationResult", "GpuDevice"]
+__all__ = [
+    "StageProfile",
+    "StagePipeline",
+    "CoRunPolicy",
+    "KernelSpan",
+    "StageSpan",
+    "IterationResult",
+    "GpuDevice",
+]
 
 
 @dataclass(frozen=True)
@@ -55,6 +62,21 @@ class StageProfile:
 
     def leftover(self) -> ResourceVector:
         return self.utilization.headroom()
+
+    @cached_property
+    def sim_key(self) -> tuple:
+        """The fields :meth:`GpuDevice.simulate_iteration` reads, as a memo
+        key part built once per stage."""
+        return (self.name, self.duration_us, self.utilization.sm, self.utilization.dram)
+
+
+class StagePipeline(tuple):
+    """A training iteration's stages, in order: an immutable sequence of
+    :class:`StageProfile` whose memo key part is built once."""
+
+    @cached_property
+    def sim_key(self) -> tuple:
+        return tuple([stage.sim_key for stage in self])
 
 
 @dataclass(frozen=True)
@@ -84,6 +106,17 @@ class CoRunPolicy:
             raise ValueError("serialization_fraction must be in [0, 1]")
         if self.demand_inflation < 0:
             raise ValueError("demand_inflation must be non-negative")
+
+    @cached_property
+    def sim_key(self) -> tuple:
+        """Every field, as a memo key part built once per policy."""
+        return (
+            self.name,
+            self.demand_inflation,
+            self.per_kernel_overhead_us,
+            self.train_stall_us,
+            self.serialization_fraction,
+        )
 
     def effective(self, kernel: KernelDesc) -> tuple[float, ResourceVector]:
         """Return (effective duration, effective demand) under this policy."""
@@ -119,7 +152,7 @@ MPS_POLICY = CoRunPolicy(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KernelSpan:
     """Completed execution record of one kernel (possibly across stages)."""
 
@@ -134,7 +167,7 @@ class KernelSpan:
         return self.t_end - self.t_start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageSpan:
     """Completed execution record of one training stage."""
 
@@ -215,9 +248,12 @@ class _RunningKernel:
 MEMO_ENTRIES = 64
 
 
+def _last_use(item: tuple) -> int:
+    return item[1][1]
+
+
 def _kernels_key(kernels: Sequence[KernelDesc]) -> tuple:
-    """The kernel fields :meth:`GpuDevice.simulate_iteration` reads."""
-    return tuple((k.name, k.tag, k.duration_us, k.demand.sm, k.demand.dram) for k in kernels)
+    return tuple([k.sim_key for k in kernels])
 
 
 class GpuDevice:
@@ -226,7 +262,11 @@ class GpuDevice:
     def __init__(self, spec: GpuSpec = A100_SPEC, device_id: int = 0) -> None:
         self.spec = spec
         self.device_id = device_id
-        self._memo: OrderedDict[tuple, IterationResult] = OrderedDict()
+        # Key -> [result, last use]. A hit only restamps its entry, so a
+        # lookup hashes its key once; a miss past the bound evicts the
+        # entry with the oldest stamp.
+        self._memo: dict[tuple, list] = {}
+        self._uses = 0
 
     # ------------------------------------------------------------------
     # Standalone execution
@@ -274,21 +314,25 @@ class GpuDevice:
             if not 0 <= idx < len(stages):
                 raise IndexError(f"assignment to stage {idx} outside pipeline of {len(stages)} stages")
 
+        if type(stages) is not StagePipeline:
+            stages = StagePipeline(stages)
         key = (
-            tuple(stages),
-            tuple((idx, _kernels_key(ks)) for idx, ks in sorted(assignments.items())),
+            stages.sim_key,
+            tuple([(idx, _kernels_key(ks)) for idx, ks in sorted(assignments.items())]),
             _kernels_key(trailing_kernels),
-            policy,
+            policy.sim_key,
             t0,
         )
+        self._uses += 1
         memo = self._memo
-        result = memo.get(key)
-        if result is not None:
-            memo.move_to_end(key)
-            return result
-        result = memo[key] = self._simulate(stages, assignments, trailing_kernels, policy, t0)
-        if len(memo) > MEMO_ENTRIES:
-            memo.popitem(last=False)
+        entry = memo.get(key)
+        if entry is not None:
+            entry[1] = self._uses
+            return entry[0]
+        result = self._simulate(stages, assignments, trailing_kernels, policy, t0)
+        if len(memo) >= MEMO_ENTRIES:
+            del memo[min(memo.items(), key=_last_use)[0]]
+        memo[key] = [result, self._uses]
         return result
 
     @staticmethod

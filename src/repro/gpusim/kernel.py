@@ -19,6 +19,7 @@ high-capacity stages falls out of this cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping
 
 from .resources import GpuSpec, ResourceVector
@@ -74,6 +75,12 @@ class KernelDesc:
             raise ValueError(
                 f"kernel {self.name!r}: launch_us must lie within [0, duration_us]"
             )
+
+    @cached_property
+    def sim_key(self) -> tuple:
+        """The five fields the device simulator reads, as a memo key part
+        built once per kernel."""
+        return (self.name, self.tag, self.duration_us, self.demand.sm, self.demand.dram)
 
     @property
     def body_us(self) -> float:

@@ -167,15 +167,3 @@ class RegressionTree:
             go_left = x[active, feature[cur]] <= threshold[cur]
             nodes[active] = np.where(go_left, left[cur], right[cur])
         return out
-
-    @property
-    def depth(self) -> int:
-        if not self._fitted:
-            return 0
-
-        def walk(node: int) -> int:
-            if self._feature[node] < 0:
-                return 0
-            return 1 + max(walk(self._left[node]), walk(self._right[node]))
-
-        return walk(0)

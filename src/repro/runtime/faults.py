@@ -21,7 +21,7 @@ kind to the exception a real execution backend would raise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..core.planner import RapPlan
 from ..preprocessing.executor import (
@@ -31,6 +31,7 @@ from ..preprocessing.executor import (
     PreprocessingError,
     WorkerPoolError,
 )
+from .memo import IdentityMemo
 
 __all__ = [
     "KERNEL_FAILURE",
@@ -144,29 +145,32 @@ class FaultEvent:
         return cls(**data)
 
 
-def _kernel_sites(plan: RapPlan, include_trailing: bool) -> list[tuple[int, int, str]]:
-    """Every (gpu, stage, kernel-name) placement site in the plan."""
-    sites: list[tuple[int, int, str]] = []
-    for gpu, per_gpu in enumerate(plan.assignments_per_gpu):
-        for stage in sorted(per_gpu):
-            for kernel in per_gpu[stage]:
-                sites.append((gpu, stage, kernel.name))
-    if include_trailing:
-        for gpu, kernels in enumerate(plan.trailing_per_gpu):
-            for kernel in kernels:
-                sites.append((gpu, -1, kernel.name))
-    return sites
+@dataclass(frozen=True)
+class _PlanSites:
+    """A plan's ``(gpu, stage, kernel name)`` placement sites, in plan order
+    (trailing kernels at stage -1): the staged ones, those followed by the
+    trailing ones, and the staged fused ones (OOM's preferred victims)."""
 
+    staged: list[tuple[int, int, str]]
+    with_trailing: list[tuple[int, int, str]]
+    fused: list[tuple[int, int, str]]
 
-def _fused_sites(plan: RapPlan) -> list[tuple[int, int, str]]:
-    """Placement sites holding fused kernels (OOM's preferred victims)."""
-    sites: list[tuple[int, int, str]] = []
-    for gpu, per_gpu in enumerate(plan.assignments_per_gpu):
-        for stage in sorted(per_gpu):
-            for kernel in per_gpu[stage]:
-                if int(kernel.meta.get("members", 1)) > 1:
-                    sites.append((gpu, stage, kernel.name))
-    return sites
+    @classmethod
+    def of(cls, plan: RapPlan) -> "_PlanSites":
+        staged: list[tuple[int, int, str]] = []
+        fused: list[tuple[int, int, str]] = []
+        for gpu, per_gpu in enumerate(plan.assignments_per_gpu):
+            for stage in sorted(per_gpu):
+                for kernel in per_gpu[stage]:
+                    staged.append((gpu, stage, kernel.name))
+                    if int(kernel.meta.get("members", 1)) > 1:
+                        fused.append((gpu, stage, kernel.name))
+        trailing = [
+            (gpu, -1, kernel.name)
+            for gpu, kernels in enumerate(plan.trailing_per_gpu)
+            for kernel in kernels
+        ]
+        return cls(staged, staged + trailing, fused)
 
 
 @dataclass
@@ -188,6 +192,10 @@ class FaultInjector:
     specs: tuple[FaultSpec, ...] = ()
     seed: int = 0
     schedule: tuple[FaultEvent, ...] = ()
+    # Each plan's placement sites, walked once per plan object.
+    _sites: IdentityMemo[_PlanSites] = field(
+        default_factory=IdentityMemo, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.specs = tuple(self.specs)
@@ -266,10 +274,13 @@ class FaultInjector:
                 recover_after=0,
             )
 
+        plan_sites = self._sites.get((plan,), (), lambda: _PlanSites.of(plan))
         if spec.kind == FUSED_OOM:
-            sites = _fused_sites(plan) or _kernel_sites(plan, include_trailing=False)
+            sites = plan_sites.fused or plan_sites.staged
+        elif spec.kind == KERNEL_FAILURE:
+            sites = plan_sites.with_trailing
         else:
-            sites = _kernel_sites(plan, include_trailing=spec.kind == KERNEL_FAILURE)
+            sites = plan_sites.staged
         if not sites:
             return None
         gpu, stage, kernel = sites[rng.randrange(len(sites))]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from ..dlrm.stages import build_iteration_stages
 from ..dlrm.training import TrainingWorkload
-from ..gpusim.device import StageProfile
+from ..gpusim.device import StagePipeline, StageProfile
 from ..gpusim.resources import ResourceVector
 
 __all__ = [
@@ -119,7 +119,7 @@ class CarvedTrainingWorkload(TrainingWorkload):
             raise ValueError(f"share must be in (0, 1], got {self.share}")
         super().__post_init__()
 
-    def stages_for_gpu(self, gpu_id: int) -> list[StageProfile]:
+    def stages_for_gpu(self, gpu_id: int) -> StagePipeline:
         if gpu_id not in self._stage_cache:
             full = build_iteration_stages(
                 self.config,
@@ -130,7 +130,7 @@ class CarvedTrainingWorkload(TrainingWorkload):
                 interconnect=self.cluster.interconnect,
                 calibration=self.calibration,
             )
-            self._stage_cache[gpu_id] = [carve_stage(s, self.share) for s in full]
+            self._stage_cache[gpu_id] = StagePipeline(carve_stage(s, self.share) for s in full)
         return self._stage_cache[gpu_id]
 
 

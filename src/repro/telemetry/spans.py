@@ -16,7 +16,7 @@ module only decides *what* to emit and *when*.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 from .chrome import (
     counter_event,
@@ -81,6 +81,13 @@ def _span_template(result, pid: int) -> list[tuple[float, dict]]:
     return list(zip(starts, iteration_span_events(result, pid)))
 
 
+class _Spans(NamedTuple):
+    """What the trace reads of one simulated result: its span tuples."""
+
+    stage_spans: tuple
+    kernel_spans: tuple
+
+
 class Tracer:
     """Collects trace events on a monotonically advancing simulated clock.
 
@@ -91,10 +98,14 @@ class Tracer:
 
     def __init__(self) -> None:
         # In recording order: events built when recorded, and one entry per
-        # iteration, ``(iteration, t0, iteration_us, args, per-GPU results,
-        # metadata blocks of the GPUs first seen there, or None)``.
+        # iteration, ``(iteration, t0, iteration_us, args, metadata blocks
+        # of the GPUs first seen there or None, *per-GPU spans)``.
         self._items: list[dict | tuple] = []
         self._known_pids: set[int] = set()
+        # One :class:`_Spans` per distinct pair of span tuples, keyed on
+        # the tuples' ids; the record keeps both alive, so neither id can
+        # be reused. A result's other fields are not kept.
+        self._spans: dict[tuple[int, int], _Spans] = {}
         self.clock_us = 0.0
 
     def __len__(self) -> int:
@@ -103,8 +114,8 @@ class Tracer:
             if type(item) is dict:
                 count += 1
                 continue
-            _, _, _, _, results, blocks = item
-            count += 1 + sum(len(r.stage_spans) + len(r.kernel_spans) for r in results)
+            blocks = item[4]
+            count += 1 + sum(len(r.stage_spans) + len(r.kernel_spans) for r in item[5:])
             if blocks:
                 count += sum(map(len, blocks.values()))
         return count
@@ -154,24 +165,24 @@ class Tracer:
     def _walk(self, template_of: Callable[[Any, int], list]) -> Iterator[dict | tuple[list, float]]:
         """The recording in trace order: every event but the GPU spans as a
         dict, and each GPU's spans of an iteration as ``(template, t0)``,
-        where ``template_of(result, gpu)`` runs once per distinct
-        ``(GPU, result)``."""
+        where ``template_of(spans, gpu)`` runs once per distinct
+        ``(GPU, spans)``."""
         templates: dict[tuple[int, int], list] = {}
         for item in self._items:
             if type(item) is dict:
                 yield item
                 continue
-            iteration, t0, iteration_us, args, results, blocks = item
+            iteration, t0, iteration_us, args, blocks, *per_gpu = item
             yield duration_event(
                 f"iteration {iteration}", "runtime", t0, iteration_us,
                 RUNTIME_PID, RUNTIME_TID, args,
             )
-            for gpu, result in enumerate(results):
+            for gpu, spans in enumerate(per_gpu):
                 if blocks and gpu in blocks:
                     yield from blocks[gpu]
-                template = templates.get((gpu, id(result)))
+                template = templates.get((gpu, id(spans)))
                 if template is None:
-                    template = templates[gpu, id(result)] = template_of(result, gpu)
+                    template = templates[gpu, id(spans)] = template_of(spans, gpu)
                 yield template, t0
 
     # ------------------------------------------------------------------
@@ -226,18 +237,26 @@ class Tracer:
 
         The iteration's ``iteration N`` span on the runtime row encloses
         each GPU's stage/kernel spans (when simulated results are
-        available) at the iteration's start offset. The results are kept
-        by reference: a device's results are immutable. Returns the span's
-        start timestamp.
+        available) at the iteration's start offset. Only each result's span
+        tuples are kept, by reference (a device's results are immutable),
+        one record per distinct result. Returns the span's start timestamp.
         """
         if iteration_us < 0:
             name = f"iteration {iteration}"
             raise ValueError(f"duration event {name!r} has negative dur {iteration_us}")
         t0 = self.clock_us
         self.ensure_process(RUNTIME_PID, "runtime", {RUNTIME_TID: "iterations"})
-        results = tuple(per_gpu_results)
+        known = self._spans
+        spans = []
+        for result in per_gpu_results:
+            stage_spans, kernel_spans = result.stage_spans, result.kernel_spans
+            key = (id(stage_spans), id(kernel_spans))
+            record = known.get(key)
+            if record is None:
+                record = known[key] = _Spans(stage_spans, kernel_spans)
+            spans.append(record)
         blocks = None
-        for gpu in range(len(results)):
+        for gpu in range(len(spans)):
             if gpu not in self._known_pids:
                 # The block goes right before the GPU's first spans.
                 self._known_pids.add(gpu)
@@ -246,7 +265,7 @@ class Tracer:
                 blocks[gpu] = process_metadata_events(
                     gpu, f"GPU {gpu}", {0: "training", 1: "preprocessing"}
                 )
-        self._items.append((iteration, t0, iteration_us, args or None, results, blocks))
+        self._items.append((iteration, t0, iteration_us, args or None, blocks, *spans))
         self.clock_us = t0 + iteration_us
         return t0
 

@@ -13,6 +13,17 @@ def step_data(n=400, seed=0):
     return x, y
 
 
+def depth(tree: RegressionTree) -> int:
+    """Depth of a fitted tree (one leaf is depth 0), walked from its root."""
+
+    def walk(node: int) -> int:
+        if tree._feature[node] < 0:
+            return 0
+        return 1 + max(walk(tree._left[node]), walk(tree._right[node]))
+
+    return walk(0)
+
+
 class TestRegressionTree:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -43,7 +54,7 @@ class TestRegressionTree:
         tree = RegressionTree(max_depth=0).fit(x, y)
         pred = tree.predict(x)
         np.testing.assert_allclose(pred, y.mean())
-        assert tree.depth == 0
+        assert depth(tree) == 0
 
     def test_learns_step_function(self):
         x, y = step_data()
@@ -54,7 +65,7 @@ class TestRegressionTree:
     def test_constant_target_single_leaf(self):
         x = np.random.default_rng(0).random((50, 3))
         tree = RegressionTree(max_depth=5).fit(x, np.full(50, 7.0))
-        assert tree.depth == 0
+        assert depth(tree) == 0
         np.testing.assert_allclose(tree.predict(x), 7.0)
 
     def test_respects_max_depth(self):
@@ -62,13 +73,13 @@ class TestRegressionTree:
         x = rng.random((500, 4))
         y = rng.random(500)
         tree = RegressionTree(max_depth=3, min_samples_leaf=1).fit(x, y)
-        assert tree.depth <= 3
+        assert depth(tree) <= 3
 
     def test_min_samples_leaf_enforced(self):
         x, y = step_data(20)
         tree = RegressionTree(max_depth=10, min_samples_leaf=10).fit(x, y)
         # With 20 samples and a 10-sample floor, at most one split happens.
-        assert tree.depth <= 1
+        assert depth(tree) <= 1
 
     def test_predict_wrong_ndim(self):
         x, y = step_data()
