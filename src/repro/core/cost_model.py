@@ -102,18 +102,24 @@ class CoRunningCostModel:
         assignments: Mapping[int, Sequence[KernelDesc]],
         trailing: Sequence[KernelDesc] = (),
     ) -> CoRunCost:
-        """Predict the exposed preprocessing latency of a candidate schedule."""
+        """Predict the exposed preprocessing latency of a candidate schedule.
+
+        The planner prices every stage of every candidate here, so each
+        frozen :class:`StageCost` is filled directly (it validates nothing),
+        without the frozen constructor's per-field ``object.__setattr__``.
+        """
+        kernel_latency = self.kernel_latency
         costs: list[StageCost] = []
         for idx, stage in enumerate(stages):
-            kernels = assignments.get(idx, ())
-            assigned = sum(self.kernel_latency(k) for k in kernels)
-            costs.append(
-                StageCost(
-                    stage_name=stage.name,
-                    stage_index=idx,
-                    capacity_us=self.stage_capacity(stage),
-                    assigned_latency_us=assigned,
-                )
-            )
-        trailing_latency = sum(self.kernel_latency(k) for k in trailing)
+            kernels = assignments.get(idx)
+            cost = object.__new__(StageCost)
+            object.__setattr__(cost, "__dict__", {
+                "stage_name": stage.name,
+                "stage_index": idx,
+                "capacity_us": self.stage_capacity(stage),
+                "assigned_latency_us": sum([kernel_latency(k) for k in kernels]) if kernels else 0,
+            })
+            costs.append(cost)
+        trailing_latency = sum([kernel_latency(k) for k in trailing])
         return CoRunCost(stage_costs=costs, trailing_latency_us=trailing_latency)
+

@@ -22,10 +22,15 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..gpusim.kernel import KernelDesc, fuse_kernels, shard_kernel
-from ..gpusim.resources import GpuSpec, ResourceVector, A100_SPEC
+from ..gpusim.kernel import KernelDesc, fuse_kernels, new_kernel, shard_kernel
+from ..gpusim.resources import GpuSpec, ResourceVector, A100_SPEC, new_vector
 from ..milp.branch_and_bound import BranchAndBoundSolver
 from ..milp.fusion_problem import FusionAssignment, FusionInstance, solve_fusion
+from ..preprocessing.executor import (
+    DataPreparation,
+    data_preparation_from_terms,
+    data_preparation_terms,
+)
 from ..preprocessing.graph import FeatureGraph, GraphSet
 from ..preprocessing.ops import PreprocessingOp
 
@@ -89,7 +94,7 @@ class HorizontalFusionPass:
     """Turns a GPU's feature graphs into an ordered fused-kernel queue.
 
     A kernel is priced from its configuration alone (§5), so the pass, which
-    each planner owns, memoizes four things:
+    each planner owns, memoizes five things:
 
     - **Price table.** Each operator configuration's kernel (:meth:`lower`),
       keyed on the op's type, ``_params_key()``, input count, the rows and
@@ -109,6 +114,9 @@ class HorizontalFusionPass:
       instance's operator types and dependency edges. The assignment
       depends only on structure, never on latencies, so a drifted graph
       set replays its earlier solves instead of re-running the MILP.
+    - **Data-preparation terms.** Each (graph, rows)'s operator count and
+      raw input bytes (:meth:`data_preparation`), checked like a lowering
+      entry. A dense graph placed on every GPU is walked once per search.
 
     All but the structure memo hold one graph set's entries: :meth:`scope`
     drops them when a search starts on a different set. A drift builds new
@@ -132,9 +140,11 @@ class HorizontalFusionPass:
         self._prices: dict[tuple, KernelDesc] = {}
         self._lowered: dict[tuple[int, int], tuple] = {}
         self._runs: dict[tuple[int, ...], tuple[list, FusionPlan]] = {}
+        self._prep_terms: dict[tuple[int, int], tuple] = {}
 
     def scope(self, graph_set: GraphSet) -> bool:
-        """Keep price, lowering and run entries for ``graph_set`` only.
+        """Keep price, lowering, run and data-preparation entries for
+        ``graph_set`` only.
 
         Returns whether ``graph_set`` replaced another set (and the entries
         were dropped).
@@ -145,6 +155,7 @@ class HorizontalFusionPass:
         self._prices.clear()
         self._lowered.clear()
         self._runs.clear()
+        self._prep_terms.clear()
         return True
 
     def lower(self, graph: FeatureGraph, rows: int) -> tuple[KernelDesc, ...]:
@@ -159,9 +170,26 @@ class HorizontalFusionPass:
         hit = self._lowered.get(key)
         if hit is not None and hit[1] == ops and hit[2] == avg_list_length:
             return hit[3]
-        kernels = tuple(self._price(op, rows, avg_list_length) for op in ops)
+        price = self._price
+        kernels = tuple([price(op, rows, avg_list_length) for op in ops])
         self._lowered[key] = (graph, ops, avg_list_length, kernels)
         return kernels
+
+    def data_preparation(self, graphs: Sequence[FeatureGraph], rows: int) -> DataPreparation:
+        """``estimate_data_preparation(graphs, rows, self.spec)``, each
+        graph's terms taken once per rows and summed in ``graphs`` order."""
+        terms = []
+        for graph in graphs:
+            key = (id(graph), rows)
+            ops = tuple(graph.ops)
+            avg_list_length = graph.avg_list_length
+            hit = self._prep_terms.get(key)
+            if hit is None or hit[1] != ops or hit[2] != avg_list_length:
+                hit = self._prep_terms[key] = (
+                    graph, ops, avg_list_length, data_preparation_terms(graph, rows)
+                )
+            terms.append(hit[3])
+        return data_preparation_from_terms(terms, self.spec)
 
     def _price(self, op: PreprocessingOp, rows: int, avg_list_length: float) -> KernelDesc:
         """``op.gpu_kernel(rows, self.spec, avg_list_length)``, priced once
@@ -176,10 +204,10 @@ class HorizontalFusionPass:
         key = (type(op), op._params_key(), len(op.inputs), rows, avg_list_length)
         priced = self._prices.get(key)
         if priced is None:
-            priced = op.gpu_kernel(rows, self.spec, avg_list_length=avg_list_length)
+            priced = op.gpu_kernel(rows, self.spec, avg_list_length)
             self._prices[key] = priced
             return priced
-        return KernelDesc(
+        return new_kernel(
             f"{op.op_name}:{op.output}", priced.duration_us, priced.demand, priced.num_warps,
             priced.tag, priced.launch_us, priced.warp_slots, dict(priced.meta),
         )
@@ -217,20 +245,21 @@ class HorizontalFusionPass:
         return plan
 
     def _fuse(self, graphs: list[FeatureGraph], per_graph_kernels: list) -> FusionPlan:
-        instance, origin = build_fusion_instance(graphs)
+        instance, _ = build_fusion_instance(graphs)
+        # Global op indices run over the graphs' ops in order.
+        op_kernels = [kernel for kernels in per_graph_kernels for kernel in kernels]
         if not self.enabled:
             levels = instance.asap_levels()
-            order = sorted(range(len(origin)), key=lambda i: (levels[i], i))
-            kernels = [per_graph_kernels[origin[i][0]][origin[i][1]] for i in order]
-            return FusionPlan(kernels=kernels, fused=False)
+            order = sorted(range(len(op_kernels)), key=lambda i: (levels[i], i))
+            return FusionPlan(kernels=[op_kernels[i] for i in order], fused=False)
 
         assignment = self._solve_memoized(instance)
         kernels: list[KernelDesc] = []
         for op_type, step, members in assignment.ordered_groups():
-            member_kernels = [
-                per_graph_kernels[origin[i][0]][origin[i][1]] for i in members
-            ]
-            kernels.append(fuse_kernels(member_kernels, self.spec))
+            if len(members) == 1:
+                kernels.append(op_kernels[members[0]])
+            else:
+                kernels.append(fuse_kernels([op_kernels[i] for i in members], self.spec))
         return FusionPlan(kernels=kernels, assignment=assignment, fused=True)
 
 
@@ -328,41 +357,47 @@ def shard_to_fit_demand(
     shards: list[KernelDesc] = []
     for i in range(pieces - 1):
         remaining_fraction = fraction / (1.0 - i * fraction)
-        piece_us, piece_sm, piece_dram, piece_warps = _scaled_fields(
+        (piece_us, piece_sm, piece_dram, piece_warps), (duration, sm, dram, warps) = _split_fields(
             duration, sm, dram, warps, launch, slots, remaining_fraction
         )
-        shards.append(KernelDesc(
-            name + "#a", piece_us, ResourceVector(piece_sm, piece_dram), piece_warps,
+        shards.append(new_kernel(
+            name + "#a", piece_us, new_vector(piece_sm, piece_dram), piece_warps,
             kernel.tag, launch, slots, dict(meta),
         ))
-        duration, sm, dram, warps = _scaled_fields(
-            duration, sm, dram, warps, launch, slots, 1.0 - remaining_fraction
-        )
         name += "#b"
-    shards.append(KernelDesc(
-        name, duration, ResourceVector(sm, dram), warps, kernel.tag, launch, slots, meta,
+    shards.append(new_kernel(
+        name, duration, new_vector(sm, dram), warps, kernel.tag, launch, slots, meta,
     ))
     return shards
 
 
-def _scaled_fields(
+def _split_fields(
     duration: float, sm: float, dram: float, warps: int, launch: float, slots: int,
     fraction: float,
-) -> tuple[float, float, float, int]:
+) -> tuple[tuple[float, float, float, int], tuple[float, float, float, int]]:
     """``(duration_us, sm, dram, num_warps)`` of ``KernelDesc.scaled(fraction)``
-    on a kernel with these fields, computed in the same order."""
-    new_warps = max(1, int(round(warps * fraction))) if warps else 0
+    and of ``.scaled(1.0 - fraction)`` on a kernel with these fields, each in
+    ``scaled``'s operation order; the two share the body and wave floor."""
+    rest = 1.0 - fraction
     body = max(0.0, duration - launch)
     if slots > 0 and warps > 0:
-        new_body = body / max(1.0, warps / slots) * max(1.0, new_warps / slots)
-        new_sm = min(1.0, new_warps / slots)
-        dram_scale = new_sm / sm if sm > 0 else fraction
-        new_dram = min(1.0, dram * min(1.0, dram_scale))
-    else:
-        new_body = body * fraction
-        new_sm = sm * fraction
-        new_dram = dram * fraction
-    return launch + new_body, new_sm, new_dram, new_warps
+        first_warps = max(1, int(round(warps * fraction)))
+        rest_warps = max(1, int(round(warps * rest)))
+        wave_floor = body / max(1.0, warps / slots)
+        first_sm = min(1.0, first_warps / slots)
+        rest_sm = min(1.0, rest_warps / slots)
+        return (
+            (launch + wave_floor * max(1.0, first_warps / slots), first_sm,
+             min(1.0, dram * min(1.0, first_sm / sm if sm > 0 else fraction)), first_warps),
+            (launch + wave_floor * max(1.0, rest_warps / slots), rest_sm,
+             min(1.0, dram * min(1.0, rest_sm / sm if sm > 0 else rest)), rest_warps),
+        )
+    first_warps = max(1, int(round(warps * fraction))) if warps else 0
+    rest_warps = max(1, int(round(warps * rest))) if warps else 0
+    return (
+        (launch + body * fraction, sm * fraction, dram * fraction, first_warps),
+        (launch + body * rest, sm * rest, dram * rest, rest_warps),
+    )
 
 
 def fit_kernel_to_leftover(
@@ -394,17 +429,22 @@ def fit_kernel_to_leftover(
     if not members:
         return shard_to_fit_demand(kernel, leftover)
 
+    # ``ResourceVector.fits_within`` and ``+`` on plain floats, in the same
+    # operations: a demand fits when each part is <= the leftover's + 1e-12.
+    sm_room, dram_room = leftover.sm + 1e-12, leftover.dram + 1e-12
     pieces: list[KernelDesc] = []
     chunk: list[KernelDesc] = []
-    chunk_demand = ResourceVector(0.0, 0.0)
+    chunk_sm = chunk_dram = 0.0
     for member in members:
-        candidate = chunk_demand + member.demand
-        if chunk and not candidate.fits_within(leftover):
+        demand = member.demand
+        sm, dram = demand.sm, demand.dram
+        candidate_sm, candidate_dram = chunk_sm + sm, chunk_dram + dram
+        if chunk and not (candidate_sm <= sm_room and candidate_dram <= dram_room):
             pieces.append(fuse_kernels(chunk, spec) if len(chunk) > 1 else chunk[0])
             chunk = []
-            chunk_demand = ResourceVector(0.0, 0.0)
-            candidate = member.demand
-        if not member.demand.fits_within(leftover):
+            chunk_sm = chunk_dram = 0.0
+            candidate_sm, candidate_dram = sm, dram
+        if not (sm <= sm_room and dram <= dram_room):
             # Even alone the member is too wide: warp-shard it.
             shards = shard_to_fit_demand(member, leftover)
             if shards is None:
@@ -412,7 +452,7 @@ def fit_kernel_to_leftover(
             pieces.extend(shards)
             continue
         chunk.append(member)
-        chunk_demand = candidate
+        chunk_sm, chunk_dram = candidate_sm, candidate_dram
     if chunk:
         pieces.append(fuse_kernels(chunk, spec) if len(chunk) > 1 else chunk[0])
     if len(pieces) > MAX_SHARD_PIECES:

@@ -25,7 +25,7 @@ from ..dlrm.training import TrainingWorkload
 from ..gpusim.cluster import ClusterIterationResult
 from ..gpusim.kernel import KernelDesc
 from ..milp.branch_and_bound import BranchAndBoundSolver
-from ..preprocessing.executor import DataPreparation, estimate_data_preparation
+from ..preprocessing.executor import DataPreparation
 from ..preprocessing.graph import GraphSet
 from .capacity import OverlappingCapacityEstimator
 from .cost_model import CoRunningCostModel
@@ -321,7 +321,7 @@ class RapPlanner:
             if entries:
                 graphs = [g for g, _ in entries]
                 rows = max(r for _, r in entries)
-                prep.append(estimate_data_preparation(graphs, rows=rows, spec=self.workload.spec))
+                prep.append(self.fusion.data_preparation(graphs, rows))
             else:
                 prep.append(DataPreparation(0.0, 0.0, 0.0))
         return RapPlan(

@@ -97,7 +97,8 @@ class ResourceAwareScheduler:
             return schedule
 
         # Line 2-5: total predicted preprocessing latency.
-        total_latency = sum(self.cost_model.kernel_latency(k) for k in queue)
+        kernel_latency = self.cost_model.kernel_latency
+        total_latency = sum([kernel_latency(k) for k in queue])
 
         # Line 6-12: select stages by their probe-ranked capacity, highest
         # first, until the selected capacity covers the predicted
@@ -139,6 +140,7 @@ class ResourceAwareScheduler:
     ) -> dict[int, float]:
         """One greedy packing sweep over ``eligible`` stages in pipeline order."""
         capacities = [self.cost_model.stage_capacity(s) for s in stages]
+        kernel_latency, fit = self.cost_model.kernel_latency, self._fit
         for idx, stage in enumerate(stages):
             if idx not in eligible or not queue:
                 continue
@@ -151,7 +153,7 @@ class ResourceAwareScheduler:
                 kernel = queue.pop(0)
                 # Resource-aware fitting: degree-reduce / demand-shard the
                 # kernel so every piece co-runs with this stage for free.
-                pieces = self._fit(kernel, leftover)
+                pieces = fit(kernel, leftover)
                 if pieces is None:
                     # Leftover too thin for this kernel in any shape: skip
                     # the stage for it, try the next stage.
@@ -165,13 +167,13 @@ class ResourceAwareScheduler:
                 acc = 0.0
                 cut = len(pieces)
                 for i, piece in enumerate(pieces):
-                    latency = self.cost_model.kernel_latency(piece)
+                    latency = kernel_latency(piece)
                     if acc + latency > remaining:
                         cut = i
                         break
                     committed.append(piece)
                     acc += latency
-                rest = list(pieces[cut:])
+                rest = pieces[cut:]  # a copy: the fit memo's list stays as it is
                 if rest and (not committed or acc < remaining):
                     # Try latency-sharding the first leftover piece so the
                     # tail of this stage's capacity is not wasted.
@@ -180,7 +182,7 @@ class ResourceAwareScheduler:
                         first, remainder = shards
                         if first.demand.fits_within(leftover):
                             committed.append(first)
-                            acc += self.cost_model.kernel_latency(first)
+                            acc += kernel_latency(first)
                             rest[0] = remainder
                 if committed:
                     assignments.setdefault(idx, []).extend(committed)

@@ -59,9 +59,11 @@ class StageProfile:
     def __post_init__(self) -> None:
         if self.duration_us < 0:
             raise ValueError(f"stage {self.name!r} has negative duration")
+        # Built once per stage: the scheduler reads it for every stage it packs.
+        object.__setattr__(self, "_leftover", self.utilization.headroom())
 
     def leftover(self) -> ResourceVector:
-        return self.utilization.headroom()
+        return self._leftover
 
     @cached_property
     def sim_key(self) -> tuple:

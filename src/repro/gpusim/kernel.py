@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Any, Mapping
 
-from .resources import GpuSpec, ResourceVector
+from .resources import GpuSpec, ResourceVector, new_vector
 
 __all__ = ["KernelDesc", "fuse_kernels", "shard_kernel"]
 
@@ -99,11 +100,11 @@ class KernelDesc:
         """Body time of a single fully-resident wave: the sharding floor."""
         return self.body_us / self.waves
 
-    # The derivations below call the constructor directly, not
+    # The derivations below build through :func:`new_kernel`, not
     # ``dataclasses.replace``: ``__post_init__`` still validates the result,
     # without replace's per-field lookups on the scheduler's sharding path.
     def with_duration(self, duration_us: float) -> "KernelDesc":
-        return KernelDesc(
+        return new_kernel(
             self.name, duration_us, self.demand, self.num_warps, self.tag,
             self.launch_us, self.warp_slots, self.meta,
         )
@@ -118,7 +119,7 @@ class KernelDesc:
         if factor == 1.0:
             return self
         duration_us = self.duration_us * factor
-        return KernelDesc(
+        return new_kernel(
             self.name, duration_us, self.demand, self.num_warps, self.tag,
             min(self.launch_us, duration_us), self.warp_slots, self.meta,
         )
@@ -151,10 +152,45 @@ class KernelDesc:
             new_body = self.body_us * fraction
             sm = self.demand.sm * fraction
             dram = self.demand.dram * fraction
-        return KernelDesc(
-            self.name + suffix, self.launch_us + new_body, ResourceVector(sm=sm, dram=dram),
+        return new_kernel(
+            self.name + suffix, self.launch_us + new_body, new_vector(sm, dram),
             new_warps, self.tag, self.launch_us, self.warp_slots, meta,
         )
+
+
+def new_kernel(
+    name: str,
+    duration_us: float,
+    demand: ResourceVector,
+    num_warps: int,
+    tag: str,
+    launch_us: float,
+    warp_slots: int,
+    meta: Mapping[str, Any],
+) -> KernelDesc:
+    """``KernelDesc(...)`` with every field given, without the frozen
+    constructor's eight ``object.__setattr__`` calls; ``__post_init__``
+    still validates it. Pricing, renaming, fusion and sharding build their
+    kernels through it; everything else keeps the public constructor.
+
+    The fields go in as one new ``__dict__``: filling the dict that
+    ``kernel.__dict__`` materializes builds as fast but leaves every later
+    attribute read ~1.7x slower on CPython 3.11.
+    """
+    kernel = object.__new__(KernelDesc)
+    object.__setattr__(kernel, "__dict__", {
+        "name": name, "duration_us": duration_us, "demand": demand, "num_warps": num_warps,
+        "tag": tag, "launch_us": launch_us, "warp_slots": warp_slots, "meta": meta,
+    })
+    kernel.__post_init__()
+    return kernel
+
+
+_tag = attrgetter("tag")
+_name = attrgetter("name")
+_num_warps = attrgetter("num_warps")
+_sm = attrgetter("demand.sm")
+_dram = attrgetter("demand.dram")
 
 
 def fuse_kernels(kernels: list[KernelDesc], spec: GpuSpec) -> KernelDesc:
@@ -173,34 +209,31 @@ def fuse_kernels(kernels: list[KernelDesc], spec: GpuSpec) -> KernelDesc:
     """
     if not kernels:
         raise ValueError("cannot fuse an empty kernel list")
-    tags = {k.tag for k in kernels}
+    tags = set(map(_tag, kernels))
     if len(tags) != 1:
         raise ValueError(f"horizontal fusion requires a single operator type, got {sorted(tags)}")
     if len(kernels) == 1:
         return kernels[0]
 
+    # Each field is one sum() over the members in order; a hand-written
+    # accumulation would round differently where sum() compensates (3.12+).
     launch = spec.kernel_launch_us
     bodies = [k.body_us for k in kernels]
-    total_warps = sum(k.num_warps for k in kernels)
-    raw_sm = sum(k.demand.sm for k in kernels)
-    raw_dram = sum(k.demand.dram for k in kernels)
-    demand = ResourceVector(sm=min(1.0, raw_sm), dram=min(1.0, raw_dram))
+    total_warps = sum(map(_num_warps, kernels))
+    raw_sm = sum(map(_sm, kernels))
+    raw_dram = sum(map(_dram, kernels))
+    demand = new_vector(min(1.0, raw_sm), min(1.0, raw_dram))
     stretch = max(1.0, raw_sm, raw_dram)
     concurrent = max(bodies)
     serial = sum(bodies)
     body = min(serial, concurrent * stretch)
     tag = kernels[0].tag
-    total_rows = sum(int(k.meta.get("rows", 0)) for k in kernels)
-    return KernelDesc(
-        name=f"fused_{tag}_x{len(kernels)}",
-        duration_us=launch + body,
-        demand=demand,
-        num_warps=total_warps,
-        tag=tag,
-        launch_us=launch,
-        warp_slots=spec.total_warp_slots,
-        meta={
-            "fused": [k.name for k in kernels],
+    total_rows = sum([int(k.meta.get("rows", 0)) for k in kernels])
+    return new_kernel(
+        f"fused_{tag}_x{len(kernels)}", launch + body, demand, total_warps, tag, launch,
+        spec.total_warp_slots,
+        {
+            "fused": list(map(_name, kernels)),
             "members": len(kernels),
             "rows": total_rows,
             "member_kernels": tuple(kernels),

@@ -13,8 +13,7 @@ utilization against a :class:`GpuSpec`.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "GpuSpec",
@@ -47,16 +46,18 @@ class GpuSpec:
     nvlink_bw_gbps: float = 300.0
     pcie_bw_gbps: float = 32.0
     kernel_launch_us: float = 5.0
+    #: Maximum number of resident warps across all SMs.
+    total_warp_slots: int = field(init=False, repr=False, compare=False)
+    #: DRAM bandwidth expressed in bytes per microsecond.
+    dram_bytes_per_us: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def total_warp_slots(self) -> int:
-        """Maximum number of resident warps across all SMs."""
-        return self.num_sms * self.warps_per_sm
-
-    @property
-    def dram_bytes_per_us(self) -> float:
-        """DRAM bandwidth expressed in bytes per microsecond."""
-        return self.dram_bw_gbps * 1e9 / 1e6
+    def __post_init__(self) -> None:
+        # The spec is frozen, so its two derived values are set once here:
+        # pricing, fusion, sharding and the cost model read them per kernel.
+        # (A cached_property would store them in a materialized instance
+        # dict, which slows every later field read on CPython 3.11.)
+        object.__setattr__(self, "total_warp_slots", self.num_sms * self.warps_per_sm)
+        object.__setattr__(self, "dram_bytes_per_us", self.dram_bw_gbps * 1e9 / 1e6)
 
     def h2d_time_us(self, nbytes: float) -> float:
         """Host-to-device copy time over PCIe for ``nbytes`` bytes."""
@@ -137,19 +138,21 @@ class ResourceVector:
     dram: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.sm < 0 or self.dram < 0:
+        sm, dram = self.sm, self.dram
+        if sm >= 0 and dram >= 0:  # false for a NaN as well
+            return
+        if sm < 0 or dram < 0:
             raise ValueError(f"resource fractions must be non-negative, got {self}")
-        if math.isnan(self.sm) or math.isnan(self.dram):
-            raise ValueError("resource fractions must not be NaN")
+        raise ValueError("resource fractions must not be NaN")
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(self.sm + other.sm, self.dram + other.dram)
+        return new_vector(self.sm + other.sm, self.dram + other.dram)
 
     def scale(self, factor: float) -> "ResourceVector":
         """Return a copy with both components multiplied by ``factor``."""
         if factor < 0:
             raise ValueError("scale factor must be non-negative")
-        return ResourceVector(self.sm * factor, self.dram * factor)
+        return new_vector(self.sm * factor, self.dram * factor)
 
     @property
     def peak(self) -> float:
@@ -158,7 +161,7 @@ class ResourceVector:
 
     def headroom(self) -> "ResourceVector":
         """Leftover capacity if this vector describes current utilization."""
-        return ResourceVector(max(0.0, 1.0 - self.sm), max(0.0, 1.0 - self.dram))
+        return new_vector(max(0.0, 1.0 - self.sm), max(0.0, 1.0 - self.dram))
 
     def fits_within(self, available: "ResourceVector") -> bool:
         """True when this demand fits inside ``available`` without contention."""
@@ -166,6 +169,18 @@ class ResourceVector:
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.sm, self.dram)
+
+
+def new_vector(sm: float, dram: float) -> ResourceVector:
+    """``ResourceVector(sm, dram)`` without the frozen constructor's
+    per-field ``object.__setattr__`` calls; ``__post_init__`` still
+    validates it. For the planner's per-kernel paths. The fields go in as
+    one new ``__dict__``, which keeps attribute reads as fast as on a
+    constructor-built vector (see :func:`repro.gpusim.kernel.new_kernel`)."""
+    vector = object.__new__(ResourceVector)
+    object.__setattr__(vector, "__dict__", {"sm": sm, "dram": dram})
+    vector.__post_init__()
+    return vector
 
 
 IDLE = ResourceVector(0.0, 0.0)

@@ -30,6 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -87,8 +88,10 @@ class FusionInstance:
         while frontier:
             node = frontier.pop()
             seen += 1
+            deeper = level[node] + 1
             for nxt in succ[node]:
-                level[nxt] = max(level[nxt], level[node] + 1)
+                if deeper > level[nxt]:
+                    level[nxt] = deeper
                 indeg[nxt] -= 1
                 if indeg[nxt] == 0:
                     frontier.append(nxt)
@@ -142,16 +145,19 @@ class FusionAssignment:
     def groups(self) -> dict[tuple[str, int], list[int]]:
         """Fusion groups: (op type, time step) -> member op indices."""
         out: dict[tuple[str, int], list[int]] = {}
-        for idx, step in enumerate(self.steps):
-            key = (self.instance.op_types[idx], step)
-            out.setdefault(key, []).append(idx)
+        for idx, key in enumerate(zip(self.instance.op_types, self.steps)):
+            members = out.get(key)
+            if members is None:
+                out[key] = [idx]
+            else:
+                members.append(idx)
         return out
 
     def ordered_groups(self) -> list[tuple[str, int, list[int]]]:
         """Groups sorted by time step (the execution order of fused kernels)."""
         return sorted(
-            ((t, s, members) for (t, s), members in self.groups().items()),
-            key=lambda item: (item[1], item[0]),
+            [(t, s, members) for (t, s), members in self.groups().items()],
+            key=_step_then_type,
         )
 
     def fused_pair_count(self) -> int:
@@ -164,6 +170,9 @@ class FusionAssignment:
 
     def max_fusion_degree(self) -> int:
         return max((len(m) for m in self.groups().values()), default=0)
+
+
+_step_then_type = itemgetter(1, 0)
 
 
 # ----------------------------------------------------------------------
@@ -188,29 +197,50 @@ def _local_improve(instance: FusionInstance, steps: list[int], max_rounds: int =
     step of its window with the largest positive gain. A step with no op of
     the same type never gains (the move would only lose pairs), so only the
     occupied steps of the op's type are scanned, in ascending order, from
-    per-type step counts.
+    per-type step counts that the sweep keeps current.
+
+    An op's outcome depends only on its own step, its neighbours' steps
+    (its window) and its type's step counts. An op that stayed put is
+    therefore skipped until one of its neighbours or another op of its
+    type moves: ``settled[op]`` holds its type's move count when it last
+    stayed put, and a move clears its neighbours' entries. The moves, their
+    tie-breaks and the round count are those of scanning every op.
     """
     steps = list(steps)
+    step_of = steps.__getitem__
     pred = instance.predecessors()
     succ = instance.successors()
     op_types = instance.op_types
     max_step = max(steps) + 1 if steps else 0
 
+    counts: dict[str, dict[int, int]] = {}
+    for op_type, step in zip(op_types, steps):
+        per_step = counts.setdefault(op_type, {})
+        per_step[step] = per_step.get(step, 0) + 1
+    occupied = {op_type: sorted(per_step) for op_type, per_step in counts.items()}
+    moves = dict.fromkeys(counts, 0)
+    settled: list[int | None] = [None] * len(steps)
     for _ in range(max_rounds):
         improved = False
-        counts: dict[str, dict[int, int]] = {}
-        for op_type, step in zip(op_types, steps):
-            per_step = counts.setdefault(op_type, {})
-            per_step[step] = per_step.get(step, 0) + 1
-        occupied = {op_type: sorted(per_step) for op_type, per_step in counts.items()}
         for op, op_type in enumerate(op_types):
+            moved = moves[op_type]
+            if settled[op] == moved:
+                continue
+            settled[op] = moved
             type_steps = occupied[op_type]
-            current = steps[op]
             if len(type_steps) == 1:
                 continue  # every op of this type shares the op's step
+            current = steps[op]
             before, after = pred[op], succ[op]
-            lo = max([steps[p] for p in before]) + 1 if before else 0
-            hi = min([steps[s] for s in after]) - 1 if after else max_step
+            # Most ops have at most one predecessor and one successor.
+            if len(before) == 1:
+                lo = steps[before[0]] + 1
+            else:
+                lo = max(map(step_of, before)) + 1 if before else 0
+            if len(after) == 1:
+                hi = steps[after[0]] - 1
+            else:
+                hi = min(map(step_of, after)) - 1 if after else max_step
             if lo > hi:
                 continue
             per_step = counts[op_type]
@@ -231,6 +261,11 @@ def _local_improve(instance: FusionInstance, steps: list[int], max_rounds: int =
                     type_steps.remove(current)
                 per_step[best_step] += 1
                 steps[op] = best_step
+                moves[op_type] = moved + 1
+                for neighbour in before:
+                    settled[neighbour] = None
+                for neighbour in after:
+                    settled[neighbour] = None
                 improved = True
         if not improved:
             break

@@ -132,6 +132,26 @@ def _graph_raw_bytes(graph: FeatureGraph, rows: int) -> float:
     return dense_bytes + sparse_bytes
 
 
+def data_preparation_terms(graph: FeatureGraph, rows: int) -> tuple[int, float]:
+    """One graph's ``(operators, raw input bytes)`` at ``rows``: the terms
+    :func:`estimate_data_preparation` sums over a GPU's graphs."""
+    return graph.num_ops, _graph_raw_bytes(graph, rows)
+
+
+def data_preparation_from_terms(
+    terms: list[tuple[int, float]], spec: GpuSpec = A100_SPEC
+) -> DataPreparation:
+    """The preparation cost of graphs with these :func:`data_preparation_terms`,
+    summed in the order given."""
+    total_ops = sum(ops for ops, _ in terms)
+    raw_bytes = sum(nbytes for _, nbytes in terms)
+    return DataPreparation(
+        alloc_us=_ALLOC_US_PER_TENSOR * total_ops,
+        h2d_copy_us=spec.h2d_time_us(raw_bytes),
+        dispatch_us=_HOST_DISPATCH_US_PER_OP * total_ops,
+    )
+
+
 def estimate_data_preparation(
     graphs: list[FeatureGraph] | GraphSet,
     rows: int | None = None,
@@ -151,10 +171,4 @@ def estimate_data_preparation(
         graph_list = list(graphs)
         if rows is None:
             raise ValueError("rows is required when passing a plain graph list")
-    total_ops = sum(g.num_ops for g in graph_list)
-    raw_bytes = sum(_graph_raw_bytes(g, rows) for g in graph_list)
-    return DataPreparation(
-        alloc_us=_ALLOC_US_PER_TENSOR * total_ops,
-        h2d_copy_us=spec.h2d_time_us(raw_bytes),
-        dispatch_us=_HOST_DISPATCH_US_PER_OP * total_ops,
-    )
+    return data_preparation_from_terms([data_preparation_terms(g, rows) for g in graph_list], spec)

@@ -94,10 +94,7 @@ class FeatureGraph:
     def raw_inputs(self) -> set[str]:
         """Raw batch columns the graph reads (not produced by any of its ops)."""
         produced = {op.output for op in self.ops}
-        needed: set[str] = set()
-        for op in self.ops:
-            needed.update(col for col in op.inputs if col not in produced)
-        return needed
+        return {col for op in self.ops for col in op.inputs if col not in produced}
 
     def op_type_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}

@@ -28,8 +28,8 @@ from typing import Any, Callable, ClassVar, Sequence
 
 import numpy as np
 
-from ..gpusim.kernel import KernelDesc
-from ..gpusim.resources import GpuSpec, ResourceVector, A100_SPEC, warps_to_sm_fraction
+from ..gpusim.kernel import KernelDesc, new_kernel
+from ..gpusim.resources import GpuSpec, A100_SPEC, new_vector, warps_to_sm_fraction
 from .data import (
     Batch,
     DenseColumn,
@@ -454,7 +454,11 @@ class PreprocessingOp:
         return rows * avg_list_length * len(self.inputs)
 
     def output_bytes(self, rows: int, avg_list_length: float = 2.0) -> float:
-        return self.work_elements(rows, avg_list_length) * self.bytes_per_elem
+        return self._bytes_written(rows, self.work_elements(rows, avg_list_length))
+
+    def _bytes_written(self, rows: int, work: float) -> float:
+        """Output bytes given the op's ``work_elements`` at ``rows``."""
+        return work * self.bytes_per_elem
 
     def _params_key(self) -> tuple:
         """Operator parameters that influence latency (noise + predictor)."""
@@ -473,8 +477,7 @@ class PreprocessingOp:
         return self._params_key()
 
     def num_warps(self, rows: int, avg_list_length: float = 2.0) -> int:
-        work = self.work_elements(rows, avg_list_length)
-        return max(1, math.ceil(work / _ELEMS_PER_WARP))
+        return max(1, math.ceil(self.work_elements(rows, avg_list_length) / _ELEMS_PER_WARP))
 
     def gpu_kernel(
         self,
@@ -483,31 +486,33 @@ class PreprocessingOp:
         avg_list_length: float = 2.0,
         name: str | None = None,
     ) -> KernelDesc:
-        """Lower this operator to a resource-annotated simulated kernel."""
+        """Lower this operator to a resource-annotated simulated kernel.
+
+        ``work_elements`` is computed once and feeds the warp count and the
+        written bytes, in the same float operations as :meth:`num_warps`
+        and :meth:`output_bytes`.
+        """
         work = self.work_elements(rows, avg_list_length)
-        warps = self.num_warps(rows, avg_list_length)
+        warps = max(1, math.ceil(work / _ELEMS_PER_WARP))
+        slots = spec.total_warp_slots
+        launch_us = spec.kernel_launch_us
         sm_frac = warps_to_sm_fraction(warps, spec)
-        occupancy = max(warps / spec.total_warp_slots, 1e-4)
+        occupancy = max(warps / slots, 1e-4)
         compute_us = work / (self.gpu_elems_per_us * min(1.0, occupancy))
-        write_us = self.output_bytes(rows, avg_list_length) / spec.dram_bytes_per_us
+        write_us = self._bytes_written(rows, work) / spec.dram_bytes_per_us
         body_us = max(compute_us, write_us)
-        noise = _config_noise((self.op_name, rows, round(avg_list_length, 3)) + self._params_key())
-        duration = spec.kernel_launch_us + body_us * noise
-        dram_frac = self.dram_intensity * min(1.0, warps / (spec.total_warp_slots * _MEM_SATURATION_FRACTION))
-        return KernelDesc(
-            name=name or f"{self.op_name}:{self.output}",
-            duration_us=duration,
-            demand=ResourceVector(sm=sm_frac, dram=dram_frac),
-            num_warps=warps,
-            tag=self.op_name,
-            launch_us=spec.kernel_launch_us,
-            warp_slots=spec.total_warp_slots,
-            meta={
-                "rows": rows,
-                "avg_list_length": avg_list_length,
-                "params": self._params_key(),
-                "members": 1,
-            },
+        params = self._params_key()
+        noise = _config_noise((self.op_name, rows, round(avg_list_length, 3)) + params)
+        dram_frac = self.dram_intensity * min(1.0, warps / (slots * _MEM_SATURATION_FRACTION))
+        return new_kernel(
+            name or f"{self.op_name}:{self.output}",
+            launch_us + body_us * noise,
+            new_vector(sm_frac, dram_frac),
+            warps,
+            self.op_name,
+            launch_us,
+            slots,
+            {"rows": rows, "avg_list_length": avg_list_length, "params": params, "members": 1},
         )
 
     def cpu_latency_us(self, rows: int, avg_list_length: float = 2.0) -> float:
@@ -590,7 +595,7 @@ class Onehot(PreprocessingOp):
     def _params_key(self) -> tuple:
         return (self.num_classes,)
 
-    def output_bytes(self, rows: int, avg_list_length: float = 2.0) -> float:
+    def _bytes_written(self, rows: int, work: float) -> float:
         # The encoding writes one byte per class per row before compaction.
         return float(rows) * self.num_classes
 
