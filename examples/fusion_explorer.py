@@ -57,7 +57,7 @@ def main() -> None:
     # --- Plan-scale heuristic fusion ------------------------------------
     for plan_id in (1, 2, 3):
         graphs, _ = build_plan(plan_id, rows=4096)
-        instance, _ = build_fusion_instance(list(graphs))
+        instance = build_fusion_instance(list(graphs))
         start = time.perf_counter()
         assignment = solve_fusion(instance)  # auto: heuristic at this size
         elapsed = time.perf_counter() - start

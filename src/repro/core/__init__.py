@@ -22,7 +22,6 @@ from .fusion import (
     FusionPlan,
     HorizontalFusionPass,
     build_fusion_instance,
-    shard_by_latency,
     shard_to_fit_demand,
 )
 from .scheduler import CoRunSchedule, ResourceAwareScheduler
@@ -75,7 +74,6 @@ __all__ = [
     "FusionPlan",
     "HorizontalFusionPass",
     "build_fusion_instance",
-    "shard_by_latency",
     "shard_to_fit_demand",
     "CoRunSchedule",
     "ResourceAwareScheduler",

@@ -7,13 +7,13 @@ fusion plan, and the resulting fusion groups are materialized as fused
 :class:`KernelDesc` objects in time-step order -- the ``Fused_Kernels``
 queue consumed by Algorithm 1.
 
-Also provides the two sharding primitives of §6.2:
-
-- :func:`shard_by_latency` -- split a kernel so its first piece fits a
-  remaining overlapping-capacity budget (Algorithm 1, lines 21-26).
-- :func:`shard_to_fit_demand` -- split a kernel into equal pieces whose
-  individual resource demand fits a training stage's leftover, avoiding
-  contention entirely (the "resource-aware" part of fused-kernel sharding).
+Also provides the resource-aware sharding of §6.2:
+:func:`fit_kernel_to_leftover` reduces a fused kernel's degree, and
+:func:`shard_to_fit_demand` splits a kernel into equal pieces whose
+individual resource demand fits a training stage's leftover, avoiding
+contention entirely. The scheduler commits the prefix of those pieces that
+fits a stage's remaining capacity and pushes the rest back onto the queue:
+that is Algorithm 1's shard step (lines 21-26).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..gpusim.kernel import KernelDesc, fuse_kernels, new_kernel, shard_kernel
+from ..gpusim.kernel import KernelDesc, fuse_kernels, new_kernel
 from ..gpusim.resources import GpuSpec, ResourceVector, A100_SPEC, new_vector
 from ..milp.branch_and_bound import BranchAndBoundSolver
 from ..milp.fusion_problem import FusionAssignment, FusionInstance, solve_fusion
@@ -38,7 +38,6 @@ __all__ = [
     "FusionPlan",
     "HorizontalFusionPass",
     "build_fusion_instance",
-    "shard_by_latency",
     "shard_to_fit_demand",
     "fit_kernel_to_leftover",
 ]
@@ -46,27 +45,20 @@ __all__ = [
 #: Most pieces a kernel is split into to fit a stage's leftover; each piece
 #: pays a launch, so unbounded splitting is counterproductive.
 MAX_SHARD_PIECES = 64
-#: Smallest fraction of a kernel worth peeling off into a stage's capacity.
-MIN_SHARD_FRACTION = 0.05
 
 
-def build_fusion_instance(graphs: Sequence[FeatureGraph]) -> tuple[FusionInstance, list[tuple[int, int]]]:
-    """Lower feature graphs to one fusion instance with global op indices.
-
-    Returns the instance and a map from global op index to
-    ``(graph_index, op_index_within_graph)``.
-    """
+def build_fusion_instance(graphs: Sequence[FeatureGraph]) -> FusionInstance:
+    """Lower feature graphs to one fusion instance with global op indices:
+    the graphs' ops in order, each graph's edges offset by its first op."""
     op_types: list[str] = []
     deps: list[tuple[int, int]] = []
-    origin: list[tuple[int, int]] = []
-    for g_idx, graph in enumerate(graphs):
+    for graph in graphs:
         base = len(op_types)
-        for o_idx, op in enumerate(graph.ops):
+        for op in graph.ops:
             op_types.append(op.op_name)
-            origin.append((g_idx, o_idx))
         for src, dst in graph.edges:
             deps.append((base + src, base + dst))
-    return FusionInstance(op_types=op_types, deps=deps), origin
+    return FusionInstance(op_types=op_types, deps=deps)
 
 
 @dataclass(frozen=True)
@@ -245,7 +237,7 @@ class HorizontalFusionPass:
         return plan
 
     def _fuse(self, graphs: list[FeatureGraph], per_graph_kernels: list) -> FusionPlan:
-        instance, _ = build_fusion_instance(graphs)
+        instance = build_fusion_instance(graphs)
         # Global op indices run over the graphs' ops in order.
         op_kernels = [kernel for kernels in per_graph_kernels for kernel in kernels]
         if not self.enabled:
@@ -263,35 +255,7 @@ class HorizontalFusionPass:
         return FusionPlan(kernels=kernels, assignment=assignment, fused=True)
 
 
-def shard_by_latency(
-    kernel: KernelDesc, capacity_us: float
-) -> tuple[KernelDesc, KernelDesc] | None:
-    """Split ``kernel`` so the first shard's latency is about ``capacity_us``.
-
-    Returns ``None`` when the capacity admits less than ``MIN_SHARD_FRACTION`` of
-    the kernel (sharding overhead would dominate) -- the caller should move
-    on to the next training stage instead, exactly like Algorithm 1 pushes
-    the remainder back onto the queue.
-    """
-    if kernel.duration_us <= 0:
-        return None
-    if kernel.warp_slots > 0 and kernel.waves <= 1.0:
-        # A single-wave kernel cannot be made shorter by splitting: both
-        # shards would keep the full wave-floor body and add a launch.
-        return None
-    fraction = capacity_us / kernel.duration_us
-    if fraction >= 1.0:
-        return None
-    if fraction < MIN_SHARD_FRACTION:
-        return None
-    return shard_kernel(kernel, fraction)
-
-
-def shard_to_fit_demand(
-    kernel: KernelDesc,
-    leftover: ResourceVector,
-    max_pieces: int = MAX_SHARD_PIECES,
-) -> list[KernelDesc] | None:
+def shard_to_fit_demand(kernel: KernelDesc, leftover: ResourceVector) -> list[KernelDesc] | None:
     """Split ``kernel`` into equal pieces whose demand fits ``leftover``.
 
     This is what makes the schedule *contention-free* on the device: a
@@ -304,15 +268,15 @@ def shard_to_fit_demand(
     The shards report their true inflated durations and the scheduler
     prices them against stage capacity -- hiding inflated work is still a
     win over exposing the un-inflated kernel. Returns ``None`` when the
-    leftover is so thin that more than ``max_pieces`` pieces would be
-    needed (each piece also pays launch overhead, so unbounded splitting
-    is counterproductive).
+    leftover is so thin that more than ``MAX_SHARD_PIECES`` pieces would
+    be needed.
 
-    The pieces equal, field for field, the chain of :func:`shard_kernel`
-    calls that peels one equal piece off the remainder at a time (names
-    ``#a``, ``#b#a``, ..., ``#b#b..#b``; ``meta`` without
-    ``member_kernels``). The chain's intermediate remainders are never
-    built: only the returned pieces are.
+    The pieces are peeled off the kernel one at a time, each an equal
+    share of the whole split off what the earlier pieces left
+    (:func:`_split_fields`); the last piece is the final remainder. They
+    are named ``#a``, ``#b#a``, ..., ``#b#b..#b`` and carry ``meta``
+    without ``member_kernels``. The remainders are never built: only the
+    returned pieces are.
     """
     sm_demand, dram_demand = kernel.demand.sm, kernel.demand.dram
     if sm_demand <= leftover.sm + 1e-12 and dram_demand <= leftover.dram + 1e-12:
@@ -338,17 +302,16 @@ def shard_to_fit_demand(
                   leftover.dram / dram_demand if dram_demand > 0 else math.inf]
         ratio = min(ratios)
         # A ratio so small that 1 / ratio overflows needs too many pieces too.
-        if ratio <= 0.0 or 1.0 / ratio > max_pieces:
+        if ratio <= 0.0 or 1.0 / ratio > MAX_SHARD_PIECES:
             return None
         pieces = math.ceil(1.0 / ratio)
-    if pieces > max_pieces:
+    if pieces > MAX_SHARD_PIECES:
         return None
     if pieces == 1:
         return [kernel]
-    # The pieces of the chain ``first, rest = shard_kernel(rest, f / (1 - i f))``:
-    # piece i is ``rest_i.scaled(.., "#a")`` and the last piece is the final
-    # remainder. The intermediate remainders are carried as plain fields, in
-    # ``KernelDesc.scaled``'s operation order, instead of being built.
+    # Piece i takes f / (1 - i f) of the remainder the earlier pieces left
+    # and is named ``#a``; the remainder goes on as ``#b``. Each remainder is
+    # carried as plain fields instead of being built.
     fraction = 1.0 / pieces
     meta = {k: v for k, v in kernel.meta.items() if k != "member_kernels"} if kernel.meta else {}
     launch, slots = kernel.launch_us, kernel.warp_slots
@@ -375,9 +338,19 @@ def _split_fields(
     duration: float, sm: float, dram: float, warps: int, launch: float, slots: int,
     fraction: float,
 ) -> tuple[tuple[float, float, float, int], tuple[float, float, float, int]]:
-    """``(duration_us, sm, dram, num_warps)`` of ``KernelDesc.scaled(fraction)``
-    and of ``.scaled(1.0 - fraction)`` on a kernel with these fields, each in
-    ``scaled``'s operation order; the two share the body and wave floor."""
+    """Split a kernel with these fields into ``fraction`` of its work and the
+    rest; returns each part's ``(duration_us, sm, dram, num_warps)``.
+
+    Each part launches its share of the warps (rounded, at least one; none
+    for a kernel without warps) and pays a full launch. With warp slots
+    known, a part's body is the kernel's one-wave body (the wave floor)
+    times the part's own wave count, never below one wave, so a sub-wave
+    part is no faster than a full wave. Its SM demand is its warps over the
+    slots, at most 1, and its DRAM demand scales by its SM demand over the
+    kernel's (by its fraction when the kernel demands no SM), never above
+    the kernel's. Without slots or warps, the body and both demands scale
+    by the fraction.
+    """
     rest = 1.0 - fraction
     body = max(0.0, duration - launch)
     if slots > 0 and warps > 0:
@@ -403,7 +376,7 @@ def _split_fields(
 def fit_kernel_to_leftover(
     kernel: KernelDesc,
     leftover: ResourceVector,
-    spec: GpuSpec = A100_SPEC,
+    spec: GpuSpec,
 ) -> list[KernelDesc] | None:
     """Make ``kernel`` co-runnable within ``leftover``, the paper's way.
 

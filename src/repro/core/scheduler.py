@@ -8,14 +8,24 @@ preprocessing latency:
 2. Sort stages by overlapping capacity, selecting from the highest until
    the selected capacity covers the predicted total.
 3. Walk the pipeline in execution order; at each selected stage, pack
-   kernels from the queue front while capacity remains, sharding the first
-   kernel that does not fit (lines 21-26) and pushing the remainder back.
+   kernels from the queue front while capacity remains.
 4. Kernels the pipeline cannot absorb become trailing (exposed) work.
 
-On top of the paper's pseudocode, every kernel placed into a stage is
-demand-sharded to fit the stage's leftover resources
-(:func:`repro.core.fusion.shard_to_fit_demand`), which is what guarantees
-the placement is contention-free on the simulated device.
+Each kernel is first fitted to the stage's leftover resources: a fused
+kernel's degree is reduced, and a kernel still too wide is demand-sharded
+into equal pieces (:func:`repro.core.fusion.fit_kernel_to_leftover`), which
+keeps the placement contention-free on the simulated device. The stage
+takes the longest prefix of those pieces its remaining capacity admits and
+the rest goes back to the queue front. That prefix commit is Algorithm 1's
+shard step (lines 21-26): place the part that fits, push back the rest.
+
+The paper's step splits a kernel by latency, which shortens a piece only
+while the kernel spans more than one wave of the device's warp slots.
+Every piece placed here is single-wave. A training stage uses at least
+8% of the SMs, so no leftover reaches a whole SM; a piece's SM demand is
+min(1, warps / slots), so a piece that fits has fewer warps than slots.
+A latency split of it would give two pieces of the same wave-floor body,
+each paying a launch (``tests/core/test_single_wave_placement.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from ..gpusim.device import StageProfile
 from ..gpusim.kernel import KernelDesc
 from ..gpusim.resources import ResourceVector
 from .cost_model import CoRunCost, CoRunningCostModel
-from .fusion import fit_kernel_to_leftover, shard_by_latency
+from .fusion import fit_kernel_to_leftover
 
 __all__ = ["CoRunSchedule", "ResourceAwareScheduler"]
 
@@ -69,8 +79,8 @@ class ResourceAwareScheduler:
         """:func:`fit_kernel_to_leftover`, fitted once per kernel and leftover.
 
         The entry holds the kernel, so no other kernel can take its ``id``
-        while it lives; ``_pack`` copies the returned list before editing
-        it. A kernel that already fits is returned without an entry.
+        while it lives; ``_pack`` only slices the returned list. A kernel
+        that already fits is returned without an entry.
         """
         if kernel.demand.fits_within(leftover):
             return [kernel]
@@ -160,10 +170,9 @@ class ResourceAwareScheduler:
                     queue.insert(0, kernel)
                     break
                 # Commit the maximal prefix of pieces the remaining capacity
-                # admits (lines 21-26: shard, place what fits, push back the
-                # rest). Piece latencies are the true (possibly inflated)
-                # costs, so capacity accounting stays honest.
-                committed: list[KernelDesc] = []
+                # admits (lines 21-26: place what fits, push back the rest).
+                # Piece latencies are the true (possibly inflated) costs, so
+                # capacity accounting stays honest.
                 acc = 0.0
                 cut = len(pieces)
                 for i, piece in enumerate(pieces):
@@ -171,29 +180,14 @@ class ResourceAwareScheduler:
                     if acc + latency > remaining:
                         cut = i
                         break
-                    committed.append(piece)
                     acc += latency
-                rest = pieces[cut:]  # a copy: the fit memo's list stays as it is
-                if rest and (not committed or acc < remaining):
-                    # Try latency-sharding the first leftover piece so the
-                    # tail of this stage's capacity is not wasted.
-                    shards = shard_by_latency(rest[0], remaining - acc)
-                    if shards is not None:
-                        first, remainder = shards
-                        if first.demand.fits_within(leftover):
-                            committed.append(first)
-                            acc += kernel_latency(first)
-                            rest[0] = remainder
-                if committed:
-                    assignments.setdefault(idx, []).extend(committed)
+                if cut:
+                    assignments.setdefault(idx, []).extend(pieces[:cut])
                     used += acc
-                if rest:
+                if cut < len(pieces):
                     # Push leftover pieces back for the next stage.
-                    queue[0:0] = rest
-                    if not committed:
+                    queue[0:0] = pieces[cut:]
+                    if not cut:
                         break
-                    if len(rest) == len(pieces):
-                        break
-                    continue
             used_per_stage[idx] = used
         return used_per_stage

@@ -9,8 +9,8 @@ Public surface
 --------------
 - :class:`GpuSpec`, :data:`A100_SPEC`, :class:`ResourceVector` -- hardware
   description and demand arithmetic.
-- :class:`KernelDesc`, :func:`fuse_kernels`, :func:`shard_kernel` -- work
-  units and the horizontal-fusion / sharding primitives.
+- :class:`KernelDesc`, :func:`fuse_kernels` -- work units and the
+  horizontal-fusion primitive.
 - :class:`StageProfile`, :class:`GpuDevice`, :class:`CoRunPolicy`,
   :class:`IterationResult` -- single-GPU co-running simulation.
 - :class:`MultiGpuCluster`, :class:`Interconnect` -- multi-GPU composition.
@@ -27,7 +27,7 @@ from .resources import (
     resolve_profile,
     warps_to_sm_fraction,
 )
-from .kernel import KernelDesc, fuse_kernels, shard_kernel
+from .kernel import KernelDesc, fuse_kernels
 from .trace import TraceSegment, UtilizationTrace
 from .device import (
     CoRunPolicy,
@@ -55,7 +55,6 @@ __all__ = [
     "warps_to_sm_fraction",
     "KernelDesc",
     "fuse_kernels",
-    "shard_kernel",
     "TraceSegment",
     "UtilizationTrace",
     "CoRunPolicy",

@@ -14,6 +14,7 @@ shard pays its own launch overhead, and a shard's body time has a floor of
 one "wave" (all its warps resident simultaneously) -- doing the same work
 with less parallelism cannot be faster. The scheduler's preference for
 high-capacity stages falls out of this cost.
+:func:`repro.core.fusion.shard_to_fit_demand` applies these rules.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Any, Mapping
 
 from .resources import GpuSpec, ResourceVector, new_vector
 
-__all__ = ["KernelDesc", "fuse_kernels", "shard_kernel"]
+__all__ = ["KernelDesc", "fuse_kernels"]
 
 
 @dataclass(frozen=True)
@@ -88,21 +89,9 @@ class KernelDesc:
         """Execution time excluding the fixed launch overhead."""
         return max(0.0, self.duration_us - self.launch_us)
 
-    @property
-    def waves(self) -> float:
-        """How many times the kernel oversubscribes the device's warp slots."""
-        if self.warp_slots <= 0 or self.num_warps <= 0:
-            return 1.0
-        return max(1.0, self.num_warps / self.warp_slots)
-
-    @property
-    def wave_floor_us(self) -> float:
-        """Body time of a single fully-resident wave: the sharding floor."""
-        return self.body_us / self.waves
-
     # The derivations below build through :func:`new_kernel`, not
     # ``dataclasses.replace``: ``__post_init__`` still validates the result,
-    # without replace's per-field lookups on the scheduler's sharding path.
+    # without replace's per-field lookups.
     def with_duration(self, duration_us: float) -> "KernelDesc":
         return new_kernel(
             self.name, duration_us, self.demand, self.num_warps, self.tag,
@@ -122,39 +111,6 @@ class KernelDesc:
         return new_kernel(
             self.name, duration_us, self.demand, self.num_warps, self.tag,
             min(self.launch_us, duration_us), self.warp_slots, self.meta,
-        )
-
-    def scaled(self, fraction: float, suffix: str = "") -> "KernelDesc":
-        """Return a shard covering ``fraction`` of this kernel's work.
-
-        The shard launches ``fraction`` of the warps, pays a full launch
-        overhead, and its body time scales with its own wave count --
-        flooring at one wave, so sub-saturation shards do not get faster.
-        Demand scales with resident warps (saturated kernels stay at full
-        demand until their shard drops below one wave).
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"shard fraction must be in (0, 1], got {fraction}")
-        if fraction == 1.0 and not suffix:
-            return self
-        # A shard is a warp-slice of the whole kernel: member identity is
-        # lost, so fused-member descriptors must not survive (they would
-        # double-count work if the shard were later degree-reduced).
-        meta = {k: v for k, v in self.meta.items() if k != "member_kernels"} if self.meta else {}
-        new_warps = max(1, int(round(self.num_warps * fraction))) if self.num_warps else 0
-        if self.warp_slots > 0 and self.num_warps > 0:
-            new_waves = max(1.0, new_warps / self.warp_slots)
-            new_body = self.wave_floor_us * new_waves
-            sm = min(1.0, new_warps / self.warp_slots)
-            dram_scale = sm / self.demand.sm if self.demand.sm > 0 else fraction
-            dram = min(1.0, self.demand.dram * min(1.0, dram_scale))
-        else:
-            new_body = self.body_us * fraction
-            sm = self.demand.sm * fraction
-            dram = self.demand.dram * fraction
-        return new_kernel(
-            self.name + suffix, self.launch_us + new_body, new_vector(sm, dram),
-            new_warps, self.tag, self.launch_us, self.warp_slots, meta,
         )
 
 
@@ -239,20 +195,3 @@ def fuse_kernels(kernels: list[KernelDesc], spec: GpuSpec) -> KernelDesc:
             "member_kernels": tuple(kernels),
         },
     )
-
-
-def shard_kernel(kernel: KernelDesc, first_fraction: float) -> tuple[KernelDesc, KernelDesc]:
-    """Split a kernel into two shards covering ``first_fraction`` and the rest.
-
-    Implements the primitive used by resource-aware fused-kernel sharding
-    (§6.2): when a fused kernel is too large to co-run with the remaining
-    overlapping capacity of a training stage, RAP shards it and schedules
-    the remainder later. Both shards pay launch overhead, so the combined
-    duration exceeds the original -- sharding is a cost the scheduler only
-    accepts to avoid contention.
-    """
-    if not 0.0 < first_fraction < 1.0:
-        raise ValueError(f"first_fraction must be in (0, 1), got {first_fraction}")
-    first = kernel.scaled(first_fraction, suffix="#a")
-    second = kernel.scaled(1.0 - first_fraction, suffix="#b")
-    return first, second

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..core.adaptation import drift_graph_set
 from ..core.codegen import compile_plan
-from ..core.fusion import fit_kernel_to_leftover, shard_by_latency
+from ..core.fusion import fit_kernel_to_leftover
 from ..core.hybrid import (
     GPU_TO_CPU_SLOWDOWN,
     CpuWorkerPool,
@@ -1784,24 +1784,12 @@ class FaultTolerantRuntime:
         if self.planner.cost_model.kernel_latency(inflated) <= budget:
             assignments.setdefault(stage_idx, []).append(inflated)
             return
-        shards = shard_by_latency(inflated, budget)
-        if shards is not None:
-            first, remainder = shards
-            assignments.setdefault(stage_idx, []).append(first)
-            trailing.append(remainder)
-            self._transition(
-                rec,
-                CO_RUN,
-                SHARD_RETRY,
-                f"overran stage budget ({inflated.duration_us:.0f} us > "
-                f"{budget:.0f} us); re-sharded",
-            )
-            self._transition(rec, SHARD_RETRY, TRAILING, "remainder shard demoted to exposed")
-        else:
-            trailing.append(inflated)
-            self._transition(
-                rec, CO_RUN, TRAILING, "overran stage budget and is unshardable; demoted"
-            )
+        # A kernel in a stage is single-wave (it fits a leftover below a whole
+        # SM), so no split of it runs shorter: it trails whole.
+        trailing.append(inflated)
+        self._transition(
+            rec, CO_RUN, TRAILING, "overran stage budget and is unshardable; demoted"
+        )
 
     def _recover_oom(self, rec, kernel, stage_idx, stage, assignments, trailing) -> None:
         """A fused kernel exceeding device memory recovers at lower degree."""

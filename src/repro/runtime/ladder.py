@@ -5,8 +5,9 @@ optimal placement down to the host:
 
 1. ``co_run`` -- the searched placement; in-place retry with backoff.
 2. ``shard_retry`` -- re-shard / de-fuse the kernel so smaller pieces
-   co-run within the stage's leftover (smaller footprint sidesteps OOM and
-   restores the contention-free guarantee after an overrun).
+   co-run within the stage's leftover (a smaller footprint sidesteps OOM
+   and repeated failures). An overrun skips this rung: a placed kernel is
+   single-wave, so no split of it runs shorter.
 3. ``trailing`` -- demote to exposed work after the training stages; the
    iteration absorbs the latency but keeps its GPU placement.
 4. ``sequential`` -- run standalone with the device otherwise idle (no

@@ -5,7 +5,6 @@ import pytest
 from repro.core.fusion import (
     HorizontalFusionPass,
     build_fusion_instance,
-    shard_by_latency,
     shard_to_fit_demand,
 )
 from repro.gpusim.kernel import KernelDesc
@@ -45,14 +44,13 @@ def dense_chain(i):
 class TestBuildFusionInstance:
     def test_global_indices(self):
         graphs = [sparse_chain(0), sparse_chain(1)]
-        inst, origin = build_fusion_instance(graphs)
+        inst = build_fusion_instance(graphs)
         assert inst.num_ops == 6
-        assert origin[0] == (0, 0)
-        assert origin[3] == (1, 0)
+        assert inst.op_types == ["SigridHash", "FirstX", "Clamp"] * 2
 
     def test_deps_offset_per_graph(self):
         graphs = [sparse_chain(0), sparse_chain(1)]
-        inst, _ = build_fusion_instance(graphs)
+        inst = build_fusion_instance(graphs)
         assert (0, 1) in inst.deps
         assert (3, 4) in inst.deps
         # No cross-graph dependencies.
@@ -118,30 +116,6 @@ class TestHorizontalFusionPass:
         assert plan.max_fusion_degree == 5
 
 
-class TestShardByLatency:
-    def test_fits_returns_none(self):
-        k = KernelDesc("k", 100.0, ResourceVector(0.2, 0.2))
-        assert shard_by_latency(k, 150.0) is None
-
-    def test_splits_at_capacity(self):
-        k = KernelDesc(
-            "k", 405.0, ResourceVector(1.0, 0.5), num_warps=4 * SLOTS,
-            launch_us=5.0, warp_slots=SLOTS,
-        )
-        shards = shard_by_latency(k, 200.0)
-        assert shards is not None
-        first, rest = shards
-        assert first.duration_us == pytest.approx(200.0, rel=0.05)
-
-    def test_tiny_capacity_returns_none(self):
-        k = KernelDesc("k", 1000.0, ResourceVector(0.5, 0.5))
-        assert shard_by_latency(k, 10.0) is None
-
-    def test_zero_duration_kernel(self):
-        k = KernelDesc("k", 0.0, ResourceVector(0.0, 0.0))
-        assert shard_by_latency(k, 10.0) is None
-
-
 class TestShardToFitDemand:
     def test_already_fits(self):
         k = KernelDesc("k", 100.0, ResourceVector(0.2, 0.2))
@@ -173,7 +147,7 @@ class TestShardToFitDemand:
 
     def test_too_thin_leftover_returns_none(self):
         k = KernelDesc("k", 100.0, ResourceVector(1.0, 0.1), num_warps=SLOTS, warp_slots=SLOTS)
-        assert shard_to_fit_demand(k, ResourceVector(0.01, 0.5), max_pieces=16) is None
+        assert shard_to_fit_demand(k, ResourceVector(0.01, 0.5)) is None
 
     def test_zero_leftover_returns_none(self):
         k = KernelDesc("k", 100.0, ResourceVector(0.5, 0.5))

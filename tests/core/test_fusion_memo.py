@@ -23,7 +23,6 @@ from repro.core import RapPlanner, ResourceAwareScheduler
 from repro.core.adaptation import drift_graph_set
 from repro.core.serialization import plan_to_json
 from repro.dlrm import TrainingWorkload, model_for_plan
-from repro.gpusim.kernel import KernelDesc
 from repro.gpusim.resources import ResourceVector
 from repro.preprocessing import build_plan
 from repro.preprocessing.ops import PreprocessingOp
@@ -156,8 +155,8 @@ def test_cold_plan_prices_each_configuration_once(counts):
 
 @pytest.fixture
 def derivations(monkeypatch):
-    """Counts ``gpu_kernel``, every ``fuse_kernels`` (the pass's and the
-    scheduler's fits) and ``KernelDesc.scaled`` calls."""
+    """Counts ``gpu_kernel`` and every ``fuse_kernels`` (the pass's and the
+    scheduler's fits) calls."""
     calls = Counter()
 
     def counting(owner, attr):
@@ -171,7 +170,6 @@ def derivations(monkeypatch):
 
     counting(PreprocessingOp, "gpu_kernel")
     counting(fusion_module, "fuse_kernels")
-    counting(KernelDesc, "scaled")
     return calls
 
 

@@ -4,6 +4,9 @@
   op's type; the reference below scans every step of the op's window.
 - ``shard_to_fit_demand`` builds only the pieces it returns; the reference
   peels one piece at a time off a built remainder with ``shard_kernel``.
+  That and ``KernelDesc.scaled`` are kept below as they were in
+  ``repro.gpusim.kernel`` before the latency split that used them was
+  deleted, with ``self`` read as ``kernel``.
 - ``HorizontalFusionPass`` prices each operator configuration once and
   renames the priced kernel for every other op of that configuration; the
   reference is the op's own ``gpu_kernel``.
@@ -18,9 +21,9 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.fusion import HorizontalFusionPass, shard_to_fit_demand
-from repro.gpusim.kernel import KernelDesc, fuse_kernels, shard_kernel
-from repro.gpusim.resources import A100_SPEC, ResourceVector
+from repro.core.fusion import MAX_SHARD_PIECES, HorizontalFusionPass, shard_to_fit_demand
+from repro.gpusim.kernel import KernelDesc, fuse_kernels, new_kernel
+from repro.gpusim.resources import A100_SPEC, ResourceVector, new_vector
 from repro.milp.fusion_problem import FusionInstance, _local_improve
 from repro.preprocessing.ops import OP_REGISTRY, make_op
 
@@ -115,7 +118,66 @@ def test_local_improve_from_asap_equals_full_window_scan(case):
 # ----------------------------------------------------------------------
 
 
-def reference_shard_to_fit_demand(kernel, leftover, max_pieces=16):
+# ``KernelDesc.waves``, ``.wave_floor_us`` and ``.scaled`` and
+# ``shard_kernel``, as they were in ``repro.gpusim.kernel``.
+
+
+def waves(kernel):
+    """How many times the kernel oversubscribes the device's warp slots."""
+    if kernel.warp_slots <= 0 or kernel.num_warps <= 0:
+        return 1.0
+    return max(1.0, kernel.num_warps / kernel.warp_slots)
+
+
+def wave_floor_us(kernel):
+    """Body time of a single fully-resident wave: the sharding floor."""
+    return kernel.body_us / waves(kernel)
+
+
+def scaled(kernel, fraction, suffix=""):
+    """Return a shard covering ``fraction`` of this kernel's work.
+
+    The shard launches ``fraction`` of the warps, pays a full launch
+    overhead, and its body time scales with its own wave count --
+    flooring at one wave, so sub-saturation shards do not get faster.
+    Demand scales with resident warps (saturated kernels stay at full
+    demand until their shard drops below one wave).
+    """
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"shard fraction must be in (0, 1], got {fraction}")
+    if fraction == 1.0 and not suffix:
+        return kernel
+    # A shard is a warp-slice of the whole kernel: member identity is
+    # lost, so fused-member descriptors must not survive (they would
+    # double-count work if the shard were later degree-reduced).
+    meta = {k: v for k, v in kernel.meta.items() if k != "member_kernels"} if kernel.meta else {}
+    new_warps = max(1, int(round(kernel.num_warps * fraction))) if kernel.num_warps else 0
+    if kernel.warp_slots > 0 and kernel.num_warps > 0:
+        new_waves = max(1.0, new_warps / kernel.warp_slots)
+        new_body = wave_floor_us(kernel) * new_waves
+        sm = min(1.0, new_warps / kernel.warp_slots)
+        dram_scale = sm / kernel.demand.sm if kernel.demand.sm > 0 else fraction
+        dram = min(1.0, kernel.demand.dram * min(1.0, dram_scale))
+    else:
+        new_body = kernel.body_us * fraction
+        sm = kernel.demand.sm * fraction
+        dram = kernel.demand.dram * fraction
+    return new_kernel(
+        kernel.name + suffix, kernel.launch_us + new_body, new_vector(sm, dram),
+        new_warps, kernel.tag, kernel.launch_us, kernel.warp_slots, meta,
+    )
+
+
+def shard_kernel(kernel, first_fraction):
+    """Split a kernel into two shards covering ``first_fraction`` and the rest."""
+    if not 0.0 < first_fraction < 1.0:
+        raise ValueError(f"first_fraction must be in (0, 1), got {first_fraction}")
+    first = scaled(kernel, first_fraction, suffix="#a")
+    second = scaled(kernel, 1.0 - first_fraction, suffix="#b")
+    return first, second
+
+
+def reference_shard_to_fit_demand(kernel, leftover):
     """``shard_to_fit_demand`` as it was: a chain of ``shard_kernel`` calls."""
     sm_demand, dram_demand = kernel.demand.sm, kernel.demand.dram
     if sm_demand <= leftover.sm + 1e-12 and dram_demand <= leftover.dram + 1e-12:
@@ -139,7 +201,7 @@ def reference_shard_to_fit_demand(kernel, leftover, max_pieces=16):
         if ratio <= 0.0:
             return None
         pieces = math.ceil(1.0 / ratio)
-    if pieces > max_pieces:
+    if pieces > MAX_SHARD_PIECES:
         return None
     fraction = 1.0 / pieces
     shards = []
@@ -182,11 +244,11 @@ def leftovers(draw) -> ResourceVector:
 
 
 @settings(max_examples=500, deadline=None)
-@given(kernel=kernels(), leftover=leftovers(), max_pieces=st.sampled_from([1, 4, 16, 64]))
-def test_shard_to_fit_demand_equals_shard_kernel_chain(kernel, leftover, max_pieces):
-    got = shard_to_fit_demand(kernel, leftover, max_pieces)
+@given(kernel=kernels(), leftover=leftovers())
+def test_shard_to_fit_demand_equals_shard_kernel_chain(kernel, leftover):
+    got = shard_to_fit_demand(kernel, leftover)
     try:
-        want = reference_shard_to_fit_demand(kernel, leftover, max_pieces)
+        want = reference_shard_to_fit_demand(kernel, leftover)
     except OverflowError:
         # The old form raised on a subnormal leftover (1 / ratio overflowed
         # to infinity); that many pieces exceed any bound, so it is None now.
@@ -232,7 +294,7 @@ def test_zero_warp_slots_and_zero_warps_scale_linearly():
 
 def test_subnormal_leftover_needs_too_many_pieces():
     kernel = plain(0, 0, sm=1.0, dram=0.0)
-    assert shard_to_fit_demand(kernel, ResourceVector(5e-324, 0.0), max_pieces=64) is None
+    assert shard_to_fit_demand(kernel, ResourceVector(5e-324, 0.0)) is None
 
 
 def test_zero_demand_fits_any_leftover():

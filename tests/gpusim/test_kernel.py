@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.gpusim.kernel import KernelDesc, fuse_kernels, shard_kernel
+from repro.core.fusion import shard_to_fit_demand
+from repro.gpusim.kernel import KernelDesc, fuse_kernels
 from repro.gpusim.resources import A100_SPEC, ResourceVector
 
 SLOTS = A100_SPEC.total_warp_slots
@@ -38,17 +39,13 @@ class TestKernelDesc:
         k = make_kernel(duration=100.0, launch=5.0)
         assert k.body_us == pytest.approx(95.0)
 
-    def test_waves_subsaturation(self):
-        k = make_kernel(warps=SLOTS // 2)
-        assert k.waves == 1.0
-
-    def test_waves_oversubscribed(self):
-        k = make_kernel(warps=3 * SLOTS)
-        assert k.waves == pytest.approx(3.0)
-
     def test_wave_floor(self):
-        k = make_kernel(duration=305.0, launch=5.0, warps=3 * SLOTS)
-        assert k.wave_floor_us == pytest.approx(100.0)
+        """A 3-wave kernel's one-wave body is a third of its body: each
+        sub-wave piece it is split into costs exactly that."""
+        k = make_kernel(duration=305.0, launch=5.0, warps=3 * SLOTS, sm=1.0)
+        pieces = shard_to_fit_demand(k, ResourceVector(0.5, 1.0))
+        assert len(pieces) == 6
+        assert all(p.body_us == pytest.approx(100.0) for p in pieces)
 
     def test_with_duration(self):
         k = make_kernel(duration=100.0)
@@ -84,66 +81,32 @@ class TestKernelDesc:
 
 
 class TestSharding:
-    def test_scaled_identity(self):
-        k = make_kernel()
-        assert k.scaled(1.0) is k
-
-    def test_scaled_rejects_bad_fraction(self):
-        k = make_kernel()
-        with pytest.raises(ValueError):
-            k.scaled(0.0)
-        with pytest.raises(ValueError):
-            k.scaled(1.5)
-
-    def test_shard_pays_launch_twice(self):
-        """Sharding is not free: total duration grows by one launch."""
-        k = make_kernel(duration=205.0, launch=5.0, warps=4 * SLOTS, sm=1.0)
-        a, b = shard_kernel(k, 0.5)
-        assert a.duration_us + b.duration_us > k.duration_us
-        assert a.duration_us + b.duration_us == pytest.approx(k.duration_us + k.launch_us, rel=0.02)
-
-    def test_shard_saturated_halves_body(self):
-        k = make_kernel(duration=405.0, launch=5.0, warps=4 * SLOTS, sm=1.0)
-        a, b = shard_kernel(k, 0.5)
-        assert a.body_us == pytest.approx(200.0, rel=0.01)
-        assert b.body_us == pytest.approx(200.0, rel=0.01)
+    """The wave-floor split rule, through ``shard_to_fit_demand``: pieces
+    sized so each one's demand fits a stage's leftover."""
 
     def test_shard_below_saturation_hits_wave_floor(self):
         """A sub-saturation kernel does not get faster by sharding."""
         k = make_kernel(duration=25.0, launch=5.0, warps=1000, sm=1000 / SLOTS)
-        a, b = shard_kernel(k, 0.5)
+        a, b = shard_to_fit_demand(k, ResourceVector(k.demand.sm / 2, 1.0))
         # Both shards keep the full wave-floor body time.
         assert a.body_us == pytest.approx(k.body_us, rel=0.01)
         assert b.body_us == pytest.approx(k.body_us, rel=0.01)
 
     def test_shard_demand_drops_below_saturation(self):
         k = make_kernel(duration=105.0, launch=5.0, warps=SLOTS // 2, sm=0.5, dram=0.4)
-        a, _ = shard_kernel(k, 0.5)
+        a, _ = shard_to_fit_demand(k, ResourceVector(0.25, 1.0))
         assert a.demand.sm == pytest.approx(0.25, rel=0.05)
         assert a.demand.dram < 0.4
 
-    def test_saturated_shard_keeps_full_demand(self):
-        """Half of a 4-wave kernel still saturates the device."""
-        k = make_kernel(duration=405.0, launch=5.0, warps=4 * SLOTS, sm=1.0)
-        a, _ = shard_kernel(k, 0.5)
-        assert a.demand.sm == 1.0
-
     def test_shard_names_are_distinct(self):
-        a, b = shard_kernel(make_kernel(warps=2 * SLOTS), 0.3)
-        assert a.name != b.name
-
-    def test_shard_rejects_degenerate_fractions(self):
-        k = make_kernel()
-        with pytest.raises(ValueError):
-            shard_kernel(k, 0.0)
-        with pytest.raises(ValueError):
-            shard_kernel(k, 1.0)
+        pieces = shard_to_fit_demand(make_kernel(warps=2 * SLOTS), ResourceVector(0.05, 1.0))
+        assert len({p.name for p in pieces}) == len(pieces) > 1
 
     @given(st.floats(min_value=0.05, max_value=0.95))
-    def test_shard_warps_conserved_approximately(self, fraction):
+    def test_shard_warps_conserved_approximately(self, leftover_sm):
         k = make_kernel(duration=405.0, launch=5.0, warps=10_000, sm=1.0)
-        a, b = shard_kernel(k, fraction)
-        assert abs(a.num_warps + b.num_warps - k.num_warps) <= k.num_warps * 0.02 + 2
+        pieces = shard_to_fit_demand(k, ResourceVector(leftover_sm, 1.0))
+        assert abs(sum(p.num_warps for p in pieces) - k.num_warps) <= k.num_warps * 0.02 + 2
 
 
 class TestFusion:

@@ -1,7 +1,7 @@
 """Constructor-built kernel derivations equal their ``dataclasses.replace`` forms.
 
-``KernelDesc.scaled``, ``drifted`` and ``with_duration`` build the derived
-kernel with the constructor. The reference forms below are the
+``KernelDesc.drifted`` and ``with_duration`` build the derived kernel with
+the constructor. The reference forms below are the
 ``dataclasses.replace`` versions they replaced; every field, ``meta``
 included, must come out equal. ``PreprocessingOp.num_warps`` likewise uses
 ``math.ceil`` where it used ``np.ceil``.
@@ -28,32 +28,6 @@ def replace_drifted(kernel: KernelDesc, factor: float) -> KernelDesc:
     return replace(kernel, duration_us=duration_us, launch_us=min(kernel.launch_us, duration_us))
 
 
-def replace_scaled(kernel: KernelDesc, fraction: float, suffix: str = "") -> KernelDesc:
-    if fraction == 1.0 and not suffix:
-        return kernel
-    meta = {k: v for k, v in kernel.meta.items() if k != "member_kernels"} if kernel.meta else {}
-    new_warps = max(1, int(round(kernel.num_warps * fraction))) if kernel.num_warps else 0
-    if kernel.warp_slots > 0 and kernel.num_warps > 0:
-        new_waves = max(1.0, new_warps / kernel.warp_slots)
-        new_body = kernel.wave_floor_us * new_waves
-        sm = min(1.0, new_warps / kernel.warp_slots)
-        dram_scale = sm / kernel.demand.sm if kernel.demand.sm > 0 else fraction
-        dram = min(1.0, kernel.demand.dram * min(1.0, dram_scale))
-    else:
-        new_body = kernel.body_us * fraction
-        sm = kernel.demand.sm * fraction
-        dram = kernel.demand.dram * fraction
-    return replace(
-        kernel,
-        name=kernel.name + suffix,
-        duration_us=kernel.launch_us + new_body,
-        demand=ResourceVector(sm=sm, dram=dram),
-        num_warps=new_warps,
-        meta=meta,
-    )
-
-
-fractions = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
 factors = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 
 
@@ -85,15 +59,6 @@ def assert_same_kernel(built: KernelDesc, reference: KernelDesc) -> None:
     for f in fields(KernelDesc):
         assert getattr(built, f.name) == getattr(reference, f.name), f.name
     assert type(built.meta) is type(reference.meta)
-
-
-@settings(max_examples=200, deadline=None)
-@given(kernel=kernels(), fraction=fractions, suffix=st.sampled_from(["", "#a", "#b"]))
-def test_scaled_matches_replace(kernel, fraction, suffix):
-    built = kernel.scaled(fraction, suffix)
-    assert_same_kernel(built, replace_scaled(kernel, fraction, suffix))
-    if built is not kernel:
-        assert "member_kernels" not in built.meta
 
 
 @settings(max_examples=200, deadline=None)
