@@ -19,18 +19,18 @@ from repro.preprocessing import (
     execute_graph_set,
 )
 from repro.preprocessing.ops import (
-    Bucketize,
     Clamp,
     FillNull,
     FirstX,
     Logit,
     Ngram,
+    Onehot,
     SigridHash,
 )
 
 
 def build_custom_plan(rows: int) -> tuple[GraphSet, CriteoSchema]:
-    """An ads-ranking style workload: 8 dense + 12 sparse + 2 crosses."""
+    """An ads-ranking style workload: 8 dense + 1 banded + 12 sparse + 2 crosses."""
     schema = CriteoSchema(name="ads_ranking", num_dense=8, num_sparse=12,
                           total_hash_size=40_000_000, avg_list_length=3.0)
     graphs = []
@@ -46,6 +46,18 @@ def build_custom_plan(rows: int) -> tuple[GraphSet, CriteoSchema]:
                 consumer=DENSE_CONSUMER,
             )
         )
+    # A banded continuous feature: impute, then one-hot into 16 age bands,
+    # looked up as an id in the first categorical table.
+    graphs.append(
+        FeatureGraph(
+            name="user_age_band",
+            ops=[
+                FillNull(inputs=("dense_0",), output="band_fill", fill_value=0.5),
+                Onehot(inputs=("band_fill",), output="band_id", num_classes=16),
+            ],
+            consumer="table:sparse_0",
+        )
+    )
     # Categorical features: hash, truncate the history, clamp.
     for j in range(schema.num_sparse):
         graphs.append(

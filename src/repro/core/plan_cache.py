@@ -544,7 +544,3 @@ class PlanCache:
             return key in self._memory or (
                 self.directory is not None and self._path(key).exists()
             )
-
-    def __len__(self) -> int:
-        with self._tier_lock:
-            return len(self._memory)

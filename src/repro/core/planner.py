@@ -169,16 +169,6 @@ class PlannerStats:
     full_replans: int = 0
     memo_hits: int = 0
 
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "plans": self.plans,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "incremental_replans": self.incremental_replans,
-            "full_replans": self.full_replans,
-            "memo_hits": self.memo_hits,
-        }
-
 
 class RapPlanner:
     """Searches and evaluates RAP co-running plans for a training workload.

@@ -88,12 +88,6 @@ class DLRMConfig:
     def num_tables(self) -> int:
         return len(self.tables)
 
-    def table(self, name: str) -> EmbeddingTableConfig:
-        for t in self.tables:
-            if t.name == name:
-                return t
-        raise KeyError(f"no embedding table named {name!r}")
-
     @property
     def interaction_dim(self) -> int:
         """Width of the interaction layer output feeding the top MLP.

@@ -2,7 +2,7 @@
 
 Each module exposes ``run(...) -> dict`` (structured data, asserted on by
 tests and benchmarks) and ``render(results) -> str`` (the printable form).
-``repro.experiments.runner`` runs everything.
+``rap-repro experiments`` (``runner.run_all``) runs everything.
 
 | Module   | Reproduces                                              |
 |----------|---------------------------------------------------------|

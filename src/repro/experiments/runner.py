@@ -1,16 +1,12 @@
 """Run every experiment and render the full evaluation record.
 
-``python -m repro.experiments.runner`` regenerates all tables and figures
-(with configurable scale) and prints the EXPERIMENTS.md-style record.
+``rap-repro experiments [--quick]`` regenerates all tables and figures and
+prints the EXPERIMENTS.md-style record.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
 
 from . import fig1, fig5, fig9, fig10, fig11, fig12, sensitivity, table5
 from .tables import (
@@ -22,35 +18,19 @@ from .tables import (
     run_table3,
 )
 
-__all__ = ["run_all", "main"]
+__all__ = ["run_all"]
 
 
-def run_all(
-    quick: bool = False,
-    stream=sys.stdout,
-    output_dir: str | Path | None = None,
-) -> dict[str, dict]:
-    """Execute every experiment; ``quick`` shrinks sweeps for smoke runs.
-
-    With ``output_dir`` set, each experiment's structured results are also
-    written as ``<name>.json`` (for external plotting) alongside the
-    rendered text in ``<name>.txt``.
-    """
+def run_all(quick: bool = False) -> dict[str, dict]:
+    """Execute every experiment; ``quick`` shrinks sweeps for smoke runs."""
     results: dict[str, dict] = {}
-    out_path = Path(output_dir) if output_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
 
     def section(name: str, fn, renderer):
         start = time.perf_counter()
         results[name] = fn()
         elapsed = time.perf_counter() - start
-        rendered = renderer(results[name])
-        print(f"\n{'=' * 72}\n{name}  ({elapsed:.1f}s)\n{'=' * 72}", file=stream)
-        print(rendered, file=stream)
-        if out_path is not None:
-            (out_path / f"{name}.json").write_text(json.dumps(results[name], indent=2, default=str))
-            (out_path / f"{name}.txt").write_text(rendered + "\n")
+        print(f"\n{'=' * 72}\n{name}  ({elapsed:.1f}s)\n{'=' * 72}")
+        print(renderer(results[name]))
 
     section("table1", run_table1, render_table1)
     section("table2", run_table2, render_table2)
@@ -76,17 +56,3 @@ def run_all(
         section("sensitivity", sensitivity.run, sensitivity.render)
         section("table5", table5.run, table5.render)
     return results
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="reduced sweeps for a smoke run")
-    parser.add_argument("--output-dir", metavar="DIR",
-                        help="also write per-experiment JSON + text files")
-    args = parser.parse_args(argv)
-    run_all(quick=args.quick, output_dir=args.output_dir)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -43,10 +43,6 @@ class ClusterIterationResult:
     def max_recovery_us(self) -> float:
         return max(self.recovery_us_per_gpu, default=0.0)
 
-    @property
-    def degraded(self) -> bool:
-        return self.max_recovery_us > 0.0
-
 
 class MultiGpuCluster:
     """A fully connected node of GPUs (the DGX-A100 testbed by default).

@@ -145,9 +145,6 @@ class ResourceVector:
             raise ValueError(f"resource fractions must be non-negative, got {self}")
         raise ValueError("resource fractions must not be NaN")
 
-    def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return new_vector(self.sm + other.sm, self.dram + other.dram)
-
     def scale(self, factor: float) -> "ResourceVector":
         """Return a copy with both components multiplied by ``factor``."""
         if factor < 0:

@@ -10,7 +10,7 @@ concatenated, sampled onto a uniform grid, and summarized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -55,20 +55,6 @@ class UtilizationTrace:
         if segment.duration <= 0:
             return
         self._segments.append(segment)
-
-    def record(self, t0: float, t1: float, utilization: ResourceVector, label: str = "") -> None:
-        """Convenience wrapper building and appending a segment."""
-        self.append(TraceSegment(t0, t1, utilization, label))
-
-    def extend(self, other: "UtilizationTrace") -> None:
-        for seg in other:
-            self.append(seg)
-
-    def __iter__(self) -> Iterator[TraceSegment]:
-        return iter(self._segments)
-
-    def __len__(self) -> int:
-        return len(self._segments)
 
     @property
     def segments(self) -> tuple[TraceSegment, ...]:

@@ -182,14 +182,6 @@ class BackpressureQueue:
 
     # -- introspection ---------------------------------------------------
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
-
     def stats(self) -> QueueStats:
         """A copy of the counters (wait_samples shared copy-on-read)."""
         with self._lock:

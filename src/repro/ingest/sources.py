@@ -91,10 +91,6 @@ class BatchSource:
     def describe(self) -> str:
         return type(self).__name__
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self(i)
-
 
 # ----------------------------------------------------------------------
 # synthetic://
@@ -679,13 +675,6 @@ class PacedSource(BatchSource):
         if index < 0:
             return 0.0
         return self.delays[min(index, len(self.delays) - 1)]
-
-    @property
-    def rows_per_batch(self) -> int | None:
-        return self.inner.rows_per_batch
-
-    def describe(self) -> str:
-        return f"paced({self.inner.describe()})"
 
 
 # ----------------------------------------------------------------------

@@ -138,10 +138,6 @@ class FusionAssignment:
                     f"must follow op {i} at step {self.steps[i]}"
                 )
 
-    @property
-    def num_steps(self) -> int:
-        return max(self.steps) + 1 if self.steps else 0
-
     def groups(self) -> dict[tuple[str, int], list[int]]:
         """Fusion groups: (op type, time step) -> member op indices."""
         out: dict[tuple[str, int], list[int]] = {}

@@ -18,7 +18,6 @@ from .data import (
     lengths_from_offsets,
     offsets_from_lengths,
     rowwise_concat_csr,
-    segment_positions,
 )
 from .engine import (
     BufferArena,
@@ -77,7 +76,6 @@ __all__ = [
     "lengths_from_offsets",
     "offsets_from_lengths",
     "rowwise_concat_csr",
-    "segment_positions",
     "BufferArena",
     "CompileError",
     "CompiledProgram",

@@ -27,7 +27,6 @@ __all__ = [
     "TERABYTE_SCHEMA",
     "lengths_from_offsets",
     "offsets_from_lengths",
-    "segment_positions",
     "concat_csr_blocks",
     "rowwise_concat_csr",
 ]
@@ -62,21 +61,6 @@ def offsets_from_lengths(lengths: np.ndarray, out: np.ndarray | None = None) -> 
         out[0] = 0
     np.cumsum(lengths, out=out[1:])
     return out
-
-
-def segment_positions(offsets: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarray:
-    """Within-row index of every element of a CSR column.
-
-    ``segment_positions([0, 2, 5])`` is ``[0, 1, 0, 1, 2]``: element ``k``'s
-    distance from the start of its own row. This is the primitive behind
-    vectorized list truncation and row-wise concatenation.
-    """
-    if lengths is None:
-        lengths = lengths_from_offsets(offsets)
-    nnz = int(offsets[-1])
-    if nnz == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.arange(nnz, dtype=np.int64) - np.repeat(offsets[:-1], lengths)
 
 
 def concat_csr_blocks(
@@ -230,8 +214,8 @@ class SparseColumn:
         if self.hash_size <= 0:
             raise ValueError(f"sparse column {self.name!r}: hash_size must be positive")
         # The CSR layout is immutable after construction: planning loops call
-        # lengths()/nbytes() constantly, so both are cached, and the offsets
-        # are frozen so no call site can silently invalidate the cache.
+        # lengths() constantly, so it is cached, and the offsets are frozen
+        # so no call site can silently invalidate the cache.
         if self.offsets.flags.writeable:
             self.offsets.flags.writeable = False
         lengths.flags.writeable = False
@@ -244,10 +228,6 @@ class SparseColumn:
     @property
     def nnz(self) -> int:
         return len(self.values)
-
-    @property
-    def avg_list_length(self) -> float:
-        return self.nnz / self.num_rows if self.num_rows else 0.0
 
     def row(self, i: int) -> np.ndarray:
         return self.values[self.offsets[i] : self.offsets[i + 1]]
@@ -295,7 +275,6 @@ class Batch:
         sizes = {len(c) for c in self.dense.values()} | {c.num_rows for c in self.sparse.values()}
         if len(sizes) > 1:
             raise ValueError(f"inconsistent batch row counts: {sorted(sizes)}")
-        self._nbytes: int | None = None
 
     @property
     def size(self) -> int:
@@ -317,15 +296,6 @@ class Batch:
             self.dense[column.name] = column
         else:
             self.sparse[column.name] = column
-        self._nbytes = None
-
-    def nbytes(self) -> int:
-        """Total payload bytes (cached; ``put`` invalidates the cache)."""
-        if self._nbytes is None:
-            total = sum(c.values.nbytes for c in self.dense.values())
-            total += sum(c.values.nbytes + c.offsets.nbytes for c in self.sparse.values())
-            self._nbytes = total
-        return self._nbytes
 
     def copy(self) -> "Batch":
         return Batch(
@@ -418,8 +388,3 @@ class SyntheticCriteoDataset:
             values = np.minimum((u**2 * hash_size).astype(np.int64), hash_size - 1)
             sparse[name] = SparseColumn(name, offsets, values, hash_size)
         return Batch(dense=dense, sparse=sparse)
-
-    def batches(self, batch_size: int, count: int, start: int = 0):
-        """Yield ``count`` consecutive batches starting at ``start``."""
-        for i in range(start, start + count):
-            yield self.batch(batch_size, index=i)

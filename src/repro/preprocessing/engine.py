@@ -560,14 +560,6 @@ class CompiledProgram:
     def max_fusion_degree(self) -> int:
         return max((len(s.members) for s in self.steps), default=0)
 
-    def summary(self) -> dict:
-        return {
-            "ops": self.num_ops,
-            "steps": self.num_steps,
-            "max_fusion_degree": self.max_fusion_degree,
-            "batches_executed": self.batches_executed,
-        }
-
     def execute(self, batch: Batch, copy_outputs: bool = False) -> Batch:
         """Run the compiled program against ``batch``.
 
@@ -606,7 +598,6 @@ class CompiledProgram:
         out = Batch.__new__(Batch)
         out.dense = dense
         out.sparse = sparse
-        out._nbytes = None
         self.batches_executed += 1
         return out
 

@@ -96,12 +96,6 @@ class FeatureGraph:
         produced = {op.output for op in self.ops}
         return {col for op in self.ops for col in op.inputs if col not in produced}
 
-    def op_type_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for op in self.ops:
-            counts[op.op_name] = counts.get(op.op_name, 0) + 1
-        return counts
-
     # ------------------------------------------------------------------
     # Execution and cost
     # ------------------------------------------------------------------
@@ -178,13 +172,6 @@ class GraphSet:
     @property
     def ops_per_feature(self) -> float:
         return self.total_ops / self.num_features if self.graphs else 0.0
-
-    def op_type_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for g in self.graphs:
-            for name, c in g.op_type_counts().items():
-                counts[name] = counts.get(name, 0) + c
-        return counts
 
     def consumers(self) -> set[str]:
         return {g.consumer for g in self.graphs}

@@ -476,9 +476,6 @@ class PreprocessingOp:
         """
         return self._params_key()
 
-    def num_warps(self, rows: int, avg_list_length: float = 2.0) -> int:
-        return max(1, math.ceil(self.work_elements(rows, avg_list_length) / _ELEMS_PER_WARP))
-
     def gpu_kernel(
         self,
         rows: int,
@@ -489,8 +486,8 @@ class PreprocessingOp:
         """Lower this operator to a resource-annotated simulated kernel.
 
         ``work_elements`` is computed once and feeds the warp count and the
-        written bytes, in the same float operations as :meth:`num_warps`
-        and :meth:`output_bytes`.
+        written bytes, the latter in the same float operations as
+        :meth:`output_bytes`.
         """
         work = self.work_elements(rows, avg_list_length)
         warps = max(1, math.ceil(work / _ELEMS_PER_WARP))
@@ -519,9 +516,6 @@ class PreprocessingOp:
         """Single-worker CPU latency (the TorchArrow substrate's currency)."""
         work = self.work_elements(rows, avg_list_length)
         return work / self.cpu_elems_per_us
-
-    def describe(self) -> str:
-        return f"{self.op_name}({', '.join(self.inputs)}) -> {self.output}"
 
 
 # ----------------------------------------------------------------------

@@ -482,7 +482,6 @@ def _decode_input_batch(shm, layout) -> Batch:
     batch = Batch.__new__(Batch)
     batch.dense = dense
     batch.sparse = sparse
-    batch._nbytes = None
     return batch
 
 
@@ -645,9 +644,6 @@ class ParallelEngine:
             i: round(handle.busy_seconds / self._wall_seconds, 4)
             for i, handle in enumerate(self._worker_handles)
         }
-
-    def segment_names(self) -> list[str]:
-        return sorted(self._known_segments)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -905,7 +901,6 @@ class ParallelEngine:
         out = Batch.__new__(Batch)
         out.dense = dense
         out.sparse = sparse
-        out._nbytes = None
         self.batches_executed += 1
         wall = perf_counter() - t0
         self._wall_seconds += wall

@@ -613,10 +613,6 @@ class FaultTolerantRuntime:
     def cpu_only(self) -> bool:
         return self._cpu_only
 
-    @property
-    def membership_changes(self) -> list[MembershipChange]:
-        return list(self._membership_log)
-
     def _journal(self, record_type: str, **fields) -> None:
         if self.journal is not None:
             if self.tenant is not None:
@@ -645,12 +641,6 @@ class FaultTolerantRuntime:
             (),
             lambda: _InstalledPlan(planner, plan),
         )
-
-    @property
-    def _installed_plan(self) -> _InstalledPlan:
-        """The live entry of :meth:`_installed`, by the name the plan-install
-        and telemetry tests read it; no runtime code uses it."""
-        return self._installed()
 
     def _begin_epoch(
         self,

@@ -36,9 +36,6 @@ class JournalFlaw:
     kind: str
     snippet: str
 
-    def to_dict(self) -> dict:
-        return {"line": self.line, "kind": self.kind, "snippet": self.snippet}
-
 
 class RunJournal:
     """One append-only JSONL journal for a run directory.

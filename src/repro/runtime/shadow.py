@@ -113,18 +113,6 @@ class ShadowConfig:
             "cooldown_iters": self.cooldown_iters,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShadowConfig":
-        return cls(
-            promote_margin=float(data.get("promote_margin", 0.10)),
-            hysteresis=float(data.get("hysteresis", 0.05)),
-            probation_iters=int(data.get("probation_iters", 5)),
-            rollback_threshold=float(data.get("rollback_threshold", 0.10)),
-            eval_every=int(data.get("eval_every", 5)),
-            window=int(data.get("window", 4)),
-            cooldown_iters=int(data.get("cooldown_iters", 5)),
-        )
-
 
 @dataclass(frozen=True)
 class ShadowObservation:

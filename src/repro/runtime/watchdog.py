@@ -108,10 +108,6 @@ class LatencyWatchdog:
     # ------------------------------------------------------------------
     # Suppression (shadow-promotion probation, DESIGN.md §15)
 
-    @property
-    def suppressed(self) -> bool:
-        return self._suppressed
-
     def suppress(self) -> None:
         """Stop firing while still feeding the window.
 

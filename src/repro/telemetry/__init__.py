@@ -27,7 +27,6 @@ from .calibration import (
 )
 from .chrome import (
     ChromeTraceError,
-    counter_event,
     duration_event,
     instant_event,
     metadata_event,
@@ -75,7 +74,6 @@ __all__ = [
     "SampleBatch",
     "TelemetrySession",
     "Tracer",
-    "counter_event",
     "drift_factors_at",
     "duration_event",
     "instant_event",

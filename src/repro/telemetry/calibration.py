@@ -225,10 +225,6 @@ class SampleBatch:
     def __iter__(self):
         return iter(self.templates)
 
-    def samples(self, iteration: int) -> list[CalibrationSample]:
-        """The batch as recorded at ``iteration``, in recording order."""
-        return [replace(t, iteration=iteration) for t in self.templates]
-
     def bucket_counts(self, buckets: tuple[float, ...]) -> tuple:
         """Per op type, :func:`repro.telemetry.registry.bucket_counts` of its
         observed latencies under ``buckets``, computed once per bounds."""

@@ -23,7 +23,6 @@ from typing import Any, Iterable, Iterator, Mapping
 
 __all__ = [
     "duration_event",
-    "counter_event",
     "instant_event",
     "metadata_event",
     "process_metadata_events",
@@ -72,20 +71,6 @@ def duration_event(
     if args:
         event["args"] = dict(args)
     return event
-
-
-def counter_event(
-    name: str, ts: float, pid: int, values: Mapping[str, float], cat: str = "utilization"
-) -> dict:
-    """A counter (``ph: C``) event; ``values`` become the stacked series."""
-    return {
-        "name": name,
-        "cat": cat,
-        "ph": "C",
-        "ts": float(ts),
-        "pid": int(pid),
-        "args": {k: float(v) for k, v in values.items()},
-    }
 
 
 def instant_event(

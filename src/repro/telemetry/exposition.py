@@ -312,9 +312,6 @@ class JsonlMetricsSink:
         self._lines.append(json.dumps(record, sort_keys=True))
         atomic_write_text(self.path, "\n".join(self._lines) + "\n")
 
-    def __len__(self) -> int:
-        return len(self._lines)
-
     @staticmethod
     def read(path: str | Path) -> list[dict]:
         """All snapshot records in the file, oldest first."""

@@ -23,7 +23,7 @@ import threading
 from bisect import bisect_left
 from functools import reduce
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "Counter",
@@ -107,9 +107,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
 
 
 def bucket_counts(
@@ -291,12 +288,6 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, labels, help, buckets=buckets)
 
     # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __iter__(self) -> Iterable[object]:
-        return iter(list(self._metrics.values()))
 
     def families(self) -> list[tuple[str, type, str, list]]:
         """Metrics grouped by name: ``(name, type, help, children)``.

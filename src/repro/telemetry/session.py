@@ -87,10 +87,6 @@ class TelemetrySession:
     # ------------------------------------------------------------------
     # Sample recording
 
-    def record_kernel_sample(self, sample: CalibrationSample) -> None:
-        """Record one (predicted, observed) kernel latency pair."""
-        self.record_kernel_samples((sample,))
-
     def record_kernel_samples(self, samples: Iterable[CalibrationSample]) -> None:
         """Record one iteration's samples, in order.
 

@@ -19,14 +19,12 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 from .chrome import (
-    counter_event,
     duration_event,
     event_json,
     float_json,
     instant_event,
     process_metadata_events,
     split_at_ts,
-    trace_json,
     trace_json_chunks,
 )
 
@@ -135,7 +133,7 @@ class Tracer:
         return out
 
     def chrome_trace_chunks(self) -> Iterator[str]:
-        """``to_chrome_trace(indent=2)`` in chunks, for streaming to disk.
+        """The Chrome trace of :attr:`events` (``indent=2``) in chunks, for streaming to disk.
 
         Each distinct ``(GPU, result)``'s span events are encoded once;
         a repeat splices its own ``ts`` into the encoded text.
@@ -196,18 +194,6 @@ class Tracer:
         self._known_pids.add(pid)
         self._items.extend(process_metadata_events(pid, name, threads))
 
-    def span(
-        self,
-        name: str,
-        cat: str,
-        ts: float,
-        dur: float,
-        pid: int = RUNTIME_PID,
-        tid: int = RUNTIME_TID,
-        **args: Any,
-    ) -> None:
-        self._items.append(duration_event(name, cat, ts, dur, pid, tid, args or None))
-
     def instant(
         self,
         name: str,
@@ -220,9 +206,6 @@ class Tracer:
         self._items.append(
             instant_event(name, cat, self.clock_us if ts is None else ts, pid, tid, args or None)
         )
-
-    def counter(self, name: str, ts: float, pid: int, values: Mapping[str, float]) -> None:
-        self._items.append(counter_event(name, ts, pid, values))
 
     # ------------------------------------------------------------------
 
@@ -270,10 +253,6 @@ class Tracer:
         return t0
 
     # ------------------------------------------------------------------
-
-    def to_chrome_trace(self, indent: int | None = None) -> str:
-        return trace_json(self.events, indent=indent)
-
     # Checkpointing: only the clock is control state; events are artifacts
     # of the *current* process and are not replayed across restarts.
 

@@ -74,12 +74,6 @@ class TestPresets:
         m = kaggle_model()
         assert m.top_arch.input_dim == m.interaction_dim
 
-    def test_table_lookup_by_name(self):
-        m = kaggle_model()
-        assert m.table("table:sparse_0").name == "table:sparse_0"
-        with pytest.raises(KeyError):
-            m.table("missing")
-
     def test_duplicate_table_names_rejected(self):
         t = EmbeddingTableConfig(name="t", hash_size=10)
         with pytest.raises(ValueError):
@@ -111,4 +105,5 @@ class TestModelForPlan:
         gs, schema = build_plan(1, rows=64)
         m = model_for_plan(gs, schema)
         sizes = dict(zip(schema.sparse_names(), schema.hash_sizes()))
-        assert m.table("table:sparse_0").hash_size == sizes["sparse_0"]
+        table = next(t for t in m.tables if t.name == "table:sparse_0")
+        assert table.hash_size == sizes["sparse_0"]

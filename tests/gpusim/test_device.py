@@ -181,7 +181,7 @@ class TestTraceConsistency:
 
     def test_utilization_never_exceeds_one(self, device, mlp_stage, big_kernel):
         result = device.simulate_iteration([mlp_stage], {0: [big_kernel]})
-        for seg in result.trace:
+        for seg in result.trace.segments:
             assert seg.utilization.sm <= 1.0 + 1e-9
             assert seg.utilization.dram <= 1.0 + 1e-9
 

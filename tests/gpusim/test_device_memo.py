@@ -213,7 +213,7 @@ def test_trace_is_built_on_first_read(monkeypatch, mlp_stage, emb_stage, small_k
     trace = result.trace
     assert built["traces"] == 1 and built["segments"] == len(result.segments)
     assert result.trace is trace
-    labels = [seg.label for seg in trace]
+    labels = [seg.label for seg in trace.segments]
     assert "issue_stall" in labels and "mlp_fwd+k_small" in labels
 
 

@@ -3,8 +3,8 @@
 ``KernelDesc.drifted`` and ``with_duration`` build the derived kernel with
 the constructor. The reference forms below are the
 ``dataclasses.replace`` versions they replaced; every field, ``meta``
-included, must come out equal. ``PreprocessingOp.num_warps`` likewise uses
-``math.ceil`` where it used ``np.ceil``.
+included, must come out equal. ``PreprocessingOp.gpu_kernel`` likewise counts
+warps with ``math.ceil`` where it used ``np.ceil``.
 """
 
 from dataclasses import fields, replace
@@ -86,6 +86,6 @@ def test_with_duration_matches_replace(kernel, duration):
 def test_num_warps_matches_numpy_ceil(op_name, rows, avg_list_length):
     op = make_op(op_name, ["a", "b"] if op_name == "Ngram" else ["a"], "out")
     work = op.work_elements(rows, avg_list_length)
-    warps = op.num_warps(rows, avg_list_length)
+    warps = op.gpu_kernel(rows, avg_list_length=avg_list_length).num_warps
     assert type(warps) is int
     assert warps == max(1, int(np.ceil(work / _ELEMS_PER_WARP)))

@@ -88,11 +88,6 @@ class TestResourceVector:
         with pytest.raises(ValueError):
             ResourceVector(math.nan, 0.0)
 
-    def test_add(self):
-        v = ResourceVector(0.3, 0.4) + ResourceVector(0.2, 0.1)
-        assert v.sm == pytest.approx(0.5)
-        assert v.dram == pytest.approx(0.5)
-
     def test_scale(self):
         v = ResourceVector(0.4, 0.8).scale(0.5)
         assert v.sm == pytest.approx(0.2)

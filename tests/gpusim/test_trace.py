@@ -8,10 +8,10 @@ from repro.gpusim.trace import TraceSegment, UtilizationTrace
 
 
 def make_trace():
-    t = UtilizationTrace()
-    t.record(0.0, 100.0, ResourceVector(0.8, 0.2), label="mlp")
-    t.record(100.0, 300.0, ResourceVector(0.2, 0.9), label="emb")
-    return t
+    return UtilizationTrace([
+        TraceSegment(0.0, 100.0, ResourceVector(0.8, 0.2), label="mlp"),
+        TraceSegment(100.0, 300.0, ResourceVector(0.2, 0.9), label="emb"),
+    ])
 
 
 class TestTraceSegment:
@@ -26,7 +26,7 @@ class TestTraceSegment:
 class TestUtilizationTrace:
     def test_append_contiguous(self):
         t = make_trace()
-        assert len(t) == 2
+        assert len(t.segments) == 2
         assert t.t_start == 0.0
         assert t.t_end == 300.0
         assert t.duration == 300.0
@@ -34,17 +34,17 @@ class TestUtilizationTrace:
     def test_rejects_overlapping_segment(self):
         t = make_trace()
         with pytest.raises(ValueError):
-            t.record(250.0, 400.0, ResourceVector(0.1, 0.1))
+            t.append(TraceSegment(250.0, 400.0, ResourceVector(0.1, 0.1)))
 
     def test_gap_is_allowed(self):
         t = make_trace()
-        t.record(350.0, 400.0, ResourceVector(0.5, 0.5))
+        t.append(TraceSegment(350.0, 400.0, ResourceVector(0.5, 0.5)))
         assert t.t_end == 400.0
 
     def test_zero_duration_segment_skipped(self):
         t = make_trace()
-        t.record(300.0, 300.0, ResourceVector(1.0, 1.0))
-        assert len(t) == 2
+        t.append(TraceSegment(300.0, 300.0, ResourceVector(1.0, 1.0)))
+        assert len(t.segments) == 2
 
     def test_empty_trace(self):
         t = UtilizationTrace()
@@ -79,13 +79,6 @@ class TestUtilizationTrace:
         t = make_trace()
         mean = t.mean_utilization(50.0, 50.0)
         assert mean.sm == 0.0
-
-    def test_extend(self):
-        t = make_trace()
-        other = UtilizationTrace()
-        other.record(300.0, 350.0, ResourceVector(0.1, 0.1))
-        t.extend(other)
-        assert t.t_end == 350.0
 
     def test_segments_are_immutable_tuple(self):
         t = make_trace()

@@ -43,7 +43,7 @@ def test_drop_oldest_bounds_depth_and_keeps_newest():
     q = BackpressureQueue(3, policy="drop_oldest")
     for i in range(10):
         q.put(i)
-    assert len(q) == 3
+    assert q.stats().depth == 3
     assert [q.get() for _ in range(3)] == [7, 8, 9]
     assert q.stats().drops == 7
 
@@ -57,7 +57,7 @@ def test_spill_to_disk_bounds_memory_and_preserves_order(tmp_path):
     peak = 0
     for item in payload:
         q.put(item)
-        peak = max(peak, len(q))
+        peak = max(peak, q.stats().depth)
     assert peak <= 3  # memory bounded at the high watermark
     assert q.stats().spills == 17
     got = [q.get() for _ in range(20)]

@@ -1,18 +1,15 @@
-"""Satellite coverage: CSR segment helpers, column/batch caches, noise memo."""
+"""Satellite coverage: CSR segment helpers, column caches, noise memo."""
 
 import numpy as np
 import pytest
 
 from repro.preprocessing import (
-    Batch,
-    DenseColumn,
     SparseColumn,
     concat_csr_blocks,
     lengths_from_offsets,
     make_op,
     offsets_from_lengths,
     rowwise_concat_csr,
-    segment_positions,
 )
 from repro.preprocessing.ops import _config_noise
 
@@ -27,11 +24,6 @@ def test_offsets_lengths_roundtrip():
     offsets = offsets_from_lengths(lengths)
     np.testing.assert_array_equal(offsets, [0, 3, 3, 5, 10, 10])
     np.testing.assert_array_equal(lengths_from_offsets(offsets), lengths)
-
-
-def test_segment_positions():
-    offsets = offsets_from_lengths(np.array([2, 0, 3], dtype=np.int64))
-    np.testing.assert_array_equal(segment_positions(offsets), [0, 1, 0, 1, 2])
 
 
 def test_concat_csr_blocks_stacks_rows():
@@ -53,7 +45,7 @@ def test_rowwise_concat_interleaves_rows():
 
 
 # ----------------------------------------------------------------------
-# Invalidation-safe column/batch caches
+# Invalidation-safe column caches
 # ----------------------------------------------------------------------
 
 
@@ -70,7 +62,6 @@ def test_lengths_cached_and_read_only():
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0] = 99
-    assert col.avg_list_length == pytest.approx(5 / 3)
 
 
 def test_offsets_frozen_against_cache_invalidation():
@@ -85,17 +76,6 @@ def test_trusted_column_lazily_caches_lengths():
     first = col.lengths()
     np.testing.assert_array_equal(first, [2, 1])
     assert col.lengths() is first
-
-
-def test_batch_nbytes_cached_and_invalidated_by_put():
-    batch = Batch(
-        dense={"d": DenseColumn("d", np.zeros(3, dtype=np.float32))},
-        sparse={"s": _col([1, 0, 2])},
-    )
-    before = batch.nbytes()
-    assert batch.nbytes() == before  # cached path
-    batch.put(DenseColumn("d2", np.zeros(3, dtype=np.float64)))
-    assert batch.nbytes() == before + 3 * 8  # put() invalidated the cache
 
 
 # ----------------------------------------------------------------------

@@ -62,10 +62,6 @@ class TestFeatureGraph:
         )
         assert g.raw_inputs() == {"a", "b"}
 
-    def test_op_type_counts(self):
-        counts = chain_graph().op_type_counts()
-        assert counts == {"SigridHash": 1, "FirstX": 1, "Clamp": 1}
-
     def test_output_op(self):
         assert chain_graph().output_op.op_name == "Clamp"
 

@@ -394,7 +394,7 @@ class TestKillAndResume:
         )
         assert resumed.plan_epoch == snapshot.state["plan_epoch"]
         assert resumed.cpu_only == snapshot.state["cpu_only"]
-        assert [m.to_dict() for m in resumed.membership_changes] == snapshot.state["membership"]
+        assert [m.to_dict() for m in resumed._membership_log] == snapshot.state["membership"]
         assert resumed.workload.num_gpus == snapshot.state["workload"]["num_gpus"]
 
     def test_journal_narrates_kill_and_resume(self, setting, tmp_path):

@@ -200,7 +200,7 @@ class SampleOracle:
         if self._sites is not None:
             assert next(self._sites, None) is None, "fewer samples than placed kernels"
         self._sites = None
-        installed = self.runtime._installed_plan
+        installed = self.runtime._installed()
         assert installed.plan is self.runtime.plan
         assert installed.planner is self.runtime.planner
 
@@ -223,10 +223,10 @@ def test_watchdog_replan(plan1, monkeypatch):
     runtime = make_runtime(plan1)
     oracle = SampleOracle(runtime, monkeypatch)
     oracle.run(3, 0)
-    before = runtime._installed_plan
+    before = runtime._installed()
     runtime._total_scale = 1.6  # the live distribution drifted
     runtime._replan(2)
-    assert runtime._installed_plan is not before
+    assert runtime._installed() is not before
     oracle.run(3, 3)
     assert oracle.checked_after(2) == 3 * sum(runtime.plan.num_kernels_per_gpu())
 
@@ -245,7 +245,7 @@ def test_drift_recalibration(plan2, monkeypatch):
     report = oracle.run(12, 0)
     assert runtime._calibrated and report.replans >= 1
     assert runtime.plan.assignments_per_gpu != original.assignments_per_gpu
-    assert isinstance(runtime._installed_plan.predictor, CalibratedPredictor)
+    assert isinstance(runtime._installed().predictor, CalibratedPredictor)
     assert oracle.checked_after(8) > 0
     assert oracle.calibrated > 0
 
@@ -281,7 +281,7 @@ def test_adopt_plan(plan1, monkeypatch):
     oracle = SampleOracle(runtime, monkeypatch)
     oracle.run(3, 0)
     runtime.adopt_plan(other_planner, other_plan, iteration=2)
-    assert runtime._installed_plan.plan is other_plan
+    assert runtime._installed().plan is other_plan
     oracle.run(3, 3)
     assert oracle.checked_after(2) == 3 * sum(other_plan.num_kernels_per_gpu())
 

@@ -15,7 +15,6 @@ from repro.dlrm import TrainingWorkload, model_for_plan
 from repro.preprocessing import build_plan
 from repro.runtime import (
     GPU_LOST,
-    PROBATION_ABORTED,
     PROBATION_COMMITTED,
     PROBATION_ROLLED_BACK,
     CheckpointManager,
@@ -116,7 +115,7 @@ class TestShadowConfig:
 
     def test_dict_round_trip(self):
         config = ShadowConfig(promote_margin=0.2, probation_iters=3)
-        assert ShadowConfig.from_dict(config.to_dict()) == config
+        assert ShadowConfig(**config.to_dict()) == config
 
 
 class TestGuardrail:
@@ -300,7 +299,7 @@ class TestFullCycle:
         assert counters["promotions"] == 1
         assert counters["commits"] == 1
         assert counters["rollbacks"] == 0
-        assert not runtime.watchdog.suppressed
+        assert not runtime.watchdog._suppressed
         assert shadow.last_realized_win is not None
 
     def test_commit_restarts_watchdog_window(self, setting):
@@ -336,7 +335,7 @@ class TestFullCycle:
         assert counters["aborts"] == 1
         assert counters["commits"] == 0 and counters["rollbacks"] == 0
         assert not shadow.in_probation
-        assert not runtime.watchdog.suppressed
+        assert not runtime.watchdog._suppressed
 
     def test_cycle_is_bit_identical_under_seed(self, setting):
         first = make_runtime(setting, shadow=ShadowPlanner(), drift_schedule=REGRESSING)
@@ -353,7 +352,7 @@ class TestFullCycle:
 
         def spy(iteration, record, report):
             result = original(iteration, record, report)
-            if runtime.watchdog.suppressed:
+            if runtime.watchdog._suppressed:
                 suppressed_at.append(iteration)
             return result
 
@@ -362,7 +361,7 @@ class TestFullCycle:
         assert suppressed_at, "probation never opened"
         # Suppression covers a contiguous probation window, then lifts.
         assert suppressed_at == list(range(min(suppressed_at), max(suppressed_at) + 1))
-        assert not runtime.watchdog.suppressed
+        assert not runtime.watchdog._suppressed
 
     def test_shadow_metrics_exported(self, setting):
         shadow = ShadowPlanner()

@@ -314,9 +314,9 @@ class TestPerPlanTelemetryCost:
     def test_forced_replan_adds_one_plan_worth(self, setting, counters):
         runtime = make_runtime(setting, telemetry=TelemetrySession())
         runtime.run(self.N)
-        before = runtime._installed_plan
+        before = runtime._installed()
         runtime._replan(self.N)
-        assert runtime._installed_plan is not before
+        assert runtime._installed() is not before
         counters.update(dict.fromkeys(counters, 0))
         runtime.run(self.N, start_iteration=self.N + 1)
         assert counters == {
@@ -349,6 +349,6 @@ class TestZeroCostWhenOffPerPlan:
         report = runtime.run(10)
         assert [r.num_faults for r in report.iterations].count(1) == 2
         assert calls == []
-        built = vars(runtime._installed_plan)
+        built = vars(runtime._installed())
         assert "report" in built  # the transparent path ran
         assert "_gpu_rows" not in built

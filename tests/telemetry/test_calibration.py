@@ -368,7 +368,7 @@ class TestFingerprintRestoreStability:
     def test_calibrated_fingerprint_survives_session_restore(self):
         session = TelemetrySession()
         for s in samples("Clamp", 2.0, n=16):
-            session.record_kernel_sample(s)
+            session.record_kernel_samples((s,))
         session.check_drift(0)
         before = session.calibrated_predictor(None).fingerprint()
 
@@ -380,12 +380,12 @@ class TestFingerprintRestoreStability:
     def test_fingerprint_tracks_new_samples_after_restore(self):
         session = TelemetrySession()
         for s in samples("Clamp", 2.0, n=16):
-            session.record_kernel_sample(s)
+            session.record_kernel_samples((s,))
         restored = TelemetrySession()
         restored.load_state(session.state_dict())
         before = restored.calibrated_predictor(None).fingerprint()
         for s in samples("Clamp", 3.0, n=16, start_iter=16):
-            restored.record_kernel_sample(s)
+            restored.record_kernel_samples((s,))
         assert restored.calibrated_predictor(None).fingerprint() != before
 
 

@@ -1,6 +1,7 @@
 """TelemetrySession: aggregation, artifacts, and checkpoint state."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -15,10 +16,15 @@ from repro.telemetry import (
 )
 
 
+def stamped(batch, iteration):
+    """``batch``'s samples as recorded at ``iteration``, in recording order."""
+    return [replace(t, iteration=iteration) for t in batch.templates]
+
+
 def feed(session, op="Clamp", factor=2.0, n=16, iteration=0):
     for i in range(n):
-        session.record_kernel_sample(
-            CalibrationSample(op, 100.0, 100.0 * factor, iteration=iteration, stage=i)
+        session.record_kernel_samples(
+            (CalibrationSample(op, 100.0, 100.0 * factor, iteration=iteration, stage=i),)
         )
 
 
@@ -127,8 +133,8 @@ class TestBatchRecording:
         batch = SampleBatch(mixed_templates())
 
         def one_at_a_time(session, i):
-            for sample in batch.samples(i):
-                session.record_kernel_sample(sample)
+            for sample in stamped(batch, i):
+                session.record_kernel_samples((sample,))
 
         events = self.assert_same(
             tmp_path, one_at_a_time, lambda session, i: session.record_batch(batch, i)
@@ -141,7 +147,7 @@ class TestBatchRecording:
         second = SampleBatch(mixed_templates()[3:])
 
         def one_at_a_time(session, i):
-            session.record_kernel_samples(first.samples(i) + second.samples(i))
+            session.record_kernel_samples(stamped(first, i) + stamped(second, i))
 
         def mixed(session, i):
             if i % 3 == 0:
@@ -149,9 +155,9 @@ class TestBatchRecording:
                 session.record_batch(second, i)
             elif i % 3 == 1:
                 session.record_batch(first, i)
-                session.record_kernel_samples(second.samples(i))
+                session.record_kernel_samples(stamped(second, i))
             else:
-                session.record_kernel_samples(first.samples(i))
+                session.record_kernel_samples(stamped(first, i))
                 session.record_batch(second, i)
 
         self.assert_same(tmp_path, one_at_a_time, mixed)

@@ -9,44 +9,29 @@ entries do not count: re-exporting a helper is not calling it. Tests are not
 read, so a helper only its unit test calls fails here and should be deleted
 together with that test.
 
-Names that stay on purpose are listed in ``ALLOWLIST`` with the reason.
+Names cannot show execution. A method passes whenever unrelated code uses
+the same name, and a function named only in code that never runs passes
+too. The CI job ``reach`` closes that gap: ``tools/reach.py`` records which
+functions the examples, CLI steps and benchmarks actually run.
+
+Names that stay on purpose are kept in ``tools/reach.py``'s ``KEPT`` table,
+each with one of its named reasons; the reach audit and this guard share it.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 CALLER_DIRS = ("src", "examples", "benchmarks", "perfbench")
 
-_HARNESS = "test harness: suites in two or more test files check other code through it"
-_DESIGN = "named in DESIGN.md as part of the model it documents"
-_FIXTURE = "writes the on-disk inputs that the ingest tests and docs read"
-
-ALLOWLIST: dict[str, str] = {
-    "CalibratedPredictor.predict_total": _HARNESS,
-    "CoRunCost.is_contention_free": _HARNESS,
-    "CoRunPolicy.effective": _HARNESS,
-    "GraphSet.consumers": _HARNESS,
-    "GraphSet.graphs_for_consumer": _HARNESS,
-    "MilpProblem.set_objective": _HARNESS,
-    "OverlappingCapacityEstimator.measure": _HARNESS,
-    "PreprocessingLatencyPredictor.predict_total": _HARNESS,
-    "ResidualModel.samples_for": _DESIGN,
-    "ResilienceReport.faults_by_epoch": _DESIGN,
-    "TelemetrySession.prometheus_text": _HARNESS,
-    "TelemetrySession.record_kernel_sample": _HARNESS,
-    "mape": _HARNESS,
-    "parse_prometheus_text": _DESIGN,
-    "r2_score": _HARNESS,
-    "resilience_from_json": _HARNESS,
-    "segment_positions": _DESIGN,
-    "write_csv": _FIXTURE,
-    "write_jsonl": _FIXTURE,
-    "write_replay_log": _FIXTURE,
-}
+_spec = importlib.util.spec_from_file_location("reach_tool", ROOT / "tools" / "reach.py")
+reach = sys.modules.setdefault("reach_tool", importlib.util.module_from_spec(_spec))
+_spec.loader.exec_module(reach)
 
 
 def _is_all_assignment(node: ast.AST) -> bool:
@@ -107,26 +92,23 @@ def test_every_public_function_has_a_non_test_caller():
     unused = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        rel = path.relative_to(PACKAGE).as_posix()
         for qualname, line, name in _definitions(tree):
-            if name in used or qualname in ALLOWLIST:
+            if name in used or f"{rel}:{qualname}" in reach.KEPT:
                 continue
             unused.append(f"{path.relative_to(ROOT)}:{line} {qualname}")
     assert not unused, (
         "public names that only tests reach (delete them with their tests, "
-        "or allowlist them with a reason):\n  " + "\n  ".join(unused)
+        "or keep them in tools/reach.py KEPT with a reason):\n  " + "\n  ".join(unused)
     )
 
 
 def test_allowlist_reasons_are_named():
-    named = {_HARNESS, _DESIGN, _FIXTURE}
-    unnamed = sorted(name for name, reason in ALLOWLIST.items() if reason not in named)
-    assert not unnamed, f"allowlisted without a named reason: {unnamed}"
+    unnamed = sorted(key for key, reason in reach.KEPT.items() if reason not in reach.REASONS)
+    assert not unnamed, f"kept without a named reason: {unnamed}"
 
 
 def test_allowlist_entries_exist():
-    defined = set()
-    for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        defined.update(qualname for qualname, _, _ in _definitions(tree))
-    stale = sorted(set(ALLOWLIST) - defined)
-    assert not stale, f"allowlisted names no longer defined: {stale}"
+    defined = {f.key for f in reach.functions(PACKAGE)}
+    stale = sorted(set(reach.KEPT) - defined)
+    assert not stale, f"kept names no longer defined: {stale}"
