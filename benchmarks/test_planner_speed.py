@@ -11,8 +11,7 @@ import time
 
 import pytest
 
-from repro.core import PlanCache, RapPlanner, plan_to_json
-from repro.core.adaptation import drift_graph_set
+from repro.core import PlanCache, RapPlanner, drift_graph_set, plan_to_json
 from repro.dlrm import TrainingWorkload, model_for_plan
 from repro.preprocessing import build_plan
 

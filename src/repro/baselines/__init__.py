@@ -7,8 +7,7 @@ through a common :class:`BaselineReport`.
 
 from .common import BaselineReport, unfused_kernels_per_gpu
 from .sequential import run_sequential_baseline
-from .cuda_stream import run_cuda_stream_baseline
-from .mps_baseline import run_mps_baseline
+from .sharing import run_cuda_stream_baseline, run_mps_baseline
 from .torcharrow import CpuWorkerPool, run_torcharrow_baseline
 
 __all__ = [

@@ -967,8 +967,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--start-seed", type=int, default=0,
                          help="first seed of the range (default 0)")
     p_sweep.add_argument("--iterations", type=int, default=None,
-                         help="override every scenario's iteration count "
-                              "(voids the seed-replay audit; for smoke runs)")
+                         help="cut every scenario to this many iterations, dropping "
+                              "scheduled events past the cut (voids the seed-replay "
+                              "audit; for smoke runs)")
     p_sweep.add_argument("--jobs", type=int, default=0,
                          help="concurrent isolated scenario processes "
                               "(default 0 = run inline in this process)")

@@ -44,10 +44,16 @@ from .plan_cache import (
     plan_cache_key,
     workload_fingerprint,
 )
-from .planner import PlannerStats, RapPlan, RapPlanner, RapRunReport
+from .planner import (
+    PlannerStats,
+    RapPlan,
+    RapPlanner,
+    RapRunReport,
+    drift_graph_set,
+    scale_plan_kernels,
+)
 from .codegen import compile_plan, generate_plan_module, load_plan_module
 from .hybrid import HybridPlanner, HybridReport, HybridSplit
-from .adaptation import AdaptationEvent, AdaptiveReplanner, drift_graph_set, scale_plan_kernels
 from .serialization import (
     FORMAT_VERSION,
     PlanLoadError,
@@ -103,8 +109,6 @@ __all__ = [
     "HybridPlanner",
     "HybridReport",
     "HybridSplit",
-    "AdaptationEvent",
-    "AdaptiveReplanner",
     "drift_graph_set",
     "scale_plan_kernels",
     "FORMAT_VERSION",

@@ -26,7 +26,7 @@ from ..gpusim.cluster import ClusterIterationResult
 from ..gpusim.kernel import KernelDesc
 from ..milp.branch_and_bound import BranchAndBoundSolver
 from ..preprocessing.executor import DataPreparation
-from ..preprocessing.graph import GraphSet
+from ..preprocessing.graph import FeatureGraph, GraphSet
 from .capacity import OverlappingCapacityEstimator
 from .cost_model import CoRunningCostModel
 from .fusion import HorizontalFusionPass
@@ -49,7 +49,14 @@ from .plan_cache import (
 )
 from .scheduler import ResourceAwareScheduler
 
-__all__ = ["RapPlan", "RapRunReport", "RapPlanner", "PlannerStats", "scale_plan_kernels"]
+__all__ = [
+    "RapPlan",
+    "RapRunReport",
+    "RapPlanner",
+    "PlannerStats",
+    "drift_graph_set",
+    "scale_plan_kernels",
+]
 
 MAPPING_STRATEGIES = ("rap", "data_parallel", "data_locality")
 
@@ -130,6 +137,28 @@ class RapRunReport:
     def training_slowdown(self) -> float:
         ideal = self.plan.workload.ideal_iteration_us()
         return self.iteration_us / ideal if ideal > 0 else 1.0
+
+
+def drift_graph_set(graph_set: GraphSet, list_length_scale: float) -> GraphSet:
+    """The same feature graphs under a drifted id-list-length distribution (§10).
+
+    Multiplies every graph's average list length by ``list_length_scale``
+    (>1: users interact more; <1: less), which rescales every sparse
+    operator's work and therefore its kernel cost. This is what a replan
+    searches under; :func:`scale_plan_kernels` prices the stale plan.
+    """
+    if list_length_scale <= 0:
+        raise ValueError("list_length_scale must be positive")
+    drifted = [
+        FeatureGraph(
+            name=g.name,
+            ops=g.ops,
+            consumer=g.consumer,
+            avg_list_length=g.avg_list_length * list_length_scale,
+        )
+        for g in graph_set
+    ]
+    return GraphSet(drifted, rows=graph_set.rows)
 
 
 def scale_plan_kernels(

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import tempfile
+import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
@@ -323,16 +324,35 @@ def _child_entry(scenario_json: str, check_resume: bool, result_path: str) -> No
 
 
 def _run_isolated(
-    scenario: Scenario, check_resume: bool, timeout_s: float, workdir: Path
+    batch: list[tuple[Scenario, bool]], timeout_s: float, workdir: Path
+) -> list[dict]:
+    """Run each ``(scenario, check_resume)`` pair in its own process, all at
+    once, each under a hard timeout counted from its own start; rows come
+    back in ``batch`` order."""
+    children = []
+    for scenario, check_resume in batch:
+        result_path = workdir / f"{scenario.name}.row.json"
+        process = multiprocessing.Process(
+            target=_child_entry,
+            args=(json.dumps(scenario.to_dict()), check_resume, str(result_path)),
+        )
+        process.start()
+        children.append((scenario, process, result_path, time.monotonic() + timeout_s))
+    return [
+        _collect(scenario, process, result_path, deadline, timeout_s)
+        for scenario, process, result_path, deadline in children
+    ]
+
+
+def _collect(
+    scenario: Scenario,
+    process: multiprocessing.Process,
+    result_path: Path,
+    deadline: float,
+    timeout_s: float,
 ) -> dict:
-    """Run one scenario in its own process with a hard timeout."""
-    result_path = workdir / f"{scenario.name}.row.json"
-    process = multiprocessing.Process(
-        target=_child_entry,
-        args=(json.dumps(scenario.to_dict()), check_resume, str(result_path)),
-    )
-    process.start()
-    process.join(timeout_s)
+    """Join one child by its deadline and read its row, or report why not."""
+    process.join(max(0.0, deadline - time.monotonic()))
     if process.is_alive():
         process.terminate()
         process.join(10.0)
@@ -364,6 +384,25 @@ def _run_inline(scenario: Scenario, check_resume: bool) -> dict:
 # ----------------------------------------------------------------------
 
 
+def _generate(forge: ScenarioForge, seed: int, iterations: int | None) -> Scenario:
+    """The forge's scenario for ``seed``, cut to ``iterations`` when given.
+
+    The cut run keeps the scheduled faults and drift entries that start
+    inside it and drops the rest, so a shortened sweep runs every seed
+    shorter rather than the audit rejecting each one with a later event.
+    """
+    scenario = forge.generate(seed)
+    if iterations is None:
+        return scenario
+    return scenario.with_overrides(
+        iterations=iterations,
+        fault_schedule=tuple(e for e in scenario.fault_schedule if e.iteration < iterations),
+        drift_schedule=tuple(
+            d for d in scenario.drift_schedule if d.start_iteration < iterations
+        ),
+    )
+
+
 def sweep(config: SweepConfig | None = None, log=None) -> dict:
     """Generate, audit, and execute ``config.seeds`` scenarios; score all.
 
@@ -379,10 +418,8 @@ def sweep(config: SweepConfig | None = None, log=None) -> dict:
     admitted: list[tuple[int, Scenario]] = []
     rejected: list[dict] = []
     for index in range(config.seeds):
-        seed = config.start_seed + index
-        scenario = forge.generate(seed)
+        scenario = _generate(forge, config.start_seed + index, config.iterations)
         if config.iterations is not None:
-            scenario = scenario.with_overrides(iterations=config.iterations)
             audit = audit_scenario(scenario)  # overrides void the seed-replay check
         else:
             audit = audit_scenario(scenario, forge)
@@ -400,16 +437,15 @@ def sweep(config: SweepConfig | None = None, log=None) -> dict:
                 check = index % config.resume_check_every == 0
                 outcomes.append(_run_inline(scenario, check))
         else:
-            pending = list(admitted)
-            while pending:
-                batch, pending = pending[: config.jobs], pending[config.jobs :]
-                # Per-batch fan-out keeps the bookkeeping trivial; a hung
-                # scenario stalls only its batch slot for timeout_s.
-                for index, scenario in batch:
-                    check = index % config.resume_check_every == 0
-                    outcomes.append(
-                        _run_isolated(scenario, check, config.timeout_s, workdir)
-                    )
+            runs = [
+                (scenario, index % config.resume_check_every == 0)
+                for index, scenario in admitted
+            ]
+            # Per-batch fan-out keeps the bookkeeping trivial; a hung
+            # scenario holds its batch for at most timeout_s.
+            for start in range(0, len(runs), config.jobs):
+                batch = runs[start : start + config.jobs]
+                outcomes.extend(_run_isolated(batch, config.timeout_s, workdir))
         failing = [o for o in outcomes if o.get("status") != "ok"]
         say(
             f"ran {len(outcomes)} scenarios: {len(outcomes) - len(failing)} ok, "
@@ -422,9 +458,7 @@ def sweep(config: SweepConfig | None = None, log=None) -> dict:
 
         config.triage_dir.mkdir(parents=True, exist_ok=True)
         for row in failing:
-            scenario = forge.generate(row["seed"])
-            if config.iterations is not None:
-                scenario = scenario.with_overrides(iterations=config.iterations)
+            scenario = _generate(forge, row["seed"], config.iterations)
             minimal = minimize_scenario(
                 scenario, lambda s: reproduces_failure(s, row["status"])
             )

@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from ..core.adaptation import drift_graph_set
 from ..core.codegen import compile_plan
 from ..core.fusion import fit_kernel_to_leftover
 from ..core.hybrid import (
@@ -47,7 +46,7 @@ from ..core.hybrid import (
     degraded_pool,
 )
 from ..core.latency_predictor import kernel_features
-from ..core.planner import RapPlan, RapPlanner, RapRunReport, scale_plan_kernels
+from ..core.planner import RapPlan, RapPlanner, RapRunReport, drift_graph_set, scale_plan_kernels
 from ..core.serialization import kernel_from_dict, kernel_to_dict, plan_from_json, plan_to_json
 from ..dlrm.training import TrainingWorkload
 from ..gpusim.kernel import KernelDesc
@@ -1267,8 +1266,8 @@ class FaultTolerantRuntime:
         # -- transactional promotion -----------------------------------
         # 1. Seal the rollback anchor (pre-swap state) and pin it so no
         #    cadence checkpoint can prune it while probation is open. The
-        #    full anchor payload also rides in shadow state, so rollback
-        #    works even without a checkpoint manager attached.
+        #    full anchor payload rides in shadow state, and rollback
+        #    restores from that copy, with or without a checkpoint manager.
         plan_text = plan_to_json(self.plan)
         anchor = {
             "iteration": iteration,
@@ -1346,17 +1345,6 @@ class FaultTolerantRuntime:
         elif outcome == PROBATION_COMMITTED:
             self.watchdog.reset()
         elif outcome == PROBATION_ROLLED_BACK:
-            plan_text = anchor["plan"]
-            if anchor.get("directory") and self._checkpoints is not None:
-                from .checkpoint import CheckpointError
-
-                try:
-                    snapshot = self._checkpoints.load(
-                        self._checkpoints.directory / anchor["directory"]
-                    )
-                    plan_text = snapshot.plan_text
-                except CheckpointError:
-                    pass  # fall back to the in-memory copy (identical bytes)
             anchor_total = float(anchor.get("total_scale", 1.0)) or 1.0
             # Drift that arrived *during* probation composes onto the
             # anchor's relative scale, so the restored plan sees today's
@@ -1366,7 +1354,7 @@ class FaultTolerantRuntime:
             self._begin_epoch(
                 iteration,
                 "rollback",
-                plan_from_json(plan_text, self.workload, self.graph_set),
+                plan_from_json(anchor["plan"], self.workload, self.graph_set),
                 scale=float(anchor.get("scale", 1.0)) * (self._total_scale / anchor_total),
                 cpu_kernels=[kernel_from_dict(k) for k in anchor.get("cpu_kernels", [])],
             )

@@ -19,8 +19,7 @@ import pytest
 
 import repro.core.fusion as fusion_module
 import repro.core.scheduler as scheduler_module
-from repro.core import RapPlanner, ResourceAwareScheduler
-from repro.core.adaptation import drift_graph_set
+from repro.core import RapPlanner, ResourceAwareScheduler, drift_graph_set
 from repro.core.serialization import plan_to_json
 from repro.dlrm import TrainingWorkload, model_for_plan
 from repro.gpusim.resources import ResourceVector

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.adaptation import drift_graph_set
+from repro.core import drift_graph_set
 from repro.core.plan_cache import (
     PlanCache,
     graph_set_fingerprint,

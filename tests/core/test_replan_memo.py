@@ -11,8 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import RapPlanner
-from repro.core.adaptation import drift_graph_set
+from repro.core import RapPlanner, drift_graph_set
 from repro.core.mapping import GraphMapping
 from repro.core.plan_cache import graph_set_fingerprint, graph_set_structure_fingerprint
 from repro.core.planner import REPLAN_MEMO_SIZE

@@ -69,7 +69,7 @@ class TestIsolation:
             os._exit(17)  # a hard death no try/except can catch
 
         monkeypatch.setattr(sweep_mod, "run_scenario", die)
-        row = sweep_mod._run_isolated(scenario, False, timeout_s=60.0, workdir=tmp_path)
+        (row,) = sweep_mod._run_isolated([(scenario, False)], timeout_s=60.0, workdir=tmp_path)
         assert row["status"] == "crash"
         assert "17" in row["error"]
 
@@ -81,7 +81,7 @@ class TestIsolation:
 
         monkeypatch.setattr(sweep_mod, "run_scenario", hang)
         start = time.monotonic()
-        row = sweep_mod._run_isolated(scenario, False, timeout_s=1.0, workdir=tmp_path)
+        (row,) = sweep_mod._run_isolated([(scenario, False)], timeout_s=1.0, workdir=tmp_path)
         assert row["status"] == "timeout"
         assert time.monotonic() - start < 30
 
@@ -96,6 +96,54 @@ class TestSweep:
         assert set(scorecard["dimensions"]) == set(GATE_CRITERIA)
         path = write_scorecard(scorecard, tmp_path / "BENCH_scenarios.json")
         assert json.loads(path.read_text())["format_version"] == scorecard["format_version"]
+
+
+    def test_iterations_cut_clips_every_schedule(self):
+        """A shortened sweep runs every seed shorter: scheduled faults and
+        drift past the cut are dropped, not audited into rejections."""
+        scorecard = sweep(SweepConfig(seeds=4, iterations=6, resume_check_every=100))
+        assert scorecard["admission"]["admitted"] == 4, scorecard["admission"]
+        assert [row["iterations"] for row in scorecard["scenarios"]] == [6] * 4
+        assert scorecard["pass"], scorecard["dimensions"]
+
+    def test_jobs_start_a_whole_batch_before_joining(self, monkeypatch):
+        """--jobs N runs N children at once, and the scorecard does not
+        depend on N."""
+        log = []
+
+        class RecordingProcess:
+            """Runs the child in-process on start(); logs starts and joins."""
+
+            exitcode = 0
+
+            def __init__(self, target, args):
+                self.target, self.args = target, args
+
+            def start(self):
+                log.append(("start", self.args[2]))
+                self.target(*self.args)
+
+            def join(self, timeout=None):
+                log.append(("join", self.args[2]))
+
+            def is_alive(self):
+                return False
+
+        monkeypatch.setattr(sweep_mod.multiprocessing, "Process", RecordingProcess)
+        cards = {}
+        for jobs in (1, 2):
+            log.clear()
+            cards[jobs] = sweep(
+                SweepConfig(seeds=4, iterations=6, jobs=jobs, resume_check_every=100)
+            )
+            cards[jobs]["config"].pop("jobs")
+            started = [path for kind, path in log if kind == "start"]
+            batches = [started[i : i + jobs] for i in range(0, len(started), jobs)]
+            assert log == [
+                (kind, path) for batch in batches for kind in ("start", "join") for path in batch
+            ]
+        assert cards[1]["admission"]["admitted"] == 4
+        assert cards[2] == cards[1]
 
 
 class TestScorecard:

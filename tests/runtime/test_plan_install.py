@@ -13,8 +13,7 @@ import copy
 
 import pytest
 
-from repro.core import RapPlanner
-from repro.core.adaptation import drift_graph_set, scale_plan_kernels
+from repro.core import RapPlanner, drift_graph_set, scale_plan_kernels
 from repro.core.latency_predictor import kernel_features
 from repro.dlrm import TrainingWorkload, model_for_plan
 from repro.preprocessing import build_plan

@@ -75,6 +75,8 @@ KEPT: dict[str, str] = {
     "core/serialization.py:PlanLoadError.__init__": _FAILURE,
     "core/serialization.py:resilience_from_json": _HARNESS,
     "dlrm/training.py:TrainingWorkload.heterogeneous": _HARNESS,
+    "forge/audit.py:AuditFinding.to_dict": _FAILURE,
+    "forge/audit.py:AuditResult.to_dict": _FAILURE,
     "forge/sweep.py:_failure_row": _FAILURE,
     "forge/triage.py:_shrink_candidates": _FAILURE,
     "forge/triage.py:minimize_scenario": _FAILURE,
@@ -177,8 +179,8 @@ python -c 'import json; from repro.telemetry import validate_chrome_trace; valid
     ("perfbench plan-cold traced", 'python3 "$ROOT/perfbench/run.py" --workload plan-cold --seed 0 --seconds 2 --trace 1'),
     # scenario-smoke and the nightly sweep's isolation and triage
     ("sweep", "rap sweep --seeds 10 --out sweep.json --force"),
-    # --iterations 8 cuts two of four scenarios short of their fault schedule, so
-    # the audit rejects them
+    # --iterations 8 cuts all four scenarios to eight iterations, dropping the
+    # scheduled faults and drift past the cut, so the audit admits every one
     ("short sweep", "rap sweep --seeds 4 --iterations 8 --out sweep-short.json --force"),
     ("isolated sweep with triage", "rap sweep --seeds 2 --start-seed 6 --jobs 2 --timeout 300 --out sweep-iso.json --triage-dir triage --force"),
     # ingest-smoke
